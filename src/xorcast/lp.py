@@ -2,10 +2,21 @@
 
 Variables carry box bounds that are handled implicitly: a nonbasic variable
 may rest at either of its bounds, so the tableau keeps one row per
-functional constraint no matter how many variables are boxed. Bland's rule
-fixes the pivot order, which makes runs deterministic and cycle-free. This
-is meant for the small dense programs produced elsewhere in the package,
-not as a general solver.
+functional constraint no matter how many variables are boxed.
+
+Pricing takes the improving column with the largest reduced cost (Dantzig's
+rule; at the upper bound the reduced cost counts negated), ties going to
+the lowest index. Largest-coefficient pricing can cycle on degenerate
+vertices, so after DEGENERATE_RUN consecutive degenerate pivots the entering
+column is the lowest improving index instead (Bland's rule), until a pivot
+moves the point or a variable flips bounds. Bland's rule cannot cycle, and
+every non-degenerate step raises the objective, so the solve terminates.
+The leaving row is the lowest basis index among rows within 1e-12 of the
+smallest step. Every choice is a pure function of the tableau, so identical
+inputs take the identical pivot path and return the identical point.
+
+This is meant for the small dense programs produced elsewhere in the
+package, not as a general solver.
 """
 
 from __future__ import annotations
@@ -19,6 +30,8 @@ from .errors import ContractViolation, NumericalFailure
 
 TOL = 1e-9
 VERIFY_TOL = 1e-8
+# consecutive degenerate pivots after which pricing falls back to Bland's rule
+DEGENERATE_RUN = 50
 LE = "<="
 EQ = "="
 
@@ -74,6 +87,7 @@ class LpSolution:
     value: float | None
     point: np.ndarray | None
     tight: tuple[int, ...] = ()
+    pivots: int = 0                  # simplex iterations over both phases
 
 
 class _Simplex:
@@ -117,7 +131,7 @@ class _Simplex:
                 s += 1
         self.T = a[:, :s].copy()
         self.beta = b.copy()
-        self.basis = basis
+        self.basis = np.array(basis, dtype=np.intp)
         self.N = s
         self.m_rows = m
         self.n_struct = n
@@ -136,15 +150,38 @@ class _Simplex:
             return c.copy()
         return c - c[self.basis] @ self.T
 
-    def _entering(self, red: np.ndarray) -> int:
-        for j in range(self.N):
-            if self.status_arr[j] == BASIC or self.fixed[j]:
-                continue
-            if self.status_arr[j] == AT_LOWER and red[j] > TOL:
-                return j
-            if self.status_arr[j] == AT_UPPER and red[j] < -TOL:
-                return j
-        return -1
+    def _entering(self, red: np.ndarray, bland: bool) -> int:
+        """Improving nonbasic column with the largest gain, or with the lowest
+        index when bland is set; -1 at optimality. The gain is the reduced
+        cost at the lower bound and its negation at the upper bound."""
+        status = self.status_arr
+        gain = np.where(status == AT_UPPER, -red, red)
+        gain[(status == BASIC) | self.fixed] = 0.0
+        if bland:
+            improving = np.flatnonzero(gain > TOL)
+            return int(improving[0]) if improving.size else -1
+        e = int(np.argmax(gain))
+        return e if gain[e] > TOL else -1
+
+    def _ratio(self, e: int, direction: int):
+        """Bounded ratio test for column e moving in direction. Returns
+        (step, row, to_upper); row is -1 when no basic variable limits the
+        step. Among rows within 1e-12 of the smallest step the lowest basis
+        index leaves."""
+        col = direction * self.T[:, e]
+        beta = self.beta
+        ub = self.u[self.basis]
+        down = col > TOL
+        up = (col < -TOL) & np.isfinite(ub)
+        steps = np.full(self.m_rows, math.inf)
+        steps[down] = np.maximum(beta[down], 0.0) / col[down]
+        steps[up] = np.maximum(ub[up] - beta[up], 0.0) / -col[up]
+        best_t = float(steps.min(initial=math.inf))
+        if not math.isfinite(best_t):
+            return math.inf, -1, False
+        ties = np.flatnonzero(steps <= best_t + 1e-12)
+        row = int(ties[np.argmin(self.basis[ties])])
+        return float(steps[row]), row, bool(up[row])
 
     def _pivot(self, r: int, e: int, t: float, direction: int, to_upper: bool):
         T, beta = self.T, self.beta
@@ -154,7 +191,9 @@ class _Simplex:
         leaving = self.basis[r]
         piv = col[r]
         row = T[r] / piv
-        T -= np.outer(col, row)
+        # rows with a zero in the pivot column are unchanged by the update
+        rows = np.flatnonzero(col)
+        T[rows] -= np.outer(col[rows], row)
         T[r] = row
         beta[r] = t if direction > 0 else self.u[e] - t
         self.basis[r] = e
@@ -166,8 +205,9 @@ class _Simplex:
 
     def _iterate(self, c: np.ndarray, phase: int) -> str:
         red = self._reduced(c)
+        degenerate = 0
         while True:
-            e = self._entering(red)
+            e = self._entering(red, bland=degenerate >= DEGENERATE_RUN)
             if e < 0:
                 return "optimal"
             if self.pivots >= self.cap:
@@ -176,27 +216,7 @@ class _Simplex:
                     {"phase": phase, "pivots": self.pivots, "entering": int(e)})
             self.pivots += 1
             direction = 1 if self.status_arr[e] == AT_LOWER else -1
-            best_t = math.inf
-            best_row = -1
-            to_upper = False
-            for i in range(self.m_rows):
-                coef = direction * self.T[i, e]
-                if coef > TOL:
-                    t = max(self.beta[i], 0.0) / coef
-                    cand_up = False
-                elif coef < -TOL:
-                    ub = self.u[self.basis[i]]
-                    if not math.isfinite(ub):
-                        continue
-                    t = max(ub - self.beta[i], 0.0) / -coef
-                    cand_up = True
-                else:
-                    continue
-                if t < best_t - 1e-12 or (t <= best_t + 1e-12 and
-                                          (best_row < 0 or self.basis[i] < self.basis[best_row])):
-                    best_t = t
-                    best_row = i
-                    to_upper = cand_up
+            best_t, best_row, to_upper = self._ratio(e, direction)
             own = self.u[e]
             if own <= best_t + 1e-12:
                 if not math.isfinite(own):
@@ -207,7 +227,9 @@ class _Simplex:
                 self.beta -= direction * own * self.T[:, e]
                 np.maximum(self.beta, 0.0, out=self.beta)
                 self.status_arr[e] = AT_UPPER if direction > 0 else AT_LOWER
+                degenerate = 0
                 continue
+            degenerate = degenerate + 1 if best_t <= TOL else 0
             row = self._pivot(best_row, e, best_t, direction, to_upper)
             red = red - red[e] * row
 
@@ -229,7 +251,7 @@ class _Simplex:
                 # row is redundant in the structural columns; drop it
                 self.T = np.delete(self.T, r, axis=0)
                 self.beta = np.delete(self.beta, r)
-                del self.basis[r]
+                self.basis = np.delete(self.basis, r)
                 self.m_rows -= 1
                 self.status_arr[j] = AT_LOWER
                 self.fixed[j] = True
@@ -287,12 +309,12 @@ def solve(lp: LinearProgram) -> LpSolution:
     """Solve to optimality. Identical inputs take the identical pivot path."""
     sx = _Simplex(lp)
     if not sx.phase_one():
-        return LpSolution("Infeasible", None, None)
+        return LpSolution("Infeasible", None, None, pivots=sx.pivots)
     if sx.phase_two() == "unbounded":
-        return LpSolution("Unbounded", None, None)
+        return LpSolution("Unbounded", None, None, pivots=sx.pivots)
     x = sx.extract()
     tight = _verify(lp, x)
-    return LpSolution("Optimal", float(lp.objective @ x), x, tight)
+    return LpSolution("Optimal", float(lp.objective @ x), x, tight, sx.pivots)
 
 
 def feasible(lp: LinearProgram):

@@ -105,14 +105,6 @@ class CanonicalizationReport:
     cuts_after: CutValues
 
 
-def _eps_columns(table: WindowTable):
-    pp = table.pattern_probs
-    e1 = pp[:, 2] + pp[:, 3]
-    e2 = pp[:, 1] + pp[:, 3]
-    e12 = pp[:, 3]
-    return e1, e2, e12
-
-
 def region_lp(table: WindowTable, w1: float, w2: float, slack: float = 0.0) -> LinearProgram:
     """Build the L-th order region program, maximizing w1*R1 + w2*R2.
 
@@ -124,7 +116,7 @@ def region_lp(table: WindowTable, w1: float, w2: float, slack: float = 0.0) -> L
         raise ContractViolation("weights must be nonnegative with a positive sum")
     m = len(table)
     p = table.probs
-    e1, e2, e12 = _eps_columns(table)
+    e1, e2, e12 = table.eps_arrays()
     g1 = p * (1.0 - e1)      # per-window success weight toward receiver 1
     g2 = p * (1.0 - e2)
     g12 = p * (1.0 - e12)    # reaches at least one receiver
@@ -215,7 +207,7 @@ def robust_witness(table: WindowTable, wit: RegionWitness,
     r2 = wit.R2 * backoff
     m = len(table)
     p = table.probs
-    e1, e2, e12 = _eps_columns(table)
+    e1, e2, e12 = table.eps_arrays()
     g1 = p * (1.0 - e1)
     g2 = p * (1.0 - e2)
     g12 = p * (1.0 - e12)
@@ -260,7 +252,7 @@ def robust_witness(table: WindowTable, wit: RegionWitness,
 def witness_residual(table: WindowTable, wit: RegionWitness) -> float:
     """Largest violation of the four rate constraints at the witness."""
     p = table.probs
-    e1, e2, e12 = _eps_columns(table)
+    e1, e2, e12 = table.eps_arrays()
     s1 = float(np.sum(p * (1.0 - e1) * wit.x))
     s2 = float(np.sum(p * (1.0 - e2) * wit.y))
     sx = float(np.sum(p * (1.0 - e12) * (1.0 - wit.x)))
@@ -373,7 +365,7 @@ def link_capacities(table: WindowTable, dist: ActionDistribution) -> CapacitySet
         raise ContractViolation("window length mismatch between table and distribution")
     p = table.probs
     pp = table.pattern_probs
-    e1, e2, e12 = _eps_columns(table)
+    e1, e2, e12 = table.eps_arrays()
     only2 = pp[:, 2]   # erased at 1, heard at 2
     only1 = pp[:, 1]   # heard at 1, erased at 2
     P = dist.table
@@ -424,7 +416,7 @@ def canonicalize(dist: ActionDistribution, table: WindowTable):
     if dist.L != table.L:
         raise ContractViolation("window length mismatch between table and distribution")
     p = table.probs
-    e1, e2, e12 = _eps_columns(table)
+    e1, e2, e12 = table.eps_arrays()
     P = dist.table
     mass = P[:, 2] + P[:, 4]
     h1 = float(np.sum(p * (1.0 - e1) * mass))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import PATTERNS, ChannelModel, stationary_distribution
-from .errors import ContractViolation, TraceFormatError
+from .errors import ContractViolation, NumericalFailure, TraceFormatError
 from .filtering import ErasureStats, filter_step, predict_stats
 from .region import ActionDistribution
 
@@ -400,8 +400,10 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
             q1, q2, q3 = state.q1, state.q2, state.q3
             for j in (0, 1):
                 held = len(q1[j]) + len(q2[j]) + len(q3) + delivered_n[j]
-                assert held == arrivals[j], \
-                    f"conservation broken for receiver {j+1} at slot {slot+1}"
+                if held != arrivals[j]:
+                    raise NumericalFailure("packet conservation broken",
+                                           {"receiver": j + 1, "slot": slot + 1,
+                                            "held": held, "arrivals": arrivals[j]})
             checkpoints.append((slot + 1, state.backlog(), delivered_n[0], delivered_n[1]))
     return SimReport(scheduler=scheduler, R1=R1, R2=R2, n=n, seed=seed,
                      arrivals=tuple(arrivals), delivered=tuple(delivered_n),
@@ -504,10 +506,10 @@ def decode_verify(trace) -> DecodeReport:
     Each receiver accumulates the GF(2) span of the combinations it heard;
     a delivery claim fails if the packet is outside the span at claim time.
     The trace contract limits every combination to one packet id or two
-    distinct ones, as the simulator sends them; anything else raises
-    ContractViolation. Under that limit the span is a graph question, so
-    each receiver keeps a union-find over packet ids (see _Span) and a claim
-    costs near-constant time.
+    distinct ones, as the simulator sends them, and every delivery claim to
+    receiver 1 or 2; anything else raises ContractViolation. Under that
+    limit the span is a graph question, so each receiver keeps a union-find
+    over packet ids (see _Span) and a claim costs near-constant time.
     """
     spans = (_Span(), _Span())
     fails: list = []
@@ -521,6 +523,9 @@ def decode_verify(trace) -> DecodeReport:
         if r2:
             spans[1].hear(combo)
         for j, pid in delivered:
+            if j not in (1, 2):
+                raise ContractViolation(f"slot {slot}: delivery claim names receiver {j}; "
+                                        "receivers are 1 and 2")
             if not bad[j - 1] and not spans[j - 1].holds(pid):
                 bad[j - 1] = True
                 fails.append((j, pid, slot))
@@ -540,8 +545,9 @@ def save_trace(trace, path) -> None:
 
 def load_trace(path) -> list:
     """Read a JSON-lines trace. Malformed lines, including a combination that
-    is not one packet id or two distinct ones, raise TraceFormatError with
-    the 1-based line number."""
+    is not one packet id or two distinct ones or a delivery claim for a
+    receiver other than 1 or 2, raise TraceFormatError with the 1-based line
+    number."""
     rows = []
     with open(path, "r", encoding="utf-8") as f:
         for i, line in enumerate(f, start=1):
@@ -567,5 +573,9 @@ def load_trace(path) -> list:
             if not _well_formed(combo):
                 raise TraceFormatError(f"line {i}: combination {list(combo)} is not one "
                                        "packet id or two distinct ones", line=i)
+            for j, _pid in delivered:
+                if j not in (1, 2):
+                    raise TraceFormatError(f"line {i}: delivery claim names receiver {j}; "
+                                           "receivers are 1 and 2", line=i)
             rows.append((slot, action, combo, r1, r2, delivered))
     return rows

@@ -108,7 +108,23 @@ def test_deterministic():
     b = xc.solve(program)
     assert a.value == b.value
     assert np.array_equal(a.point, b.point)
+    assert a.pivots == b.pivots
     assert abs(a.value - 28.0) < 1e-9
+
+
+def test_beale_cycling_example():
+    # Beale (1955): largest-coefficient pricing alone cycles through
+    # degenerate bases on this program; the Bland fallback breaks out
+    sol = xc.solve(lp(
+        [0.75, -150, 0.02, -6],
+        [([0.25, -60, -0.04, 9], "<=", 0),
+         ([0.5, -90, -0.02, 3], "<=", 0),
+         ([0, 0, 1, 0], "<=", 1)],
+        [(0, INF)] * 4,
+    ))
+    assert sol.status == "Optimal"
+    assert abs(sol.value - 0.05) < 1e-9
+    assert np.max(np.abs(sol.point - [0.04, 0, 1, 0])) < 1e-9
 
 
 def test_feasible_check():

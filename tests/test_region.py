@@ -82,6 +82,12 @@ def test_solve_matches_vertex_oracle(ref_model):
         assert abs(got - expected) < 1e-7, f"w=({w1},{w2})"
 
 
+def test_region_lp_reports_pivots(ref_model):
+    sol = xc.solve(region_lp(xc.window_table(ref_model, 4), 1.0, 1.0))
+    assert sol.status == "Optimal"
+    assert sol.pivots > 0
+
+
 def test_refine_keeps_value(ref_model):
     t = xc.window_table(ref_model, 2)
     plain = xc.solve_region(t, 0.3, 0.7, refine=False)

@@ -404,6 +404,27 @@ def test_load_trace_rejects_malformed_combo(tmp_path, capsys):
         assert "line 2" in capsys.readouterr().err
 
 
+def test_decode_verify_rejects_unknown_receiver():
+    # receiver 0 would index receiver 2's span through j - 1
+    for j in (0, 3):
+        trace = [(0, FRESH2, (5,), False, True, ((j, 5),))]
+        with pytest.raises(xc.ContractViolation):
+            xc.decode_verify(trace)
+
+
+def test_load_trace_rejects_unknown_receiver(tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    for j in (0, 3):
+        path.write_text(json.dumps({"slot": 0, "action": 2, "combo": [5],
+                                    "received_rx1": False, "received_rx2": True,
+                                    "delivered": [[j, 5]]}) + "\n")
+        with pytest.raises(xc.TraceFormatError) as err:
+            xc.load_trace(path)
+        assert err.value.line == 1
+        assert cli_main(["verify", "--trace", str(path)]) == 3
+        assert "line 1" in capsys.readouterr().err
+
+
 def test_trace_round_trip(tmp_path, ref_model):
     t = xc.window_table(ref_model, 1)
     _, dist, _ = xc.simulation_distribution(t, 0.5)
