@@ -54,6 +54,9 @@ class ChannelModel:
         # plain-float copies; the per-slot simulation loop avoids numpy scalars
         self.transition_rows = tuple(tuple(float(v) for v in row) for row in t)
         self.emission_rows = tuple(tuple(float(v) for v in row) for row in e)
+        # columns of the same floats: the filter kernel takes dot products with them
+        self.transition_cols = tuple(zip(*self.transition_rows))
+        self.emission_cols = tuple(zip(*self.emission_rows))
 
     def __repr__(self):
         return f"ChannelModel(states={self.num_states})"
@@ -105,10 +108,7 @@ def _aperiodic_flag(adj: np.ndarray) -> bool:
     on no cycle are ignored.
     """
     for comp in _sccs(adj):
-        if len(comp) == 1:
-            u = next(iter(comp))
-            if adj[u, u]:
-                continue
+        if len(comp) == 1:   # a self-loop has period one; no loop, no cycle
             continue
         root = min(comp)
         level = {root: 0}

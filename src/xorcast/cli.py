@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 from .channel import forgetting_rate_bound, load_model
@@ -48,19 +50,49 @@ class Options:
             if not isinstance(self.cfg, dict):
                 raise ConfigError("config: expected a JSON object")
 
-    def get(self, name, default=None, required=False, cfg_key=None):
+    def get(self, name, default=None, required=False, cfg_key=None, kind=None):
+        """The flag value, else the config value, else default; kind (int or
+        float) parses it as a number."""
+        option = "--" + (cfg_key or name).replace("_", "-")
         val = getattr(self.args, name, None)
         if val is None:
             val = self.cfg.get(cfg_key or name, default)
         if required and val is None:
-            raise ConfigError(f"missing required option --{(cfg_key or name).replace('_', '-')}")
+            raise ConfigError(f"missing required option {option}")
+        if kind is not None and val is not None:
+            val = _number(val, option, kind)
         return val
 
 
-def _open_out(path):
+def _number(raw, option: str, kind):
+    """A flag string or a config value as an int or a finite float. Text
+    that does not parse, a bool, a fraction where an int is due, nan and
+    infinities raise ConfigError naming the option."""
+    ok = isinstance(raw, str) or type(raw) is int or (kind is float and type(raw) is float)
+    try:
+        val = kind(raw) if ok else None
+    except (ValueError, OverflowError):
+        val = None
+    if val is None or (kind is float and not math.isfinite(val)):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{option} expects {what}, got {raw!r}")
+    return val
+
+
+@contextmanager
+def _output(path):
+    """The output file at path, or stdout for None and "-"."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        yield f
+
+
+def _write_json(path, obj) -> None:
+    with _output(path) as out:
+        json.dump(obj, out, indent=2)
+        out.write("\n")
 
 
 def _load_model_opt(opts) -> object:
@@ -68,25 +100,21 @@ def _load_model_opt(opts) -> object:
 
 
 def _parse_rates(raw) -> tuple:
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return float(raw[0]), float(raw[1])
-    if isinstance(raw, str):
-        parts = raw.split(",")
-        if len(parts) == 2:
-            return float(parts[0]), float(parts[1])
-    raise ConfigError("--rates expects R1,R2")
+    parts = raw.split(",") if isinstance(raw, str) else raw
+    if not isinstance(parts, (list, tuple)) or len(parts) != 2:
+        raise ConfigError("--rates expects R1,R2")
+    return _number(parts[0], "--rates", float), _number(parts[1], "--rates", float)
 
 
 def cmd_region(opts) -> int:
     model = _load_model_opt(opts)
-    L = int(opts.get("L", required=True, cfg_key="L"))
-    lam = opts.get("lam", cfg_key="lambda")
+    L = opts.get("L", required=True, cfg_key="L", kind=int)
+    lam = opts.get("lam", cfg_key="lambda", kind=float)
     table = window_table(model, L)
     rows = []
     if opts.get("sandwich", default=False):
         if lam is None:
             raise ConfigError("--sandwich needs --lambda")
-        lam = float(lam)
         res = sandwich(model, L, lam, 1.0 - lam)
         if res.inner is not None:
             rows.append((lam, res.inner.R1, res.inner.R2, "inner"))
@@ -96,26 +124,21 @@ def cmd_region(opts) -> int:
         if res.degraded:
             print("forgetting rate unavailable; nominal point only", file=sys.stderr)
     elif lam is not None:
-        lam = float(lam)
         wit = solve_region(table, lam, 1.0 - lam)
         rows.append((lam, wit.R1, wit.R2, wit.status))
     else:
-        k = int(opts.get("sweep", default=33))
+        k = opts.get("sweep", default=33, kind=int)
         for wit in sweep_table(table, k):
             rows.append((wit.w1, wit.R1, wit.R2, wit.status))
-    out, close = _open_out(opts.get("out"))
-    try:
+    with _output(opts.get("out")) as out:
         w = csv.writer(out)
         w.writerow(["lambda", "R1", "R2", "status"])
         for lam_v, r1, r2, status in rows:
             w.writerow([_fmt(lam_v), _fmt(r1), _fmt(r2), status])
-    finally:
-        if close:
-            out.close()
     witness_out = opts.get("witness_out")
     if witness_out:
-        wit = solve_region(table, float(lam if lam is not None else 0.5),
-                           1.0 - float(lam if lam is not None else 0.5))
+        w1 = lam if lam is not None else 0.5
+        wit = solve_region(table, w1, 1.0 - w1)
         with open(witness_out, "w", encoding="utf-8") as f:
             json.dump({"lambda": wit.w1, "R1": wit.R1, "R2": wit.R2,
                        "x": list(map(float, wit.x)), "y": list(map(float, wit.y))}, f)
@@ -127,20 +150,20 @@ def cmd_simulate(opts) -> int:
     model = _load_model_opt(opts)
     scheduler = opts.get("scheduler", required=True)
     r1, r2 = _parse_rates(opts.get("rates", required=True))
-    n = int(opts.get("slots", required=True))
-    seed = int(opts.get("seed", default=0))
+    n = opts.get("slots", required=True, kind=int)
+    seed = opts.get("seed", default=0, kind=int)
     dist = None
     if scheduler == "probabilistic":
         dist_path = opts.get("dist")
         if dist_path:
             dist = load_dist(dist_path)
         else:
-            lam = opts.get("lam", cfg_key="lambda")
-            L = opts.get("L", cfg_key="L")
+            lam = opts.get("lam", cfg_key="lambda", kind=float)
+            L = opts.get("L", cfg_key="L", kind=int)
             if lam is None or L is None:
                 raise ConfigError("probabilistic runs need --dist or both --lambda and --L")
-            table = window_table(model, int(L))
-            _, dist, _ = simulation_distribution(table, float(lam))
+            table = window_table(model, L)
+            _, dist, _ = simulation_distribution(table, lam)
     trace_path = opts.get("trace")
     csv_path = opts.get("csv")
     report = simulate(model, scheduler, r1, r2, n, seed, dist=dist,
@@ -148,15 +171,11 @@ def cmd_simulate(opts) -> int:
     if trace_path:
         save_trace(report.trace, trace_path)
     if csv_path:
-        out, close = _open_out(csv_path)
-        try:
+        with _output(csv_path) as out:
             w = csv.writer(out)
             w.writerow(["slot", "action", "z1", "z2", "totalQ", "delivered1", "delivered2"])
             for row in report.slot_rows:
                 w.writerow(row)
-        finally:
-            if close:
-                out.close()
     verdict = stability_verdict(report) if n >= 10_000 else None
     summary = {
         "scheduler": report.scheduler,
@@ -167,25 +186,18 @@ def cmd_simulate(opts) -> int:
         "action_counts": report.action_counts,
         "verdict": verdict,
     }
-    out, close = _open_out(opts.get("out"))
-    try:
-        json.dump(summary, out, indent=2)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
+    _write_json(opts.get("out"), summary)
     return 0
 
 
 def cmd_forgetting(opts) -> int:
     model = _load_model_opt(opts)
-    l_max = int(opts.get("L", required=True, cfg_key="L"))
-    horizon = int(opts.get("horizon", default=l_max + 4))
-    seed = int(opts.get("seed", default=0))
-    samples = int(opts.get("samples", default=256))
+    l_max = opts.get("L", required=True, cfg_key="L", kind=int)
+    horizon = opts.get("horizon", default=l_max + 4, kind=int)
+    seed = opts.get("seed", default=0, kind=int)
+    samples = opts.get("samples", default=256, kind=int)
     sigma = forgetting_rate_bound(model)
-    out, close = _open_out(opts.get("out"))
-    try:
+    with _output(opts.get("out")) as out:
         w = csv.writer(out)
         w.writerow(["L", "tv", "bound", "method"])
         for L in range(1, l_max + 1):
@@ -197,9 +209,6 @@ def cmd_forgetting(opts) -> int:
                 method = "empirical"
             bound = "" if sigma is None else _fmt(2.0 * (1.0 - sigma) ** L)
             w.writerow([L, _fmt(tv), bound, method])
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -213,13 +222,7 @@ def cmd_verify(opts) -> int:
                      for j, pid, slot in report.failures],
         "transmissions": len(trace),
     }
-    out, close = _open_out(opts.get("out"))
-    try:
-        json.dump(summary, out, indent=2)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
+    _write_json(opts.get("out"), summary)
     return 0 if report.ok else 1
 
 
@@ -233,26 +236,16 @@ def cmd_canonicalize(opts) -> int:
     payload["theta"] = rep.theta
     payload["cuts_before"] = {k: list(getattr(rep.cuts_before, k)) for k in "abcd"}
     payload["cuts_after"] = {k: list(getattr(rep.cuts_after, k)) for k in "abcd"}
-    out, close = _open_out(opts.get("out"))
-    try:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
+    _write_json(opts.get("out"), payload)
     return 0
 
 
 def cmd_dump_window_table(opts) -> int:
     model = _load_model_opt(opts)
-    L = int(opts.get("L", required=True, cfg_key="L"))
+    L = opts.get("L", required=True, cfg_key="L", kind=int)
     table = window_table(model, L)
-    out, close = _open_out(opts.get("out"))
-    try:
+    with _output(opts.get("out")) as out:
         dump_window_table(table, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -268,9 +261,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("region", help="boundary points of the L-th order region")
     common(sp)
-    sp.add_argument("--L", type=int)
-    sp.add_argument("--lambda", dest="lam", type=float, help="single weight point")
-    sp.add_argument("--sweep", type=int, help="number of sweep weights (default 33)")
+    sp.add_argument("--L")
+    sp.add_argument("--lambda", dest="lam", help="single weight point")
+    sp.add_argument("--sweep", help="number of sweep weights (default 33)")
     sp.add_argument("--sandwich", action="store_true",
                     help="bracket the --lambda point with inner/outer bounds")
     sp.add_argument("--witness-out", dest="witness_out", help="write the LP witness JSON here")
@@ -280,10 +273,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--scheduler", choices=["maxweight", "probabilistic"])
     sp.add_argument("--rates", help="R1,R2")
-    sp.add_argument("--slots", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--L", type=int)
-    sp.add_argument("--lambda", dest="lam", type=float,
+    sp.add_argument("--slots")
+    sp.add_argument("--seed")
+    sp.add_argument("--L")
+    sp.add_argument("--lambda", dest="lam",
                     help="derive the action distribution from this boundary point")
     sp.add_argument("--dist", help="action distribution JSON file")
     sp.add_argument("--trace", help="write a JSON-lines transmission trace here")
@@ -292,10 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("forgetting", help="memory decay of the conditional filter")
     common(sp)
-    sp.add_argument("--L", type=int, help="largest window length to report")
-    sp.add_argument("--horizon", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--samples", type=int)
+    sp.add_argument("--L", help="largest window length to report")
+    sp.add_argument("--horizon")
+    sp.add_argument("--seed")
+    sp.add_argument("--samples")
     sp.set_defaults(func=cmd_forgetting)
 
     sp = sub.add_parser("verify", help="check delivery claims in a trace are decodable")
@@ -310,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dump-window-table", help="window probabilities and statistics as CSV")
     common(sp)
-    sp.add_argument("--L", type=int)
+    sp.add_argument("--L")
     sp.set_defaults(func=cmd_dump_window_table)
     return p
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -51,18 +52,16 @@ def _step(model: ChannelModel, belief, z: int):
     """Condition on pattern index z, then advance one slot.
 
     Returns (next_belief, likelihood). A zero likelihood returns the belief
-    unchanged; callers decide how to treat that.
+    unchanged; callers decide how to treat that. Every sum runs over the
+    states in order from 0, so a plain-float belief and the same belief as
+    numpy scalars give the same floats.
     """
-    em = model.emission_rows
-    tr = model.transition_rows
-    n = model.num_states
-    post = [belief[s] * em[s][z] for s in range(n)]
+    post = list(map(mul, belief, model.emission_cols[z]))
     ell = sum(post)
     if ell <= 0.0:
         return belief, 0.0
     inv = 1.0 / ell
-    nxt = tuple(sum(post[s] * tr[s][sp] for s in range(n)) * inv for sp in range(n))
-    return nxt, ell
+    return tuple([sum(map(mul, post, col)) * inv for col in model.transition_cols]), ell
 
 
 def _pattern_arg(pattern) -> int:
@@ -85,9 +84,7 @@ def filter_step(model: ChannelModel, belief, pattern):
 
 def predict_pattern_probs(model: ChannelModel, belief):
     """Distribution of the next slot's erasure pattern given the belief."""
-    em = model.emission_rows
-    n = model.num_states
-    return tuple(sum(belief[s] * em[s][z] for s in range(n)) for z in range(4))
+    return tuple([sum(map(mul, belief, col)) for col in model.emission_cols])
 
 
 def predict_stats(model: ChannelModel, belief) -> ErasureStats:

@@ -23,9 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import PATTERNS, ChannelModel, stationary_distribution
-from .errors import ContractViolation, NumericalFailure, TraceFormatError
-from .filtering import ErasureStats, filter_step, predict_stats
+from .channel import PATTERNS, ChannelModel, _cumulative_rows
+from .errors import ContractViolation, NumericalFailure, TraceFormatError, ZeroLikelihood
+# the traced benchmark wraps filter_step and predict_stats by name in this module
+from .filtering import (ErasureStats, _step, filter_step, init_belief,  # noqa: F401
+                        predict_pattern_probs, predict_stats)
 from .region import ActionDistribution
 
 IDLE = 0
@@ -206,20 +208,17 @@ def step(pattern, action, state: QueueState) -> StepRecord:
                       delivered=delivered, moves=moves)
 
 
-def maxweight_action(state: QueueState, stats: ErasureStats):
-    """Pick the feasible action of maximal weight; ties go to the lowest
-    action index, and an empty system idles.
-
-    Weights trade off immediate delivery against the option value of
-    overhearing, using the predicted erasure statistics for the slot.
-    """
-    n11 = len(state.q1[0])
-    n12 = len(state.q1[1])
-    n21 = len(state.q2[0])
-    n22 = len(state.q2[1])
+def _maxweight(state: QueueState, p01: float, p10: float, p11: float):
+    """maxweight_action on the predicted pattern probabilities of the slot:
+    p01 = eps_n12, p10 = eps1_n2 and p11 = eps12."""
+    q1, q2 = state.q1, state.q2
+    n11 = len(q1[0])
+    n12 = len(q1[1])
+    n21 = len(q2[0])
+    n22 = len(q2[1])
     n3 = len(state.q3)
-    e1, e2, e12 = stats.eps1, stats.eps2, stats.eps12
-    only2, only1 = stats.eps1_n2, stats.eps_n12
+    e1, e2, e12 = p10 + p11, p01 + p11, p11
+    only2, only1 = p10, p01
     best = IDLE
     best_w = None
     if n11:
@@ -242,6 +241,17 @@ def maxweight_action(state: QueueState, stats: ErasureStats):
         if best_w is None or w > best_w:
             best, best_w = REMEDY, w
     return best
+
+
+def maxweight_action(state: QueueState, stats: ErasureStats):
+    """Pick the feasible action of maximal weight; ties go to the lowest
+    action index, and an empty system idles.
+
+    Weights trade off immediate delivery against the option value of
+    overhearing, using the predicted erasure statistics for the slot.
+    eps1 and eps2 are taken as eps1_n2 + eps12 and eps_n12 + eps12.
+    """
+    return _maxweight(state, stats.eps_n12, stats.eps1_n2, stats.eps12)
 
 
 def substitute_action(sampled: int, state: QueueState):
@@ -289,18 +299,6 @@ class SimReport:
         return ((self.delivered[0] - base1) / span, (self.delivered[1] - base2) / span)
 
 
-def _cumulative(rows):
-    out = []
-    for row in rows:
-        acc = 0.0
-        cum = []
-        for v in row:
-            acc += v
-            cum.append(acc)
-        out.append(tuple(cum))
-    return out
-
-
 def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
              seed: int, dist: ActionDistribution | None = None,
              collect_trace: bool = False, collect_slots: bool = False,
@@ -328,15 +326,16 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     if probabilistic:
         if dist is None:
             raise ContractViolation("the probabilistic scheduler needs an action distribution")
-        cum_rows = _cumulative(dist.table)
+        cum_rows = _cumulative_rows(dist.table)
         mask = 4 ** dist.L - 1
     rng = random.Random(seed)
-    pi = tuple(stationary_distribution(model))
-    pi_cum = _cumulative([pi])[0]
-    t_cum = _cumulative(model.transition_rows)
-    e_cum = _cumulative(model.emission_rows)
+    belief = init_belief(model)
+    pi_cum = _cumulative_rows([belief])[0]
+    t_cum = _cumulative_rows(model.transition_rows)
+    e_cum = _cumulative_rows(model.emission_rows)
+    if not probabilistic:
+        _p00, p01, p10, p11 = predict_pattern_probs(model, belief)
     state = QueueState()
-    belief = pi
     win = 0
     counts = {v: 0 for v in _COUNT_KEYS.values()}
     arrivals = [0, 0]
@@ -369,7 +368,7 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
                 a += 1
             action = substitute_action(a + 1, state)
         else:
-            action = maxweight_action(state, predict_stats(model, belief))
+            action = _maxweight(state, p01, p10, p11)
         u = rng.random()
         zi = 0
         row = e_cum[s]
@@ -390,7 +389,11 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
         if probabilistic:
             win = ((win << 2) | zi) & mask
         else:
-            belief = filter_step(model, belief, zi)
+            belief, ell = _step(model, belief, zi)
+            if ell <= 0.0:
+                raise ZeroLikelihood(
+                    f"pattern {PATTERNS[zi]} has probability zero under the current belief")
+            _p00, p01, p10, p11 = predict_pattern_probs(model, belief)
         u = rng.random()
         row = t_cum[s]
         s = 0
@@ -545,9 +548,11 @@ def save_trace(trace, path) -> None:
 
 def load_trace(path) -> list:
     """Read a JSON-lines trace. Malformed lines, including a combination that
-    is not one packet id or two distinct ones or a delivery claim for a
-    receiver other than 1 or 2, raise TraceFormatError with the 1-based line
-    number."""
+    is not one packet id or two distinct ones, or a delivery claim that is
+    not two integers or names a receiver other than 1 or 2, raise
+    TraceFormatError with the 1-based line number. Ids, receivers and slots
+    must be JSON integers: a float, a string or a bool is rejected, not
+    converted."""
     rows = []
     with open(path, "r", encoding="utf-8") as f:
         for i, line in enumerate(f, start=1):
@@ -563,17 +568,21 @@ def load_trace(path) -> list:
                 combo = tuple(obj["combo"])
                 r1 = obj["received_rx1"]
                 r2 = obj["received_rx2"]
-                delivered = tuple((int(j), int(pid)) for j, pid in obj["delivered"])
-                if (isinstance(slot, bool) or not isinstance(slot, int) or
-                        not isinstance(r1, bool) or not isinstance(r2, bool) or
-                        not all(isinstance(c, int) for c in combo)):
+                delivered = tuple((j, pid) for j, pid in obj["delivered"])
+                # json yields exact ints, and type() also rules out bools
+                if (type(slot) is not int or not isinstance(r1, bool) or
+                        not isinstance(r2, bool) or
+                        not all(type(c) is int for c in combo)):
                     raise TypeError
             except (KeyError, TypeError, ValueError) as e:
                 raise TraceFormatError(f"line {i}: bad trace record", line=i) from e
             if not _well_formed(combo):
                 raise TraceFormatError(f"line {i}: combination {list(combo)} is not one "
                                        "packet id or two distinct ones", line=i)
-            for j, _pid in delivered:
+            for j, pid in delivered:
+                if type(j) is not int or type(pid) is not int:
+                    raise TraceFormatError(f"line {i}: delivery claim {[j, pid]!r} is not "
+                                           "two integers", line=i)
                 if j not in (1, 2):
                     raise TraceFormatError(f"line {i}: delivery claim names receiver {j}; "
                                            "receivers are 1 and 2", line=i)

@@ -3,7 +3,9 @@
 Everything here recomputes results by a different method than the library:
 state-path enumeration instead of recursive filtering, vertex enumeration
 instead of simplex pivoting, augmenting paths instead of cut formulas,
-Gaussian elimination instead of union-find.
+Gaussian elimination instead of union-find. The row-indexed filter update
+and prediction are the exception: they repeat the library's arithmetic
+term by term, so the column kernels must match them exactly.
 """
 
 import itertools
@@ -25,6 +27,29 @@ def random_model(rng, n_states, floor=0.02):
             out.append([v / s for v in row])
         return out
     return xc.ChannelModel(rows(n_states, n_states), rows(n_states, 4))
+
+
+def filter_step_oracle(model, belief, z):
+    """One filter update indexed by state, as a generator sum over rows:
+    condition on pattern index z, then advance one slot. Returns
+    (next_belief, likelihood), the belief unchanged on zero likelihood."""
+    em = model.emission_rows
+    tr = model.transition_rows
+    n = model.num_states
+    post = [belief[s] * em[s][z] for s in range(n)]
+    ell = sum(post)
+    if ell <= 0.0:
+        return belief, 0.0
+    inv = 1.0 / ell
+    nxt = tuple(sum(post[s] * tr[s][sp] for s in range(n)) * inv for sp in range(n))
+    return nxt, ell
+
+
+def predict_oracle(model, belief):
+    """Next-slot pattern distribution, as a generator sum over rows."""
+    em = model.emission_rows
+    n = model.num_states
+    return tuple(sum(belief[s] * em[s][z] for s in range(n)) for z in range(4))
 
 
 def brute_force_window(model, L):

@@ -201,6 +201,24 @@ def test_exit_codes(capsys, tmp_path, model_path):
     assert code == 2 and "config" in err
 
 
+def test_bad_numbers_exit_2(capsys, tmp_path, model_path):
+    base = ["simulate", "--model", model_path, "--scheduler", "maxweight"]
+    for extra, option in ((["--rates", "0.3,abc", "--slots", "100"], "--rates"),
+                          (["--rates", "0.3,0.3", "--slots", "ten"], "--slots"),
+                          (["--rates", "0.3,0.3", "--slots", "100", "--seed", "1.5"],
+                           "--seed")):
+        code, out, err = run(capsys, base + extra)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and option in err, err
+    # config values go through the same parser
+    cfg = tmp_path / "cfg.json"
+    for bad, option in (({"L": "two"}, "--L"), ({"L": True}, "--L"),
+                        ({"L": 1, "lambda": "nan"}, "--lambda")):
+        cfg.write_text(json.dumps(bad))
+        code, _, err = run(capsys, ["region", "--model", model_path, "--config", str(cfg)])
+        assert code == 2 and option in err, err
+
+
 def test_simulate_deterministic_output(capsys, model_path):
     argv = ["simulate", "--model", model_path, "--scheduler", "maxweight",
             "--rates", "0.25,0.2", "--slots", "3000", "--seed", "13"]

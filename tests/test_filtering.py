@@ -7,7 +7,10 @@ import pytest
 
 import xorcast as xc
 
-from oracles import brute_force_window, random_model
+from xorcast.filtering import _step
+
+from oracles import (brute_force_window, filter_step_oracle, predict_oracle,
+                     random_model)
 
 
 def joint_posterior(model, observed):
@@ -60,6 +63,51 @@ def test_filter_zero_likelihood():
     belief = xc.init_belief(m)
     with pytest.raises(xc.ZeroLikelihood):
         xc.filter_step(m, belief, (1, 0))
+
+
+def _random_belief(rng, n):
+    w = [rng.random() + 1e-3 for _ in range(n)]
+    total = sum(w)
+    return tuple(v / total for v in w)
+
+
+def test_kernel_matches_row_oracle_exactly():
+    # the column kernel does the oracle's multiplications and additions in
+    # the same order, so every float must agree exactly, for plain floats
+    # and for numpy scalars alike
+    rng = random.Random(2024)
+    models = [random_model(rng, 1 + i % 4) for i in range(40)]
+    models.append(xc.ChannelModel([[1.0]], [[0.5, 0.5, 0.0, 0.0]]))
+    models.append(xc.ChannelModel([[0.0, 1.0], [1.0, 0.0]],
+                                  [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
+    for model in models:
+        for _ in range(5):
+            plain = _random_belief(rng, model.num_states)
+            scalars = tuple(np.asarray(plain))
+            assert all(type(v) is np.float64 for v in scalars)
+            for belief in (plain, scalars):
+                assert xc.predict_pattern_probs(model, belief) == predict_oracle(model, belief)
+                for z in range(4):
+                    got = _step(model, belief, z)
+                    assert got == filter_step_oracle(model, belief, z)
+                    assert got == _step(model, plain, z)
+
+
+def test_kernel_matches_row_oracle_along_sampled_path():
+    rng = random.Random(7)
+    for n_states in (1, 2, 3, 4):
+        model = random_model(rng, n_states)
+        _, patterns = xc.sample_trajectory(model, 10_000, seed=n_states)
+        got = xc.init_belief(model)
+        want = tuple(xc.stationary_distribution(model))
+        assert got == want
+        for p in patterns:
+            z = xc.PATTERN_INDEX[p]
+            got = xc.filter_step(model, got, z)
+            want, ell = filter_step_oracle(model, want, z)
+            assert ell > 0.0
+            assert got == want
+            assert xc.predict_pattern_probs(model, got) == predict_oracle(model, want)
 
 
 def test_stats_from_pattern_probs():

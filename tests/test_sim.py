@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -423,6 +424,54 @@ def test_load_trace_rejects_unknown_receiver(tmp_path, capsys):
         assert err.value.line == 1
         assert cli_main(["verify", "--trace", str(path)]) == 3
         assert "line 1" in capsys.readouterr().err
+
+
+def test_load_trace_rejects_non_integer_claim(tmp_path, capsys):
+    # a claim used to go through int(), so [1.9, "5"] verified as (1, 5)
+    path = tmp_path / "bad.jsonl"
+    for claim in ([1.9, "5"], [1, "5"], [True, 5]):
+        path.write_text(json.dumps({"slot": 0, "action": 1, "combo": [5],
+                                    "received_rx1": True, "received_rx2": False,
+                                    "delivered": [claim]}) + "\n")
+        with pytest.raises(xc.TraceFormatError) as err:
+            xc.load_trace(path)
+        assert err.value.line == 1
+        assert cli_main(["verify", "--trace", str(path)]) == 3
+        assert "line 1" in capsys.readouterr().err
+
+
+# sha256 of repr((trace, checkpoints, action_counts, delivered)), recorded
+# with the row-indexed filter that the column kernel replaced
+PINNED_RUNS = {
+    (0.95, "probabilistic", 1): "292d57ba2b33a23bc69d487ebcf60087642dae5731425392d653203b996a44f8",
+    (0.95, "probabilistic", 2): "25380e9b07f60fe546721b1a425a51c4f29a79ab985898939bdd3aceff4e9f1e",
+    (0.95, "probabilistic", 4): "ac4d5362b648e1f5ae6b96499d7d34298c0c2264672bc4a4fe98668b9756e8fe",
+    (0.95, "maxweight", 1): "08186935e473df63b846e985bcaab704bd94ac2ac831d754ea34c7fe1d2eeb1d",
+    (0.95, "maxweight", 2): "425e83e981c48c620a33f9701e9ccd4931cd6eaecc6005b493537ef1b218dbe4",
+    (0.95, "maxweight", 4): "466166839c81058e16143aaf2847492464667634af31b5cd3c2f39d17ec2a6d9",
+    (1.10, "probabilistic", 1): "11accd211eaafb907f51e5cc6f3869644211a2527240774b175eb457844ea439",
+    (1.10, "probabilistic", 2): "773682b84f8250f3598966b254673f8ea7abbc2e5856de887cea42443e667ab8",
+    (1.10, "probabilistic", 4): "076fc70b7f97cf2f2dc5ef25524f724d64685db5da047aa1e33a1073af89edc9",
+    (1.10, "maxweight", 1): "46583d7b2ce246072a3b3bda45aacb7f39af937cf12018a025c4f9c63510a133",
+    (1.10, "maxweight", 2): "dffebefd791cda9c191b8706600579ed3e8ddc154235cf1df560ae9b723b983c",
+    (1.10, "maxweight", 4): "2648930f8e75ae462a4b56af52dedb831331253df3f19149f3e0e0efab3b5376",
+}
+
+
+def test_simulate_pinned_runs(ref_model):
+    # both schedulers at the acceptance seeds, 0.95x and 1.10x of the
+    # lambda=0.5 point of the L=2 region, 2e4 slots: any change to a
+    # queue, a draw or a near-tie max-weight decision moves a digest
+    wit, dist, _ = xc.simulation_distribution(xc.window_table(ref_model, 2), 0.5)
+    got = {}
+    for (factor, sched, seed) in PINNED_RUNS:
+        rep = xc.simulate(ref_model, sched, min(1.0, wit.R1 * factor),
+                          min(1.0, wit.R2 * factor), 20_000, seed,
+                          dist=dist if sched == "probabilistic" else None,
+                          collect_trace=True)
+        blob = repr((rep.trace, rep.checkpoints, rep.action_counts, rep.delivered))
+        got[(factor, sched, seed)] = hashlib.sha256(blob.encode()).hexdigest()
+    assert got == PINNED_RUNS
 
 
 def test_trace_round_trip(tmp_path, ref_model):
