@@ -216,6 +216,28 @@ def _draw(rng: random.Random, cum) -> int:
     return len(cum) - 1
 
 
+def _path_cums(model: ChannelModel, pi):
+    """Cumulative rows of the start distribution pi, the transitions and the
+    emissions: what drawing a channel path needs."""
+    return (_cumulative_rows([tuple(pi)])[0],
+            _cumulative_rows(model.transition_rows),
+            _cumulative_rows(model.emission_rows))
+
+
+def _draw_path(rng: random.Random, cums, n: int):
+    """Draw n slots of (states, pattern indices): the start state, then per
+    slot its pattern and the next state."""
+    pi_cum, t_cum, e_cum = cums
+    states = []
+    codes = []
+    s = _draw(rng, pi_cum)
+    for _ in range(n):
+        states.append(s)
+        codes.append(_draw(rng, e_cum[s]))
+        s = _draw(rng, t_cum[s])
+    return states, codes
+
+
 def sample_trajectory(model: ChannelModel, n: int, seed: int):
     """Sample n slots of hidden states and erasure patterns.
 
@@ -223,18 +245,9 @@ def sample_trajectory(model: ChannelModel, n: int, seed: int):
     (states, patterns) where patterns are (z1, z2) tuples. Deterministic in
     the seed.
     """
-    rng = random.Random(seed)
-    pi_cum = _cumulative_rows([tuple(stationary_distribution(model))])[0]
-    t_cum = _cumulative_rows(model.transition_rows)
-    e_cum = _cumulative_rows(model.emission_rows)
-    states = []
-    patterns = []
-    s = _draw(rng, pi_cum)
-    for _ in range(n):
-        states.append(s)
-        patterns.append(PATTERNS[_draw(rng, e_cum[s])])
-        s = _draw(rng, t_cum[s])
-    return states, patterns
+    states, codes = _draw_path(random.Random(seed),
+                               _path_cums(model, stationary_distribution(model)), n)
+    return states, [PATTERNS[z] for z in codes]
 
 
 def forgetting_rate_bound(model: ChannelModel) -> float | None:

@@ -193,22 +193,26 @@ def cmd_simulate(opts) -> int:
 def cmd_forgetting(opts) -> int:
     model = _load_model_opt(opts)
     l_max = opts.get("L", required=True, cfg_key="L", kind=int)
+    if l_max < 1:
+        raise ContractViolation("window length must be at least 1")
     horizon = opts.get("horizon", default=l_max + 4, kind=int)
     seed = opts.get("seed", default=0, kind=int)
     samples = opts.get("samples", default=256, kind=int)
     sigma = forgetting_rate_bound(model)
+    rows = []   # all rows first, so an error leaves no partial CSV
+    for L in range(1, l_max + 1):
+        if 4 ** (horizon - 1) <= 65536:
+            tv = exhaustive_forgetting(model, L, horizon)
+            method = "exhaustive"
+        else:
+            tv = empirical_forgetting(model, L, horizon, seed, samples)
+            method = "empirical"
+        bound = "" if sigma is None else _fmt(2.0 * (1.0 - sigma) ** L)
+        rows.append([L, _fmt(tv), bound, method])
     with _output(opts.get("out")) as out:
         w = csv.writer(out)
         w.writerow(["L", "tv", "bound", "method"])
-        for L in range(1, l_max + 1):
-            if 4 ** (horizon - 1) <= 65536:
-                tv = exhaustive_forgetting(model, L, horizon)
-                method = "exhaustive"
-            else:
-                tv = empirical_forgetting(model, L, horizon, seed, samples)
-                method = "empirical"
-            bound = "" if sigma is None else _fmt(2.0 * (1.0 - sigma) ** L)
-            w.writerow([L, _fmt(tv), bound, method])
+        w.writerows(rows)
     return 0
 
 

@@ -9,13 +9,15 @@ the stationary distribution.
 from __future__ import annotations
 
 import csv
+import random
 from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 
-from .channel import (PATTERN_INDEX, PATTERNS, ChannelModel, pattern_label,
-                      sample_trajectory, stationary_distribution)
+from .channel import (PATTERN_INDEX, PATTERNS, ChannelModel, _draw_path, _path_cums,
+                      pattern_label, sample_trajectory,  # noqa: F401
+                      stationary_distribution)
 from .errors import ContractViolation, NumericalFailure, ResourceLimit, ZeroLikelihood
 
 WINDOW_CAP = 10
@@ -62,6 +64,23 @@ def _step(model: ChannelModel, belief, z: int):
         return belief, 0.0
     inv = 1.0 / ell
     return tuple([sum(map(mul, post, col)) * inv for col in model.transition_cols]), ell
+
+
+def _step_batch(model: ChannelModel, belief, z):
+    """_step over a batch of beliefs held as one vector per state, with z
+    one pattern index for all rows or one per row. Every row does _step's
+    floating-point operations in _step's order; a row of zero likelihood
+    keeps its belief and reports likelihood 0."""
+    post = list(map(mul, belief, model.emission[:, z]))
+    ell = sum(post)
+    dead = ell <= 0.0
+    masked = dead.any()
+    inv = 1.0 / (np.where(dead, 1.0, ell) if masked else ell)
+    nxt = tuple([sum(map(mul, post, col)) * inv for col in model.transition_cols])
+    if masked:
+        nxt = tuple([np.where(dead, b, v) for b, v in zip(belief, nxt)])
+        ell = np.where(dead, 0.0, ell)
+    return nxt, ell
 
 
 def _pattern_arg(pattern) -> int:
@@ -143,39 +162,36 @@ class WindowTable:
 
 
 def window_table(model: ChannelModel, L: int) -> WindowTable:
-    """Enumerate all 4**L windows by depth-first recursion over prefixes.
+    """Enumerate all 4**L windows level by level over prefixes.
 
-    Each leaf's probability is the product of one-step likelihoods starting
-    from the stationary belief, which is exactly the stationary probability
-    of the window. L is capped at WINDOW_CAP to bound memory.
+    Level d holds one belief and one probability per length-d prefix, and
+    the children of prefix i are rows 4i..4i+3 of level d+1, so the last
+    level is in window-index order. Each window's probability is the product
+    of one-step likelihoods starting from the stationary belief, which is
+    exactly the stationary probability of the window; an impossible prefix
+    passes probability 0 down its whole subtree. L is capped at WINDOW_CAP
+    to bound memory.
     """
     if L < 1:
         raise ContractViolation("window length must be at least 1")
     if L > WINDOW_CAP:
         raise ResourceLimit(f"window length {L} exceeds the cap of {WINDOW_CAP}")
-    m = 4 ** L
-    probs = np.zeros(m)
-    pattern_probs = np.zeros((m, 4))
-    uniform = tuple(1.0 / model.num_states for _ in range(model.num_states))
-    uniform_pp = predict_pattern_probs(model, uniform)
-    stack = [(0, 0, init_belief(model), 1.0)]
-    while stack:
-        depth, prefix, belief, prob = stack.pop()
-        if depth == L:
-            probs[prefix] = prob
-            pattern_probs[prefix] = predict_pattern_probs(model, belief)
-            continue
-        width = 4 ** (L - depth - 1)
+    belief = tuple(np.full(1, v) for v in init_belief(model))
+    probs = np.ones(1)
+    for depth in range(1, L + 1):
+        child = tuple(np.empty(4 ** depth) for _ in belief)
+        child_probs = np.empty(4 ** depth)
         for z in range(4):
-            child = prefix * 4 + z
-            nxt, ell = _step(model, belief, z)
-            p = prob * ell
-            if p <= 0.0:
-                # whole subtree is impossible; fill its leaves directly
-                lo = child * width
-                pattern_probs[lo:lo + width] = uniform_pp
-                continue
-            stack.append((depth + 1, child, nxt, p))
+            nxt, ell = _step_batch(model, belief, z)
+            for dst, src in zip(child, nxt):
+                dst[z::4] = src
+            np.multiply(probs, ell, out=child_probs[z::4])
+        belief, probs = child, child_probs
+    pattern_probs = np.empty((4 ** L, 4))
+    for k, col in enumerate(model.emission_cols):
+        pattern_probs[:, k] = sum(map(mul, belief, col))
+    uniform = tuple(1.0 / model.num_states for _ in range(model.num_states))
+    pattern_probs[probs <= 0.0] = predict_pattern_probs(model, uniform)
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise NumericalFailure("window probabilities do not sum to one",
@@ -218,34 +234,47 @@ def exhaustive_forgetting(model: ChannelModel, L: int, horizon: int) -> float:
     horizon - 1 and compares the prediction for the next slot from the full
     history against the one using only the last L observations. Because full
     histories are themselves windows of length horizon - 1, both sides come
-    from window tables; the length-L suffix of history index i is i mod 4**L.
+    from window tables; the length-L suffix of history index i is i mod 4**L,
+    the middle axis once the full table is cut into blocks of 4**L rows.
     """
     t = _check_horizon(L, horizon)
     full = window_table(model, t)
     win = window_table(model, L)
-    idx = np.arange(4 ** t) % (4 ** L)
-    diffs = np.abs(full.pattern_probs - win.pattern_probs[idx]).sum(axis=1)
-    diffs[full.probs <= 0.0] = 0.0
-    return float(diffs.max())
+    diffs = full.pattern_probs.reshape(-1, 4 ** L, 4)
+    np.subtract(diffs, win.pattern_probs, out=diffs)
+    np.abs(diffs, out=diffs)
+    tv = diffs.sum(axis=2).reshape(-1)
+    tv[full.probs <= 0.0] = 0.0
+    return float(tv.max())
+
+
+def _filter_batch(model: ChannelModel, pi, codes):
+    """Beliefs after filtering each column of codes (slots along axis 0)
+    from the belief pi; raises ZeroLikelihood as filter_step does."""
+    belief = tuple(np.full(codes.shape[1], v) for v in pi)
+    for z in codes:
+        belief, ell = _step_batch(model, belief, z)
+        dead = ell <= 0.0
+        if dead.any():
+            raise ZeroLikelihood(f"pattern {PATTERNS[z[dead.argmax()]]} has probability "
+                                 "zero under the current belief")
+    return belief
 
 
 def empirical_forgetting(model: ChannelModel, L: int, horizon: int, seed: int,
                          samples: int = 256) -> float:
     """Sampled version of exhaustive_forgetting for horizons too long to
-    enumerate. Histories are drawn from the model itself, so all have
-    positive probability. Deterministic in the seed."""
+    enumerate. History k is drawn from the model itself as
+    sample_trajectory(model, horizon - 1, seed + k) draws it, so all have
+    positive probability, and all histories are filtered together."""
     t = _check_horizon(L, horizon)
-    worst = 0.0
+    if samples < 1:
+        raise ContractViolation("sample count must be at least 1")
     pi = init_belief(model)
+    cums = _path_cums(model, pi)
+    codes = np.empty((t, samples), dtype=np.intp)
     for k in range(samples):
-        _, patterns = sample_trajectory(model, t, seed + k)
-        full = pi
-        for p in patterns:
-            full = filter_step(model, full, p)
-        tail = pi
-        for p in patterns[-L:]:
-            tail = filter_step(model, tail, p)
-        a = predict_pattern_probs(model, full)
-        b = predict_pattern_probs(model, tail)
-        worst = max(worst, sum(abs(u - v) for u, v in zip(a, b)))
-    return worst
+        codes[:, k] = _draw_path(random.Random(seed + k), cums, t)[1]
+    a = predict_pattern_probs(model, _filter_batch(model, pi, codes))
+    b = predict_pattern_probs(model, _filter_batch(model, pi, codes[t - L:]))
+    return float(sum(abs(u - v) for u, v in zip(a, b)).max())

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import PATTERNS, ChannelModel, _cumulative_rows
+from .channel import PATTERNS, ChannelModel, _cumulative_rows, _path_cums
 from .errors import ContractViolation, NumericalFailure, TraceFormatError, ZeroLikelihood
 # the traced benchmark wraps filter_step and predict_stats by name in this module
 from .filtering import (ErasureStats, _step, filter_step, init_belief,  # noqa: F401
@@ -330,9 +330,7 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
         mask = 4 ** dist.L - 1
     rng = random.Random(seed)
     belief = init_belief(model)
-    pi_cum = _cumulative_rows([belief])[0]
-    t_cum = _cumulative_rows(model.transition_rows)
-    e_cum = _cumulative_rows(model.emission_rows)
+    pi_cum, t_cum, e_cum = _path_cums(model, belief)
     if not probabilistic:
         _p00, p01, p10, p11 = predict_pattern_probs(model, belief)
     state = QueueState()
@@ -537,13 +535,15 @@ def decode_verify(trace) -> DecodeReport:
 
 
 def save_trace(trace, path) -> None:
+    """Write a JSON-lines trace, one record per transmission, formatted as
+    json.dumps formats the record's dict."""
     with open(path, "w", encoding="utf-8") as f:
-        for slot, action, combo, r1, r2, delivered in trace:
-            f.write(json.dumps({
-                "slot": slot, "action": action, "combo": list(combo),
-                "received_rx1": bool(r1), "received_rx2": bool(r2),
-                "delivered": [[j, pid] for j, pid in delivered],
-            }) + "\n")
+        f.writelines(
+            f'{{"slot": {slot}, "action": {action}, "combo": [{", ".join(map(str, combo))}], '
+            f'"received_rx1": {"true" if r1 else "false"}, '
+            f'"received_rx2": {"true" if r2 else "false"}, '
+            f'"delivered": [{", ".join(f"[{j}, {pid}]" for j, pid in delivered)}]}}\n'
+            for slot, action, combo, r1, r2, delivered in trace)
 
 
 def load_trace(path) -> list:

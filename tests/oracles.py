@@ -5,15 +5,20 @@ state-path enumeration instead of recursive filtering, vertex enumeration
 instead of simplex pivoting, augmenting paths instead of cut formulas,
 Gaussian elimination instead of union-find. The row-indexed filter update
 and prediction are the exception: they repeat the library's arithmetic
-term by term, so the column kernels must match them exactly.
+term by term, so the column kernels must match them exactly. So are the
+one-at-a-time forms of batched code (the depth-first window table, the
+per-sample forgetting loop, the json.dumps trace writer): the batched code
+must reproduce them bit for bit.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 
 import xorcast as xc
+from xorcast.filtering import _step
 
 
 def random_model(rng, n_states, floor=0.02):
@@ -50,6 +55,66 @@ def predict_oracle(model, belief):
     em = model.emission_rows
     n = model.num_states
     return tuple(sum(belief[s] * em[s][z] for s in range(n)) for z in range(4))
+
+
+def window_table_dfs(model, L):
+    """window_table by depth-first recursion over prefixes, one scalar
+    filter step per node: (probs, pattern_probs)."""
+    m = 4 ** L
+    probs = np.zeros(m)
+    pattern_probs = np.zeros((m, 4))
+    uniform = tuple(1.0 / model.num_states for _ in range(model.num_states))
+    uniform_pp = xc.predict_pattern_probs(model, uniform)
+    stack = [(0, 0, xc.init_belief(model), 1.0)]
+    while stack:
+        depth, prefix, belief, prob = stack.pop()
+        if depth == L:
+            probs[prefix] = prob
+            pattern_probs[prefix] = xc.predict_pattern_probs(model, belief)
+            continue
+        width = 4 ** (L - depth - 1)
+        for z in range(4):
+            child = prefix * 4 + z
+            nxt, ell = _step(model, belief, z)
+            p = prob * ell
+            if p <= 0.0:
+                # whole subtree is impossible; fill its leaves directly
+                lo = child * width
+                pattern_probs[lo:lo + width] = uniform_pp
+                continue
+            stack.append((depth + 1, child, nxt, p))
+    return probs, pattern_probs
+
+
+def empirical_forgetting_loop(model, L, horizon, seed, samples):
+    """empirical_forgetting one sampled history at a time, through
+    sample_trajectory and filter_step."""
+    t = horizon - 1
+    worst = 0.0
+    pi = xc.init_belief(model)
+    for k in range(samples):
+        _, patterns = xc.sample_trajectory(model, t, seed + k)
+        full = pi
+        for p in patterns:
+            full = xc.filter_step(model, full, p)
+        tail = pi
+        for p in patterns[-L:]:
+            tail = xc.filter_step(model, tail, p)
+        a = xc.predict_pattern_probs(model, full)
+        b = xc.predict_pattern_probs(model, tail)
+        worst = max(worst, sum(abs(u - v) for u, v in zip(a, b)))
+    return worst
+
+
+def save_trace_json(trace, path):
+    """save_trace through json.dumps, one record per line."""
+    with open(path, "w", encoding="utf-8") as f:
+        for slot, action, combo, r1, r2, delivered in trace:
+            f.write(json.dumps({
+                "slot": slot, "action": action, "combo": list(combo),
+                "received_rx1": bool(r1), "received_rx2": bool(r2),
+                "delivered": [[j, pid] for j, pid in delivered],
+            }) + "\n")
 
 
 def brute_force_window(model, L):

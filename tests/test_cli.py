@@ -138,6 +138,18 @@ def test_forgetting_csv(capsys, model_path):
     assert all(l.split(",")[3] == "exhaustive" for l in lines[1:])
 
 
+def test_forgetting_rejects_bad_counts(capsys, model_path):
+    base = ["forgetting", "--model", model_path]
+    for samples in ("0", "-3"):
+        code, out, err = run(capsys, base + ["--L", "2", "--horizon", "12",
+                                             "--samples", samples])
+        assert code == 2 and out == "" and "error:" in err
+    for cmd in (base, ["dump-window-table", "--model", model_path]):
+        code, out, err = run(capsys, cmd + ["--L", "0"])
+        assert code == 2 and out == ""
+        assert "window length must be at least 1" in err
+
+
 def test_canonicalize_roundtrip(capsys, model_path, tmp_path, ref_model):
     t = xc.window_table(ref_model, 1)
     wit = xc.solve_region(t, 1.0, 1.0)

@@ -1,16 +1,21 @@
+import importlib.util
 import io
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import xorcast as xc
 
-from xorcast.filtering import _step
+from xorcast.filtering import _filter_batch, _step, _step_batch
 
-from oracles import (brute_force_window, filter_step_oracle, predict_oracle,
-                     random_model)
+from oracles import (brute_force_window, empirical_forgetting_loop,
+                     filter_step_oracle, predict_oracle, random_model,
+                     window_table_dfs)
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def joint_posterior(model, observed):
@@ -239,3 +244,89 @@ def test_empirical_below_exhaustive(ref_model):
     em = xc.empirical_forgetting(ref_model, 2, 6, seed=9, samples=200)
     assert em <= ex + 1e-12
     assert em > 0.0
+
+
+def sparse_model(rng, n_states):
+    """Random model with zero transition and emission entries. The cycle
+    s -> s+1 stays positive, so the chain is irreducible, while whole
+    pattern windows can become impossible."""
+    def row(k, keep):
+        vals = [0.0 if j != keep and rng.random() < 0.4 else 0.05 + rng.random()
+                for j in range(k)]
+        total = sum(vals)
+        return [v / total for v in vals]
+    transition = [row(n_states, (s + 1) % n_states) for s in range(n_states)]
+    emission = [row(4, rng.randrange(4)) for _ in range(n_states)]
+    return xc.ChannelModel(transition, emission)
+
+
+def test_window_table_matches_dfs_oracle(ref_model):
+    # the level-order table does the depth-first recursion's arithmetic
+    # node by node, so both arrays must agree bit for bit
+    for L in range(1, 9):
+        table = xc.window_table(ref_model, L)
+        probs, pattern_probs = window_table_dfs(ref_model, L)
+        assert np.array_equal(table.probs, probs)
+        assert np.array_equal(table.pattern_probs, pattern_probs)
+    rng = random.Random(55)
+    dead_tables = 0
+    for i in range(24):
+        n_states = 1 + i % 9
+        model = sparse_model(rng, n_states) if i % 2 else random_model(rng, n_states)
+        for L in range(1, 7):
+            table = xc.window_table(model, L)
+            probs, pattern_probs = window_table_dfs(model, L)
+            assert np.array_equal(table.probs, probs), (i, L)
+            assert np.array_equal(table.pattern_probs, pattern_probs), (i, L)
+            dead_tables += L == 6 and n_states > 1 and bool((probs == 0.0).any())
+    assert dead_tables >= 3   # impossible windows in multi-state models occurred
+
+
+def test_step_batch_masks_where_step_has_zero_likelihood():
+    rng = random.Random(81)
+    models = [sparse_model(rng, 1 + i % 5) for i in range(20)]
+    models.append(xc.ChannelModel([[1.0]], [[0.5, 0.5, 0.0, 0.0]]))
+    for model in models:
+        n = model.num_states
+        rows = [_random_belief(rng, n) for _ in range(30)]
+        # beliefs concentrated on single states give zero likelihoods
+        rows += [tuple(float(s == k) for s in range(n)) for k in range(n)]
+        belief = tuple(np.array(col) for col in zip(*rows))
+        zs = np.array([rng.randrange(4) for _ in rows])
+        for z in [0, 1, 2, 3, zs]:
+            nxt, ell = _step_batch(model, belief, z)
+            for r, row in enumerate(rows):
+                want, want_ell = _step(model, row, z if isinstance(z, int) else int(z[r]))
+                assert ell[r] == want_ell
+                assert tuple(v[r] for v in nxt) == want
+    model = xc.ChannelModel([[1.0]], [[0.5, 0.5, 0.0, 0.0]])
+    _, ell = _step_batch(model, (np.ones(2),), np.array([0, 2]))
+    assert ell.tolist() == [0.5, 0.0]
+    # the batched sampled-history filter raises where filter_step would
+    _filter_batch(model, (1.0,), np.array([[0, 1], [1, 0]]))
+    with pytest.raises(xc.ZeroLikelihood):
+        _filter_batch(model, (1.0,), np.array([[0, 1], [1, 2]]))
+
+
+def test_empirical_forgetting_matches_loop_oracle(ref_model):
+    rng = random.Random(12)
+    models = [ref_model, random_model(rng, 3), sparse_model(rng, 4)]
+    for model in models:
+        for L in (1, 2, 3, 4):
+            for seed, samples in ((1, 1), (2, 1), (3, 7), (40, 150)):
+                got = xc.empirical_forgetting(model, L, 12, seed, samples)
+                assert got == empirical_forgetting_loop(model, L, 12, seed, samples)
+
+
+def test_exhaustive_forgetting_frozen_horizon9(ref_model):
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for L, frozen in zip((1, 2, 3, 4), workloads.TV_HORIZON9):
+        assert xc.exhaustive_forgetting(ref_model, L, 9) == frozen
+
+
+def test_empirical_forgetting_needs_a_sample(ref_model):
+    for samples in (0, -3):
+        with pytest.raises(xc.ContractViolation):
+            xc.empirical_forgetting(ref_model, 2, 12, seed=1, samples=samples)

@@ -11,7 +11,7 @@ from xorcast.sim import (FRESH1, FRESH2, IDLE, MIX_FRESH, REMEDY, SUB1, SUB2,
                          XOR_BACKLOG, QueueState, maxweight_action, step,
                          substitute_action)
 
-from oracles import gf2_decode_oracle
+from oracles import gf2_decode_oracle, save_trace_json
 
 
 def filled(q1_1=(), q1_2=(), q2_1=(), q2_2=(), q3=()):
@@ -498,3 +498,21 @@ def test_trace_round_trip(tmp_path, ref_model):
     blank = tmp_path / "blank.jsonl"
     blank.write_text("\n\n")
     assert xc.load_trace(blank) == []
+
+
+def test_save_trace_matches_json_oracle(tmp_path, ref_model):
+    wit, dist, _ = xc.simulation_distribution(xc.window_table(ref_model, 2), 0.5)
+    traces = [xc.simulate(ref_model, sched, 0.95 * wit.R1, 0.95 * wit.R2, 3000, 3,
+                          dist=dist if sched == "probabilistic" else None,
+                          collect_trace=True).trace
+              for sched in ("probabilistic", "maxweight")]
+    assert all(any(len(row[2]) == 2 for row in trace) for trace in traces)
+    traces.append([(0, FRESH1, (7,), True, False, ()),
+                   (1, XOR_BACKLOG, (7, 8), False, True, ((1, 7), (2, 8))),
+                   (2 ** 40, REMEDY, (10 ** 15, 3), True, True, ((2, 10 ** 15),)),
+                   (3, FRESH2, (), False, False, ())])
+    for k, trace in enumerate(traces):
+        got, want = tmp_path / f"got{k}.jsonl", tmp_path / f"want{k}.jsonl"
+        xc.save_trace(trace, got)
+        save_trace_json(trace, want)
+        assert got.read_bytes() == want.read_bytes()
