@@ -15,7 +15,7 @@ from .filtering import (ErasureStats, WindowTable, dump_window_table,
                         filter_step, init_belief, predict_pattern_probs,
                         predict_stats, window_codes, window_index,
                         window_label, window_table)
-from .lp import LinearProgram, LpSolution, feasible, solve
+from .lp import LinearProgram, LpSolution, solve
 from .region import (ActionDistribution, CanonicalizationReport, CapacitySet,
                      CutValues, RegionWitness, SandwichResult,
                      achievable_check, boundary_sweep, canonicalize,

@@ -110,6 +110,9 @@ def cmd_region(opts) -> int:
     model = _load_model_opt(opts)
     L = opts.get("L", required=True, cfg_key="L", kind=int)
     lam = opts.get("lam", cfg_key="lambda", kind=float)
+    witness_out = opts.get("witness_out")
+    if witness_out and lam is None:
+        raise ConfigError("--witness-out needs --lambda; a sweep has no single witness")
     table = window_table(model, L)
     rows = []
     if opts.get("sandwich", default=False):
@@ -123,6 +126,7 @@ def cmd_region(opts) -> int:
             rows.append((lam, res.outer.R1, res.outer.R2, "outer"))
         if res.degraded:
             print("forgetting rate unavailable; nominal point only", file=sys.stderr)
+        wit = res.nominal
     elif lam is not None:
         wit = solve_region(table, lam, 1.0 - lam)
         rows.append((lam, wit.R1, wit.R2, wit.status))
@@ -135,10 +139,7 @@ def cmd_region(opts) -> int:
         w.writerow(["lambda", "R1", "R2", "status"])
         for lam_v, r1, r2, status in rows:
             w.writerow([_fmt(lam_v), _fmt(r1), _fmt(r2), status])
-    witness_out = opts.get("witness_out")
     if witness_out:
-        w1 = lam if lam is not None else 0.5
-        wit = solve_region(table, w1, 1.0 - w1)
         with open(witness_out, "w", encoding="utf-8") as f:
             json.dump({"lambda": wit.w1, "R1": wit.R1, "R2": wit.R2,
                        "x": list(map(float, wit.x)), "y": list(map(float, wit.y))}, f)

@@ -15,12 +15,24 @@ The leaving row is the lowest basis index among rows within 1e-12 of the
 smallest step. Every choice is a pure function of the tableau, so identical
 inputs take the identical pivot path and return the identical point.
 
+A solved tableau can be re-optimized instead of solved again. Changing
+only the objective leaves the optimal basis primal feasible, so phase two
+resumes from it; appending a `<=` row that the current point meets makes
+its slack basic at the current value, so the larger program needs no phase
+one either. region.py walks its boundary sweep this way and refines each
+point on a copy with the keep-value row appended. Every solve, warm or
+cold, counts its own pivots against its own stall cap, and every returned
+point is re-checked against the program it belongs to. Warm starts keep
+the determinism contract: the same inputs in the same order take the same
+pivot path.
+
 This is meant for the small dense programs produced elsewhere in the
 package, not as a general solver.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -87,19 +99,24 @@ class LpSolution:
     value: float | None
     point: np.ndarray | None
     tight: tuple[int, ...] = ()
-    pivots: int = 0                  # simplex iterations over both phases
+    pivots: int = 0                  # iterations of this solve, both phases if cold
 
 
 class _Simplex:
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
+        # the program the tableau encodes: with_row extends the constraints
+        # and reoptimize replaces the objective
+        self.objective = lp.objective
+        self.constraints = lp.constraints
+        self.bounds = lp.bounds
         n = lp.num_vars
         m = len(lp.constraints)
         lo = np.array([b[0] for b in lp.bounds])
         hi = np.array([b[1] for b in lp.bounds])
         self.lo = lo
         n_le = sum(1 for _, rel, _ in lp.constraints if rel == LE)
-        # column layout: structural, slacks for <= rows, artificials
+        # column layout: structural, slacks for <= rows, artificials, then
+        # the slacks of rows appended by with_row
         a = np.zeros((m, n + n_le + m))
         b = np.zeros(m)
         slack_of = {}
@@ -143,7 +160,7 @@ class _Simplex:
         for j in basis:
             self.status_arr[j] = BASIC
         self.pivots = 0
-        self.cap = 1000 + 100 * (m + s)
+        self.cap = _stall_cap(m, s)
 
     def _reduced(self, c: np.ndarray) -> np.ndarray:
         if len(self.basis) == 0:
@@ -275,7 +292,7 @@ class _Simplex:
 
     def phase_two(self) -> str:
         c2 = np.zeros(self.N)
-        c2[:self.n_struct] = self.lp.objective
+        c2[:self.n_struct] = self.objective
         return self._iterate(c2, phase=2)
 
     def extract(self) -> np.ndarray:
@@ -285,10 +302,73 @@ class _Simplex:
             x[self.basis[i]] = self.beta[i]
         return self.lo + x[:self.n_struct]
 
+    def _vector(self, v, what: str) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.n_struct,):
+            raise ContractViolation(f"{what}: expected {self.n_struct} coefficients")
+        return v
 
-def _verify(lp: LinearProgram, x: np.ndarray):
+    def _result(self, phase_two: str) -> LpSolution:
+        if phase_two == "unbounded":
+            return LpSolution("Unbounded", None, None, pivots=self.pivots)
+        x = self.extract()
+        tight = _verify(self.constraints, self.bounds, x)
+        return LpSolution("Optimal", float(self.objective @ x), x, tight, self.pivots)
+
+    def solve(self) -> LpSolution:
+        """Both phases from the slack-and-artificial starting basis."""
+        if not self.phase_one():
+            return LpSolution("Infeasible", None, None, pivots=self.pivots)
+        return self._result(self.phase_two())
+
+    def reoptimize(self, objective) -> LpSolution:
+        """Phase two under a new objective, resuming from the current basis.
+        The constraints are unchanged, so a basis without artificials stays
+        primal feasible and phase one is not needed."""
+        if self.is_artificial[self.basis].any():
+            raise ContractViolation("reoptimize needs a primal feasible basis")
+        self.objective = self._vector(objective, "objective")
+        self.pivots = 0
+        return self._result(self.phase_two())
+
+    def with_row(self, coefs, rhs: float) -> "_Simplex":
+        """A copy with the row coefs @ x <= rhs appended. The current point
+        must meet the row; its slack enters the basis at its current value,
+        so the copy is primal feasible as it stands. The original tableau is
+        left untouched."""
+        coefs = self._vector(coefs, "appended row")
+        n, m, s = self.n_struct, self.m_rows, self.N
+        a = np.zeros(s + 1)
+        a[:n] = coefs
+        a[s] = 1.0
+        T = np.zeros((m + 1, s + 1))
+        T[:m, :s] = self.T
+        # eliminate the basic columns so the new row is in tableau form
+        T[m] = a - a[self.basis] @ T[:m]
+        value = rhs - float(coefs @ self.extract())
+        if value < -VERIFY_TOL:
+            raise ContractViolation(f"the current point violates the appended row by {-value:.3g}")
+        sx = copy.copy(self)
+        sx.constraints = self.constraints + [(coefs, LE, float(rhs))]
+        sx.T = T
+        sx.beta = np.append(self.beta, max(value, 0.0))
+        sx.basis = np.append(self.basis, s)
+        sx.N = s + 1
+        sx.m_rows = m + 1
+        sx.u = np.append(self.u, math.inf)
+        sx.is_artificial = np.append(self.is_artificial, False)
+        sx.fixed = np.append(self.fixed, False)
+        sx.status_arr = np.append(self.status_arr, np.int8(BASIC))
+        sx.pivots = 0
+        sx.cap = _stall_cap(m + 1, s + 1)
+        return sx
+
+
+def _verify(constraints, bounds, x: np.ndarray):
+    """Re-check x against the constraints and bounds; returns the indices of
+    the constraints tight at x."""
     tight = []
-    for k, (coefs, rel, rhs) in enumerate(lp.constraints):
+    for k, (coefs, rel, rhs) in enumerate(constraints):
         lhs = float(coefs @ x)
         if rel == LE and lhs > rhs + VERIFY_TOL:
             raise NumericalFailure("solution violates a constraint",
@@ -298,30 +378,19 @@ def _verify(lp: LinearProgram, x: np.ndarray):
                                    {"constraint": k, "lhs": lhs, "rhs": rhs})
         if abs(lhs - rhs) <= VERIFY_TOL:
             tight.append(k)
-    for j, (lo, hi) in enumerate(lp.bounds):
+    for j, (lo, hi) in enumerate(bounds):
         if x[j] < lo - VERIFY_TOL or x[j] > hi + VERIFY_TOL:
             raise NumericalFailure("solution violates a variable bound",
                                    {"variable": j, "value": float(x[j])})
     return tuple(tight)
 
 
+def _stall_cap(rows: int, cols: int) -> int:
+    """Pivots one solve may take before it counts as stalled."""
+    return 1000 + 100 * (rows + cols)
+
+
 def solve(lp: LinearProgram) -> LpSolution:
-    """Solve to optimality. Identical inputs take the identical pivot path."""
-    sx = _Simplex(lp)
-    if not sx.phase_one():
-        return LpSolution("Infeasible", None, None, pivots=sx.pivots)
-    if sx.phase_two() == "unbounded":
-        return LpSolution("Unbounded", None, None, pivots=sx.pivots)
-    x = sx.extract()
-    tight = _verify(lp, x)
-    return LpSolution("Optimal", float(lp.objective @ x), x, tight, sx.pivots)
-
-
-def feasible(lp: LinearProgram):
-    """Phase one only. Returns (True, witness) or (False, None)."""
-    sx = _Simplex(lp)
-    if not sx.phase_one():
-        return False, None
-    x = sx.extract()
-    _verify(lp, x)
-    return True, x
+    """Solve to optimality from scratch. Identical inputs take the identical
+    pivot path."""
+    return _Simplex(lp).solve()

@@ -20,7 +20,7 @@ import numpy as np
 from .channel import ChannelModel, forgetting_rate_bound
 from .errors import ContractViolation, ModelFormatError, NumericalFailure
 from .filtering import WindowTable, window_table
-from .lp import LE, LinearProgram, solve
+from .lp import LE, LinearProgram, _Simplex, solve
 
 RATE_CAP = 2.0  # loose box for the rate variables; keeps the LP bounded
 CASE_TOL = 1e-10
@@ -105,6 +105,25 @@ class CanonicalizationReport:
     cuts_after: CutValues
 
 
+def _rate_terms(table: WindowTable):
+    """Per-window weights of the four rate constraints: (g1, g2, g12, full).
+    g1 and g2 weight a window by its success toward receiver 1 or 2, g12 by
+    reaching at least one receiver, and full is the sum of g12."""
+    p = table.probs
+    e1, e2, e12 = table.eps_arrays()
+    g12 = p * (1.0 - e12)
+    return p * (1.0 - e1), p * (1.0 - e2), g12, float(g12.sum())
+
+
+def _rate_objective(n: int, w1: float, w2: float) -> np.ndarray:
+    """w1*R1 + w2*R2 over the n variables of the region program."""
+    if w1 + w2 <= 0.0 or w1 < 0.0 or w2 < 0.0:
+        raise ContractViolation("weights must be nonnegative with a positive sum")
+    obj = np.zeros(n)
+    obj[0], obj[1] = w1, w2
+    return obj
+
+
 def region_lp(table: WindowTable, w1: float, w2: float, slack: float = 0.0) -> LinearProgram:
     """Build the L-th order region program, maximizing w1*R1 + w2*R2.
 
@@ -112,18 +131,10 @@ def region_lp(table: WindowTable, w1: float, w2: float, slack: float = 0.0) -> L
     loosens (positive) or tightens (negative) every rate constraint by the
     same amount, which is how the sandwich bounds are produced.
     """
-    if w1 + w2 <= 0.0 or w1 < 0.0 or w2 < 0.0:
-        raise ContractViolation("weights must be nonnegative with a positive sum")
     m = len(table)
-    p = table.probs
-    e1, e2, e12 = table.eps_arrays()
-    g1 = p * (1.0 - e1)      # per-window success weight toward receiver 1
-    g2 = p * (1.0 - e2)
-    g12 = p * (1.0 - e12)    # reaches at least one receiver
-    full = float(g12.sum())
+    g1, g2, g12, full = _rate_terms(table)
     n = 2 + 2 * m
-    obj = np.zeros(n)
-    obj[0], obj[1] = w1, w2
+    obj = _rate_objective(n, w1, w2)
 
     def row(rate_idx, xcoefs, ycoefs, rhs):
         c = np.zeros(n)
@@ -149,6 +160,20 @@ def _witness_from_point(table, w1, w2, slack, point):
                          x=point[2:2 + m].copy(), y=point[2 + m:].copy())
 
 
+def _refined(sx: _Simplex, table: WindowTable, w1: float, w2: float, slack: float,
+             value: float) -> RegionWitness:
+    """Maximize R1 + R2 subject to keeping w1*R1 + w2*R2 >= value - 1e-12,
+    on a copy of the tableau sx solved for those weights. The keep-value row
+    holds at that optimum, so the copy starts primal feasible."""
+    n = sx.n_struct
+    keep = np.zeros(n)
+    keep[0], keep[1] = -w1, -w2
+    sol = sx.with_row(keep, -(value - 1e-12)).reoptimize(_rate_objective(n, 1.0, 1.0))
+    if sol.status != "Optimal":
+        raise NumericalFailure("refinement solve failed", {"status": sol.status})
+    return _witness_from_point(table, w1, w2, slack, sol.point)
+
+
 def solve_region(table: WindowTable, w1: float, w2: float, slack: float = 0.0,
                  refine: bool = True) -> RegionWitness:
     """Maximize w1*R1 + w2*R2 over the region.
@@ -156,26 +181,18 @@ def solve_region(table: WindowTable, w1: float, w2: float, slack: float = 0.0,
     With refine on, a second solve maximizes R1 + R2 subject to keeping the
     weighted value, which lands on a unique Pareto corner instead of a
     weight-dependent point of a face. That matters when a witness feeds the
-    simulator: corners have all four constraints doing real work.
+    simulator: corners have all four constraints doing real work. The
+    second solve re-optimizes the first one's tableau with the keep-value
+    row appended, so it needs no phase one.
     """
-    lp = region_lp(table, w1, w2, slack)
-    sol = solve(lp)
+    sx = _Simplex(region_lp(table, w1, w2, slack))
+    sol = sx.solve()
     if sol.status != "Optimal":
         return RegionWitness(L=table.L, w1=w1, w2=w2, slack=slack, status=sol.status,
                              R1=None, R2=None, x=None, y=None)
     if not refine:
         return _witness_from_point(table, w1, w2, slack, sol.point)
-    n = lp.num_vars
-    keep = np.zeros(n)
-    keep[0], keep[1] = -w1, -w2
-    lp2 = LinearProgram(
-        np.concatenate([[1.0, 1.0], np.zeros(n - 2)]),
-        lp.constraints + [(keep, LE, -(sol.value - 1e-12))],
-        lp.bounds)
-    sol2 = solve(lp2)
-    if sol2.status != "Optimal":
-        raise NumericalFailure("refinement solve failed", {"status": sol2.status})
-    return _witness_from_point(table, w1, w2, slack, sol2.point)
+    return _refined(sx, table, w1, w2, slack, sol.value)
 
 
 def robust_witness(table: WindowTable, wit: RegionWitness,
@@ -207,11 +224,7 @@ def robust_witness(table: WindowTable, wit: RegionWitness,
     r2 = wit.R2 * backoff
     m = len(table)
     p = table.probs
-    e1, e2, e12 = table.eps_arrays()
-    g1 = p * (1.0 - e1)
-    g2 = p * (1.0 - e2)
-    g12 = p * (1.0 - e12)
-    full = float(g12.sum())
+    g1, g2, g12, full = _rate_terms(table)
     # variables: x (m), y (m), t (m) with t <= x + y and t <= 2 - x - y
     n = 3 * m
     obj = np.concatenate([np.zeros(2 * m), p])
@@ -251,12 +264,11 @@ def robust_witness(table: WindowTable, wit: RegionWitness,
 
 def witness_residual(table: WindowTable, wit: RegionWitness) -> float:
     """Largest violation of the four rate constraints at the witness."""
-    p = table.probs
-    e1, e2, e12 = table.eps_arrays()
-    s1 = float(np.sum(p * (1.0 - e1) * wit.x))
-    s2 = float(np.sum(p * (1.0 - e2) * wit.y))
-    sx = float(np.sum(p * (1.0 - e12) * (1.0 - wit.x)))
-    sy = float(np.sum(p * (1.0 - e12) * (1.0 - wit.y)))
+    g1, g2, g12, _ = _rate_terms(table)
+    s1 = float(np.sum(g1 * wit.x))
+    s2 = float(np.sum(g2 * wit.y))
+    sx = float(np.sum(g12 * (1.0 - wit.x)))
+    sy = float(np.sum(g12 * (1.0 - wit.y)))
     c = wit.slack
     return max(wit.R1 - s1 - c, wit.R1 - sy - c, wit.R2 - s2 - c, wit.R2 - sx - c)
 
@@ -270,15 +282,23 @@ def boundary_sweep(model: ChannelModel, L: int, k: int = 33,
 def sweep_table(table: WindowTable, k: int = 33, slack: float = 0.0) -> list[RegionWitness]:
     """Trace the boundary with k weight vectors (lam, 1 - lam) on a uniform
     grid including both endpoints. Points are sorted by R1 and deduplicated
-    at 1e-9; every returned witness is re-checked against the constraints."""
+    at 1e-9; every returned witness is re-checked against the constraints.
+
+    Only the objective changes along the grid, so one tableau walks it:
+    each weight re-optimizes from the previous optimal basis, and each point
+    is refined as in solve_region on a copy of that tableau."""
     if k < 2:
         raise ContractViolation("a sweep needs at least two weight points")
+    sx = _Simplex(region_lp(table, 0.0, 1.0, slack))
+    if sx.solve().status != "Optimal":
+        return []   # feasibility does not depend on the weights
     out = []
     for i in range(k):
         lam = i / (k - 1)
-        wit = solve_region(table, lam, 1.0 - lam, slack)
-        if wit.status != "Optimal":
+        sol = sx.reoptimize(_rate_objective(sx.n_struct, lam, 1.0 - lam))
+        if sol.status != "Optimal":
             continue
+        wit = _refined(sx, table, lam, 1.0 - lam, slack, sol.value)
         if witness_residual(table, wit) > 1e-8:
             raise NumericalFailure("witness failed re-check", {"lam": lam})
         out.append(wit)
@@ -415,13 +435,12 @@ def canonicalize(dist: ActionDistribution, table: WindowTable):
     """
     if dist.L != table.L:
         raise ContractViolation("window length mismatch between table and distribution")
-    p = table.probs
-    e1, e2, e12 = table.eps_arrays()
+    g1, g2, g12, _ = _rate_terms(table)
     P = dist.table
     mass = P[:, 2] + P[:, 4]
-    h1 = float(np.sum(p * (1.0 - e1) * mass))
-    h2 = float(np.sum(p * (1.0 - e2) * mass))
-    g = float(np.sum(p * (1.0 - e12) * mass))
+    h1 = float(np.sum(g1 * mass))
+    h2 = float(np.sum(g2 * mass))
+    g = float(np.sum(g12 * mass))
     caps = link_capacities(table, dist)
     before = cut_values(caps)
     case_one = any(before.a[j] <= before.d[j] + CASE_TOL for j in (0, 1))

@@ -3,7 +3,8 @@
 Everything here recomputes results by a different method than the library:
 state-path enumeration instead of recursive filtering, vertex enumeration
 instead of simplex pivoting, augmenting paths instead of cut formulas,
-Gaussian elimination instead of union-find. The row-indexed filter update
+Gaussian elimination instead of union-find, a cold two-phase solve per
+weight instead of one re-optimized tableau. The row-indexed filter update
 and prediction are the exception: they repeat the library's arithmetic
 term by term, so the column kernels must match them exactly. So are the
 one-at-a-time forms of batched code (the depth-first window table, the
@@ -19,6 +20,8 @@ import numpy as np
 
 import xorcast as xc
 from xorcast.filtering import _step
+from xorcast.lp import _Simplex, _verify
+from xorcast.region import _witness_from_point, region_lp
 
 
 def random_model(rng, n_states, floor=0.02):
@@ -115,6 +118,53 @@ def save_trace_json(trace, path):
                 "received_rx1": bool(r1), "received_rx2": bool(r2),
                 "delivered": [[j, pid] for j, pid in delivered],
             }) + "\n")
+
+
+def feasible(lp):
+    """Phase one only. Returns (True, witness) or (False, None)."""
+    sx = _Simplex(lp)
+    if not sx.phase_one():
+        return False, None
+    x = sx.extract()
+    _verify(lp.constraints, lp.bounds, x)
+    return True, x
+
+
+def solve_region_cold(table, w1, w2, slack=0.0):
+    """solve_region with its refine step as a second cold solve of the
+    region program plus the keep-value row."""
+    lp = region_lp(table, w1, w2, slack)
+    sol = xc.solve(lp)
+    if sol.status != "Optimal":
+        return None
+    n = lp.num_vars
+    keep = np.zeros(n)
+    keep[0], keep[1] = -w1, -w2
+    lp2 = xc.LinearProgram(
+        np.concatenate([[1.0, 1.0], np.zeros(n - 2)]),
+        lp.constraints + [(keep, "<=", -(sol.value - 1e-12))],
+        lp.bounds)
+    sol2 = xc.solve(lp2)
+    assert sol2.status == "Optimal", sol2.status
+    return _witness_from_point(table, w1, w2, slack, sol2.point)
+
+
+def sweep_table_cold(table, k=33, slack=0.0):
+    """sweep_table with two cold solves per weight: sorted by R1 and
+    deduplicated at 1e-9, as the library does."""
+    out = []
+    for i in range(k):
+        lam = i / (k - 1)
+        wit = solve_region_cold(table, lam, 1.0 - lam, slack)
+        if wit is not None:
+            out.append(wit)
+    out.sort(key=lambda w: (w.R1, w.R2))
+    dedup = []
+    for wit in out:
+        if dedup and abs(dedup[-1].R1 - wit.R1) <= 1e-9 and abs(dedup[-1].R2 - wit.R2) <= 1e-9:
+            continue
+        dedup.append(wit)
+    return dedup
 
 
 def brute_force_window(model, L):

@@ -244,3 +244,28 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "xorcast" in capsys.readouterr().out
+
+
+def test_region_witness_out_matches_rows(capsys, tmp_path, model_path):
+    # a sweep has no single witness: the flag is refused before any output
+    wit_path = tmp_path / "w.json"
+    code, out, err = run(capsys, ["region", "--model", model_path, "--L", "2",
+                                  "--sweep", "5", "--witness-out", str(wit_path)])
+    assert code == 2 and out == "" and "--witness-out" in err
+    assert not wit_path.exists()
+    # with --lambda the witness is the solve behind the CSV row
+    code, out, _ = run(capsys, ["region", "--model", model_path, "--L", "2",
+                                "--lambda", "0.3", "--witness-out", str(wit_path)])
+    assert code == 0
+    lam, r1, r2, _ = out.strip().splitlines()[1].split(",")
+    wit = json.loads(wit_path.read_text())
+    assert wit["lambda"] == 0.3
+    assert (f"{wit['R1']:.12g}", f"{wit['R2']:.12g}") == (r1, r2)
+    # with --sandwich it is the nominal point
+    code, out, _ = run(capsys, ["region", "--model", model_path, "--L", "2",
+                                "--lambda", "0.3", "--sandwich",
+                                "--witness-out", str(wit_path)])
+    assert code == 0
+    nominal = [l.split(",") for l in out.strip().splitlines()[1:] if l.endswith("nominal")]
+    assert json.loads(wit_path.read_text()) == wit
+    assert (nominal[0][1], nominal[0][2]) == (r1, r2)

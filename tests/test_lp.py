@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import xorcast as xc
+from xorcast.lp import _Simplex
 
-from oracles import vertex_oracle
+from oracles import feasible, vertex_oracle
 
 INF = math.inf
 
@@ -128,10 +129,10 @@ def test_beale_cycling_example():
 
 
 def test_feasible_check():
-    ok, witness = xc.feasible(lp([0, 0], [([1, 1], "=", 1)], [(0, 1), (0, 1)]))
+    ok, witness = feasible(lp([0, 0], [([1, 1], "=", 1)], [(0, 1), (0, 1)]))
     assert ok
     assert abs(witness.sum() - 1.0) < 1e-9
-    bad, none = xc.feasible(lp([0, 0], [([1, 1], "=", 3)], [(0, 1), (0, 1)]))
+    bad, none = feasible(lp([0, 0], [([1, 1], "=", 3)], [(0, 1), (0, 1)]))
     assert not bad
     assert none is None
 
@@ -167,3 +168,62 @@ def test_random_against_vertex_enumeration():
             assert abs(sol.value - want) < 1e-7
             solved += 1
     assert solved > 50
+
+
+def test_reoptimize_matches_cold_solve():
+    # a new objective on a solved tableau gives the cold optimum of the new
+    # program, counting only its own pivots
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(200):
+        program = random_program(rng)
+        sx = _Simplex(program)
+        if sx.solve().status != "Optimal":
+            continue
+        again = sx.reoptimize(program.objective)
+        assert again.status == "Optimal" and again.pivots == 0
+        obj = [rng.uniform(-2, 2) for _ in range(program.num_vars)]
+        warm = sx.reoptimize(obj)
+        cold = xc.solve(lp(obj, program.constraints, program.bounds))
+        assert warm.status == cold.status == "Optimal"
+        assert abs(warm.value - cold.value) < 1e-9
+        checked += 1
+    assert checked > 50
+
+
+def test_with_row_matches_cold_solve():
+    # appending a row the current point meets, then re-optimizing, gives the
+    # cold optimum of the extended program; the original is untouched
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(200):
+        program = random_program(rng)
+        sx = _Simplex(program)
+        first = sx.solve()
+        if first.status != "Optimal":
+            continue
+        coefs = np.array([rng.uniform(-2, 2) for _ in range(program.num_vars)])
+        rhs = float(coefs @ first.point) + rng.choice([0.0, 0.3])
+        obj = [rng.uniform(-2, 2) for _ in range(program.num_vars)]
+        warm = sx.with_row(coefs, rhs).reoptimize(obj)
+        extended = lp(obj, program.constraints + [(coefs, "<=", rhs)], program.bounds)
+        cold = xc.solve(extended)
+        assert warm.status == cold.status == "Optimal"
+        assert abs(warm.value - cold.value) < 1e-9
+        assert abs(warm.value - vertex_oracle(extended)) < 1e-7
+        assert len(warm.point) == program.num_vars
+        same = sx.reoptimize(program.objective)
+        assert same.pivots == 0 and np.array_equal(same.point, first.point)
+        checked += 1
+    assert checked > 50
+
+
+def test_warm_start_preconditions():
+    infeasible = _Simplex(lp([1], [([1], "<=", -1)], [(0, 1)]))
+    assert infeasible.solve().status == "Infeasible"
+    with pytest.raises(xc.ContractViolation):
+        infeasible.reoptimize([1.0])
+    sx = _Simplex(lp([1, 1], [([1, 1], "<=", 1)], [(0, 1), (0, 1)]))
+    assert sx.solve().status == "Optimal"
+    with pytest.raises(xc.ContractViolation):
+        sx.with_row([-1, -1], -1.5)   # the optimum has x + y = 1

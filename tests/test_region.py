@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import xorcast as xc
+from xorcast.lp import VERIFY_TOL, _Simplex
 from xorcast.region import region_lp, witness_residual
 
-from oracles import pipeline_max_flow, vertex_oracle
+from oracles import (pipeline_max_flow, random_model, sweep_table_cold,
+                     vertex_oracle)
 
 # frozen weighted-sum values for the two-state fixture, weights (1, 1)
 REF_SUMS = {
@@ -389,3 +391,97 @@ def test_dist_parse_errors(tmp_path):
     with pytest.raises(xc.ModelFormatError) as err:
         xc.load_dist(bad)
     assert "line 1" in str(err.value)
+
+
+def _support(points, k):
+    """Best weighted value over the points at each grid weight (lam, 1 - lam)."""
+    return np.array([max(i / (k - 1) * p.R1 + (1 - i / (k - 1)) * p.R2 for p in points)
+                     for i in range(k)])
+
+
+def test_warm_sweep_matches_cold_reference(ref_model):
+    # one re-optimized tableau against two cold solves per weight; the
+    # weighted values are compared as the best value at each grid weight,
+    # since near-duplicate points may keep a different weight label
+    k = 33
+    for L in (1, 2, 3, 4):
+        t = xc.window_table(ref_model, L)
+        for slack in (0.0, 0.05, -0.02):
+            warm = xc.sweep_table(t, k, slack)
+            cold = sweep_table_cold(t, k, slack)
+            assert len(warm) == len(cold) >= 2, (L, slack)
+            for a, b in zip(warm, cold):
+                assert abs(a.R1 - b.R1) <= 1e-9 and abs(a.R2 - b.R2) <= 1e-9, (L, slack)
+            assert np.max(np.abs(_support(warm, k) - _support(cold, k))) <= 1e-12
+
+
+def test_warm_sweep_matches_cold_random_models():
+    # On random models both sweeps are optimal only to the solver's absolute
+    # pricing tolerance, and a cold solve can stop a few 1e-10 short where
+    # the warm one does not (or the reverse), which may split or merge
+    # near-duplicate points. So the sweeps are compared as boundaries: equal
+    # best values at every grid weight, and every point of either sweep
+    # optimal for its own weight among the other's points, to VERIFY_TOL.
+    rng = random.Random(2024)
+    k = 17
+    for _ in range(6):
+        model = random_model(rng, 2)
+        for L in (1, 2, 3):
+            t = xc.window_table(model, L)
+            for slack in (0.0, 0.03, -0.01):
+                warm = xc.sweep_table(t, k, slack)
+                cold = sweep_table_cold(t, k, slack)
+                if not cold:
+                    assert warm == []
+                    continue
+                assert np.max(np.abs(_support(warm, k) - _support(cold, k))) <= VERIFY_TOL
+                for ours, theirs in ((warm, cold), (cold, warm)):
+                    for p in ours:
+                        best = max(p.w1 * q.R1 + p.w2 * q.R2 for q in theirs)
+                        assert abs(p.value - best) <= VERIFY_TOL, (L, slack, p.w1)
+
+
+def test_infeasible_sweep_is_empty(ref_model):
+    t = xc.window_table(ref_model, 1)
+    assert xc.solve_region(t, 0.5, 0.5, slack=-0.9).status == "Infeasible"
+    assert xc.sweep_table(t, 5, slack=-0.9) == []
+
+
+def _record_pivots(monkeypatch):
+    """Pivot count of every warm re-optimization, in call order."""
+    counts = []
+    reoptimize = _Simplex.reoptimize
+
+    def recording(self, objective):
+        sol = reoptimize(self, objective)
+        counts.append((sol.pivots, self.cap))
+        return sol
+
+    monkeypatch.setattr(_Simplex, "reoptimize", recording)
+    return counts
+
+
+def test_warm_sweep_deterministic(ref_model, monkeypatch):
+    t = xc.window_table(ref_model, 3)
+    counts = _record_pivots(monkeypatch)
+    first = xc.sweep_table(t, 33)
+    first_counts = list(counts)
+    counts.clear()
+    second = xc.sweep_table(t, 33)
+    assert counts == first_counts and sum(c for c, _ in counts) > 0
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
+        assert (a.w1, a.R1, a.R2) == (b.w1, b.R1, b.R2)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+def test_long_sweep_counts_pivots_per_solve(ref_model, monkeypatch):
+    # 257 weights at L=4: each re-optimization has its own pivot count and
+    # stall cap, so a long chain cannot trip the cap however many it runs
+    t = xc.window_table(ref_model, 4)
+    counts = _record_pivots(monkeypatch)
+    points = xc.sweep_table(t, 257)
+    assert len(counts) == 2 * 257
+    assert all(0 <= c < cap for c, cap in counts)
+    assert len(points) >= 2
+    assert all(witness_residual(t, p) <= 1e-8 for p in points)
