@@ -224,30 +224,45 @@ def _path_cums(model: ChannelModel, pi):
             _cumulative_rows(model.emission_rows))
 
 
-def _draw_path(rng: random.Random, cums, n: int):
-    """Draw n slots of (states, pattern indices): the start state, then per
-    slot its pattern and the next state."""
-    pi_cum, t_cum, e_cum = cums
-    states = []
-    codes = []
-    s = _draw(rng, pi_cum)
-    for _ in range(n):
-        states.append(s)
-        codes.append(_draw(rng, e_cum[s]))
-        s = _draw(rng, t_cum[s])
-    return states, codes
+def _draw_codes(cums, n: int, seeds):
+    """Pattern indices of n slots per seed (one column each), drawn as
+    sample_trajectory draws them from the start distribution of cums: one
+    generator reseeded per path gives its 2n + 1 doubles."""
+    pi_cum, t_cum, e_cum = (np.array(c) for c in cums)
+    rng = random.Random()
+    u = np.empty((2 * n + 1, len(seeds)))
+    for k, seed in enumerate(seeds):
+        rng.seed(seed)
+        u[:, k] = [rng.random() for _ in range(2 * n + 1)]
+
+    def pick(cum, v):  # the first cumulative entry above v, else the last
+        hit = v[:, None] < cum
+        return np.where(hit.any(axis=1), hit.argmax(axis=1), cum.shape[-1] - 1)
+
+    s = pick(pi_cum, u[0])
+    codes = np.empty((n, len(seeds)), dtype=np.intp)
+    for i in range(n):
+        codes[i] = pick(e_cum[s], u[2 * i + 1])
+        s = pick(t_cum[s], u[2 * i + 2])
+    return codes
 
 
 def sample_trajectory(model: ChannelModel, n: int, seed: int):
     """Sample n slots of hidden states and erasure patterns.
 
-    The slot-0 state is drawn from the stationary distribution. Returns
-    (states, patterns) where patterns are (z1, z2) tuples. Deterministic in
-    the seed.
+    The slot-0 state is drawn from the stationary distribution, then per
+    slot its pattern and the next state. Returns (states, patterns) where
+    patterns are (z1, z2) tuples. Deterministic in the seed.
     """
-    states, codes = _draw_path(random.Random(seed),
-                               _path_cums(model, stationary_distribution(model)), n)
-    return states, [PATTERNS[z] for z in codes]
+    pi_cum, t_cum, e_cum = _path_cums(model, stationary_distribution(model))
+    rng = random.Random(seed)
+    states, patterns = [], []
+    s = _draw(rng, pi_cum)
+    for _ in range(n):
+        states.append(s)
+        patterns.append(PATTERNS[_draw(rng, e_cum[s])])
+        s = _draw(rng, t_cum[s])
+    return states, patterns
 
 
 def forgetting_rate_bound(model: ChannelModel) -> float | None:

@@ -3,8 +3,8 @@
 Subcommands: region, simulate, forgetting, verify, canonicalize,
 dump-window-table. Options can come from a JSON config file (--config);
 explicit flags win over config values. Exit codes: 0 success, 1 numerical
-or verification failure, 2 configuration or file problems, 3 malformed
-data files.
+or verification failure, 2 configuration or file problems (a window length
+above the cap among them), 3 malformed data files.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from . import __version__
 from .channel import forgetting_rate_bound, load_model
 from .errors import (ContractViolation, ModelFormatError, NumericalFailure,
-                     TraceFormatError, XorcastError)
+                     ResourceLimit, TraceFormatError, XorcastError)
 from .filtering import (dump_window_table, empirical_forgetting,
                         exhaustive_forgetting, window_table)
 from .region import (canonicalize, dist_from_dict, dist_to_dict, load_dist,
@@ -323,7 +323,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ConfigError, FileNotFoundError, IsADirectoryError, PermissionError,
-            ContractViolation) as e:
+            ContractViolation, ResourceLimit) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (NumericalFailure, XorcastError) as e:

@@ -9,13 +9,12 @@ the stationary distribution.
 from __future__ import annotations
 
 import csv
-import random
 from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 
-from .channel import (PATTERN_INDEX, PATTERNS, ChannelModel, _draw_path, _path_cums,
+from .channel import (PATTERN_INDEX, PATTERNS, ChannelModel, _draw_codes, _path_cums,
                       pattern_label, sample_trajectory,  # noqa: F401
                       stationary_distribution)
 from .errors import ContractViolation, NumericalFailure, ResourceLimit, ZeroLikelihood
@@ -271,10 +270,7 @@ def empirical_forgetting(model: ChannelModel, L: int, horizon: int, seed: int,
     if samples < 1:
         raise ContractViolation("sample count must be at least 1")
     pi = init_belief(model)
-    cums = _path_cums(model, pi)
-    codes = np.empty((t, samples), dtype=np.intp)
-    for k in range(samples):
-        codes[:, k] = _draw_path(random.Random(seed + k), cums, t)[1]
+    codes = _draw_codes(_path_cums(model, pi), t, range(seed, seed + samples))
     a = predict_pattern_probs(model, _filter_batch(model, pi, codes))
     b = predict_pattern_probs(model, _filter_batch(model, pi, codes[t - L:]))
     return float(sum(abs(u - v) for u, v in zip(a, b)).max())

@@ -13,7 +13,7 @@ poisoned pairs and node 4 is delivery.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -207,7 +207,13 @@ def robust_witness(table: WindowTable, wit: RegionWitness,
     the two fresh queues only in lockstep through mixtures, so their
     difference is never pushed back and one of them drifts off even for
     arrival rates strictly inside the region. Maximizing the pooled
-    per-window uncoded share min(x + y, 2 - x - y) restores that slack.
+    uncoded share restores that slack.
+
+    The program runs over per-window action shares, fresh-1 f1, fresh-2 f2
+    and backlog XOR c, with one row f1 + f2 + c <= 1 per window whose slack
+    is the fresh-pair mix: 4 + m rows for m windows. The rate constraints
+    act on x = f1 + c and y = f2 + c, and sum p * (f1 + f2) is maximized,
+    which for fixed (x, y) is the pooled min(x + y, 2 - x - y).
 
     Exactly on the boundary the certifying set can be pinned with almost no
     uncoded share at all, so callers that feed a scheduler pass a backoff
@@ -220,18 +226,16 @@ def robust_witness(table: WindowTable, wit: RegionWitness,
         raise ContractViolation("cannot rebalance a non-optimal witness")
     if not 0.0 < backoff <= 1.0:
         raise ContractViolation("backoff must lie in (0, 1]")
-    r1 = wit.R1 * backoff
-    r2 = wit.R2 * backoff
+    r1, r2 = wit.R1 * backoff, wit.R2 * backoff
     m = len(table)
     p = table.probs
     g1, g2, g12, full = _rate_terms(table)
-    # variables: x (m), y (m), t (m) with t <= x + y and t <= 2 - x - y
-    n = 3 * m
-    obj = np.concatenate([np.zeros(2 * m), p])
+    # variables: f1 (m), f2 (m), c (m)
     zeros = np.zeros(m)
+    obj = np.concatenate([p, p, zeros])
 
     def rate_row(xcoefs, ycoefs, rhs):
-        return (np.concatenate([xcoefs, ycoefs, zeros]), LE, rhs)
+        return (np.concatenate([xcoefs, ycoefs, xcoefs + ycoefs]), LE, rhs)
 
     # allow a hair of slack: the witness meets the constraints only to
     # solver tolerance and an exactly tight program may round infeasible
@@ -242,24 +246,12 @@ def robust_witness(table: WindowTable, wit: RegionWitness,
         rate_row(zeros, -g2, -(r2 - eps)),
         rate_row(g12, zeros, full - (r2 - eps)),
     ]
-    for i in range(m):
-        lo = np.zeros(n)
-        lo[i] = -1.0
-        lo[m + i] = -1.0
-        lo[2 * m + i] = 1.0
-        constraints.append((lo, LE, 0.0))
-        hi = np.zeros(n)
-        hi[i] = 1.0
-        hi[m + i] = 1.0
-        hi[2 * m + i] = 1.0
-        constraints.append((hi, LE, 2.0))
-    bounds = [(0.0, 1.0)] * n
-    sol = solve(LinearProgram(obj, constraints, bounds))
+    constraints += [(row, LE, 1.0) for row in np.tile(np.eye(m), 3)]
+    sol = solve(LinearProgram(obj, constraints, [(0.0, 1.0)] * (3 * m)))
     if sol.status != "Optimal":
         return wit
-    return RegionWitness(L=wit.L, w1=wit.w1, w2=wit.w2, slack=wit.slack,
-                         status="Optimal", R1=r1, R2=r2,
-                         x=sol.point[:m].copy(), y=sol.point[m:2 * m].copy())
+    f1, f2, c = sol.point.reshape(3, m)
+    return replace(wit, R1=r1, R2=r2, x=f1 + c, y=f2 + c)
 
 
 def witness_residual(table: WindowTable, wit: RegionWitness) -> float:
@@ -474,8 +466,7 @@ def achievable_check(table: WindowTable, dist: ActionDistribution,
             R2 <= min(cuts.a[1], cuts.d[1]) + tol)
 
 
-def simulation_distribution(table: WindowTable, lam: float, s_param: float = 0.0,
-                            backoff: float = 0.99):
+def simulation_distribution(table: WindowTable, lam: float, backoff: float = 0.99):
     """Boundary witness at weights (lam, 1 - lam) turned into a canonical
     action distribution, ready to drive the probabilistic scheduler.
 
@@ -487,9 +478,8 @@ def simulation_distribution(table: WindowTable, lam: float, s_param: float = 0.0
     that keeps them individually served. Simulating closer to the boundary
     than the backoff needs a hand-built distribution instead.
 
-    If the canonical distribution at s_param fails the achievability
-    re-check slightly inside the backed-off point, a grid of overlap
-    choices is tried before giving up.
+    The witness is mapped at the least overlap only: the cuts a and d that
+    the achievability re-check reads do not depend on the overlap.
 
     Returns (witness at the full boundary rates, distribution, report).
     """
@@ -497,15 +487,11 @@ def simulation_distribution(table: WindowTable, lam: float, s_param: float = 0.0
     if wit.status != "Optimal":
         raise NumericalFailure("region solve failed", {"status": wit.status})
     rob = robust_witness(table, wit, backoff)
-    r1 = rob.R1 - 1e-6
-    r2 = rob.R2 - 1e-6
-    tried = [s_param] + [k / 10.0 for k in range(11) if k / 10.0 != s_param]
-    for s in tried:
-        dist, report = canonicalize(xy_to_actions(rob, s), table)
-        if achievable_check(table, dist, r1, r2):
-            return wit, dist, report
-    raise NumericalFailure("no overlap choice passed the achievability re-check",
-                           {"R1": rob.R1, "R2": rob.R2})
+    dist, report = canonicalize(xy_to_actions(rob), table)
+    if not achievable_check(table, dist, rob.R1 - 1e-6, rob.R2 - 1e-6):
+        raise NumericalFailure("the canonical distribution failed the achievability re-check",
+                               {"R1": rob.R1, "R2": rob.R2})
+    return wit, dist, report
 
 
 def dist_to_dict(dist: ActionDistribution) -> dict:

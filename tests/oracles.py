@@ -4,9 +4,10 @@ Everything here recomputes results by a different method than the library:
 state-path enumeration instead of recursive filtering, vertex enumeration
 instead of simplex pivoting, augmenting paths instead of cut formulas,
 Gaussian elimination instead of union-find, a cold two-phase solve per
-weight instead of one re-optimized tableau. The row-indexed filter update
-and prediction are the exception: they repeat the library's arithmetic
-term by term, so the column kernels must match them exactly. So are the
+weight instead of one re-optimized tableau, per-window (x, y, t) fractions
+instead of action shares. The row-indexed filter update and prediction are
+the exception: they repeat the library's arithmetic term by term, so the
+column kernels must match them exactly. So are the
 one-at-a-time forms of batched code (the depth-first window table, the
 per-sample forgetting loop, the json.dumps trace writer): the batched code
 must reproduce them bit for bit.
@@ -21,7 +22,7 @@ import numpy as np
 import xorcast as xc
 from xorcast.filtering import _step
 from xorcast.lp import _Simplex, _verify
-from xorcast.region import _witness_from_point, region_lp
+from xorcast.region import _rate_terms, _witness_from_point, region_lp
 
 
 def random_model(rng, n_states, floor=0.02):
@@ -165,6 +166,49 @@ def sweep_table_cold(table, k=33, slack=0.0):
             continue
         dedup.append(wit)
     return dedup
+
+
+def robust_witness_xyt(table, wit, backoff=1.0):
+    """robust_witness over (x, y, t) per window, with two rows per window
+    stating t <= min(x + y, 2 - x - y) and the objective sum p * t: the
+    same optimum by another program, with 4 + 2m rows. Returns (witness,
+    solution); the witness is None if the solve fails."""
+    r1 = wit.R1 * backoff
+    r2 = wit.R2 * backoff
+    m = len(table)
+    g1, g2, g12, full = _rate_terms(table)
+    n = 3 * m
+    obj = np.concatenate([np.zeros(2 * m), table.probs])
+    zeros = np.zeros(m)
+
+    def rate_row(xcoefs, ycoefs, rhs):
+        return (np.concatenate([xcoefs, ycoefs, zeros]), "<=", rhs)
+
+    eps = 1e-9
+    constraints = [
+        rate_row(-g1, zeros, -(r1 - eps)),
+        rate_row(zeros, g12, full - (r1 - eps)),
+        rate_row(zeros, -g2, -(r2 - eps)),
+        rate_row(g12, zeros, full - (r2 - eps)),
+    ]
+    for i in range(m):
+        lo = np.zeros(n)
+        lo[i] = -1.0
+        lo[m + i] = -1.0
+        lo[2 * m + i] = 1.0
+        constraints.append((lo, "<=", 0.0))
+        hi = np.zeros(n)
+        hi[i] = 1.0
+        hi[m + i] = 1.0
+        hi[2 * m + i] = 1.0
+        constraints.append((hi, "<=", 2.0))
+    sol = xc.solve(xc.LinearProgram(obj, constraints, [(0.0, 1.0)] * n))
+    if sol.status != "Optimal":
+        return None, sol
+    out = xc.RegionWitness(L=wit.L, w1=wit.w1, w2=wit.w2, slack=wit.slack,
+                           status="Optimal", R1=r1, R2=r2,
+                           x=sol.point[:m].copy(), y=sol.point[m:2 * m].copy())
+    return out, sol
 
 
 def brute_force_window(model, L):

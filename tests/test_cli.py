@@ -213,6 +213,15 @@ def test_exit_codes(capsys, tmp_path, model_path):
     assert code == 2 and "config" in err
 
 
+def test_window_cap_exits_2(capsys, model_path):
+    # a window length above the cap is a configuration problem, not a
+    # numerical failure
+    for cmd in ("dump-window-table", "region"):
+        code, out, err = run(capsys, [cmd, "--model", model_path, "--L", "11"])
+        assert code == 2 and out == ""
+        assert "cap of 10" in err and err.count("\n") == 1, err
+
+
 def test_bad_numbers_exit_2(capsys, tmp_path, model_path):
     base = ["simulate", "--model", model_path, "--scheduler", "maxweight"]
     for extra, option in ((["--rates", "0.3,abc", "--slots", "100"], "--rates"),

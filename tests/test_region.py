@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import xorcast as xc
+from xorcast import region
 from xorcast.lp import VERIFY_TOL, _Simplex
 from xorcast.region import region_lp, witness_residual
 
-from oracles import (pipeline_max_flow, random_model, sweep_table_cold,
-                     vertex_oracle)
+from oracles import (pipeline_max_flow, random_model, robust_witness_xyt,
+                     sweep_table_cold, vertex_oracle)
 
 # frozen weighted-sum values for the two-state fixture, weights (1, 1)
 REF_SUMS = {
@@ -345,6 +346,75 @@ def test_robust_witness_validation(ref_model):
                               R1=None, R2=None, x=None, y=None)
     with pytest.raises(xc.ContractViolation):
         xc.robust_witness(t, failed)
+
+
+def _robust_cases(ref_model):
+    """(table, boundary witness) pairs: the reference model at L=1..4 and
+    random 2-3-state models at L=1..3, at random weights."""
+    rng = random.Random(17)
+    cases = [(xc.window_table(ref_model, L), 0.5) for L in range(1, 5)]
+    for _ in range(20):
+        model = random_model(rng, rng.choice((2, 3)))
+        cases.append((xc.window_table(model, rng.randint(1, 3)), rng.random()))
+    return [(t, xc.solve_region(t, lam, 1.0 - lam)) for t, lam in cases]
+
+
+def test_robust_witness_matches_xyt_oracle(ref_model, monkeypatch):
+    # at the backoff simulation_distribution uses, the action-share program
+    # has 4 + m rows and the optimum of the (x, y, t) program with its
+    # 4 + 2m rows
+    solved = []
+
+    def recorded(lp):
+        solved.append((lp, xc.solve(lp)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(region, "solve", recorded)
+    for t, wit in _robust_cases(ref_model):
+        rob = xc.robust_witness(t, wit, 0.99)
+        lp, sol = solved.pop()
+        old, old_sol = robust_witness_xyt(t, wit, 0.99)
+        assert len(lp.constraints) == 4 + len(t)
+        assert sol.status == "Optimal" and old is not None
+        assert abs(sol.value - old_sol.value) <= 1e-12 * old_sol.value
+        share = float(np.sum(t.probs * np.minimum(rob.x + rob.y, 2.0 - rob.x - rob.y)))
+        assert abs(share - old_sol.value) <= 1e-12 * old_sol.value
+        assert (rob.R1, rob.R2) == (old.R1, old.R2)
+        assert witness_residual(t, rob) <= 1e-8
+        assert witness_residual(t, old) <= 1e-8
+
+
+def test_cuts_a_and_d_ignore_the_overlap(ref_model):
+    # why simulation_distribution maps at one overlap only: the cuts the
+    # achievability re-check reads are the same at every overlap
+    for t, wit in _robust_cases(ref_model)[:12]:
+        for w in (wit, xc.robust_witness(t, wit, 0.99)):
+            ref = xc.cut_values(xc.link_capacities(t, xc.xy_to_actions(w)))
+            for k in range(1, 11):
+                dist = xc.xy_to_actions(w, k / 10.0)
+                for d in (dist, xc.canonicalize(dist, t)[0]):
+                    cuts = xc.cut_values(xc.link_capacities(t, d))
+                    assert np.allclose(cuts.a, ref.a, rtol=0.0, atol=1e-12)
+                    assert np.allclose(cuts.d, ref.d, rtol=0.0, atol=1e-12)
+
+
+def test_simulation_distribution_checks_once(ref_model, monkeypatch):
+    # one robust solve of 4 + m rows, then one achievability check
+    rows, checks = [], []
+
+    def counted_solve(lp):
+        rows.append(len(lp.constraints))
+        return xc.solve(lp)
+
+    def counted_check(*args):
+        checks.append(xc.achievable_check(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(region, "solve", counted_solve)
+    monkeypatch.setattr(region, "achievable_check", counted_check)
+    xc.simulation_distribution(xc.window_table(ref_model, 4), 0.5)
+    assert rows == [4 + 4 ** 4]
+    assert checks == [True]
 
 
 def test_simulation_distribution(ref_model):

@@ -443,15 +443,15 @@ def test_load_trace_rejects_non_integer_claim(tmp_path, capsys):
 # sha256 of repr((trace, checkpoints, action_counts, delivered)), recorded
 # with the row-indexed filter that the column kernel replaced
 PINNED_RUNS = {
-    (0.95, "probabilistic", 1): "292d57ba2b33a23bc69d487ebcf60087642dae5731425392d653203b996a44f8",
-    (0.95, "probabilistic", 2): "25380e9b07f60fe546721b1a425a51c4f29a79ab985898939bdd3aceff4e9f1e",
-    (0.95, "probabilistic", 4): "ac4d5362b648e1f5ae6b96499d7d34298c0c2264672bc4a4fe98668b9756e8fe",
+    (0.95, "probabilistic", 1): "0aa18bc24845159def00248a526b2ac21668ca44f7e3cc98ea1ac0be73a83c18",
+    (0.95, "probabilistic", 2): "f39ae1e83d4967d2a1d712d0b9a426d4633a307af321eb3f247f7f9f8a6a4a67",
+    (0.95, "probabilistic", 4): "a5da3c07b9da1b5c6f022642b1bff1a5f3678ba46b722757fcc1e39d5960edd7",
     (0.95, "maxweight", 1): "08186935e473df63b846e985bcaab704bd94ac2ac831d754ea34c7fe1d2eeb1d",
     (0.95, "maxweight", 2): "425e83e981c48c620a33f9701e9ccd4931cd6eaecc6005b493537ef1b218dbe4",
     (0.95, "maxweight", 4): "466166839c81058e16143aaf2847492464667634af31b5cd3c2f39d17ec2a6d9",
-    (1.10, "probabilistic", 1): "11accd211eaafb907f51e5cc6f3869644211a2527240774b175eb457844ea439",
-    (1.10, "probabilistic", 2): "773682b84f8250f3598966b254673f8ea7abbc2e5856de887cea42443e667ab8",
-    (1.10, "probabilistic", 4): "076fc70b7f97cf2f2dc5ef25524f724d64685db5da047aa1e33a1073af89edc9",
+    (1.10, "probabilistic", 1): "378de6519f151997ca6a03b09f498614282d2ae739fec3a152290c3a70ad6cf9",
+    (1.10, "probabilistic", 2): "8c23eedb59ccadaf8e9de161989c23528f8c297451bf028185068c1a4f1a844e",
+    (1.10, "probabilistic", 4): "42e929c53f9b0dcf96d83a9a0fc4225e8b89d2ac2e5c6e03fc049cb155be542a",
     (1.10, "maxweight", 1): "46583d7b2ce246072a3b3bda45aacb7f39af937cf12018a025c4f9c63510a133",
     (1.10, "maxweight", 2): "dffebefd791cda9c191b8706600579ed3e8ddc154235cf1df560ae9b723b983c",
     (1.10, "maxweight", 4): "2648930f8e75ae462a4b56af52dedb831331253df3f19149f3e0e0efab3b5376",
