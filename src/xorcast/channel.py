@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ from .errors import ModelFormatError, NoUniqueStationary, StructuralError
 
 PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
 PATTERN_INDEX = {p: i for i, p in enumerate(PATTERNS)}
+ROW_SUM_TOL = 1e-12   # a stochastic row may miss a sum of one by this much
+BALANCE_TOL = 1e-10   # largest residual of pi T = pi a stationary pi may leave
 
 
 def pattern_label(idx: int) -> str:
@@ -131,8 +134,9 @@ def _aperiodic_flag(adj: np.ndarray) -> bool:
     return True
 
 
-def validate_model(model: ChannelModel, atol: float = 1e-12) -> ValidationReport:
-    """Check stochasticity, entry ranges, irreducibility and aperiodicity.
+def validate_model(model: ChannelModel) -> ValidationReport:
+    """Check stochasticity (rows sum to one within ROW_SUM_TOL), entry
+    ranges, irreducibility and aperiodicity.
 
     Structural problems (wrong shapes) are raised by the ChannelModel
     constructor; everything else lands in the violations list.
@@ -142,7 +146,7 @@ def validate_model(model: ChannelModel, atol: float = 1e-12) -> ValidationReport
         if np.any(mat < 0.0) or np.any(mat > 1.0):
             violations.append(f"{name} has entries outside [0, 1]")
         sums = mat.sum(axis=1)
-        for i in np.flatnonzero(np.abs(sums - 1.0) > atol):
+        for i in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL):
             violations.append(f"{name} row {int(i)} sums to {sums[i]:.17g}")
     support = model.transition > 0.0
     strictly_positive = bool(np.all(model.transition > 0.0) and np.all(model.emission > 0.0))
@@ -155,13 +159,13 @@ def validate_model(model: ChannelModel, atol: float = 1e-12) -> ValidationReport
     return ValidationReport(not violations, violations, strictly_positive, irreducible, aperiodic)
 
 
-def stationary_distribution(model: ChannelModel, atol: float = 1e-10) -> np.ndarray:
+def stationary_distribution(model: ChannelModel) -> np.ndarray:
     """Unique stationary distribution of the transition matrix.
 
     Solved as an augmented linear system and verified to satisfy the balance
-    equations within atol. A damped power iteration (which converges for any
-    irreducible chain, periodic or not) is the fallback when the direct solve
-    is unusable. Reducible chains raise NoUniqueStationary.
+    equations within BALANCE_TOL. A damped power iteration (which converges
+    for any irreducible chain, periodic or not) is the fallback when the
+    direct solve is unusable. Reducible chains raise NoUniqueStationary.
     """
     t = model.transition
     n = model.num_states
@@ -181,7 +185,7 @@ def stationary_distribution(model: ChannelModel, atol: float = 1e-10) -> np.ndar
         total = pi.sum()
         if total > 0.0:
             pi = pi / total
-            if np.max(np.abs(pi @ t - pi)) <= atol:
+            if np.max(np.abs(pi @ t - pi)) <= BALANCE_TOL:
                 return pi
     pi = np.full(n, 1.0 / n)
     for _ in range(1_000_000):
@@ -191,7 +195,7 @@ def stationary_distribution(model: ChannelModel, atol: float = 1e-10) -> np.ndar
             break
         pi = nxt
     pi = pi / pi.sum()
-    if np.max(np.abs(pi @ t - pi)) > atol:
+    if np.max(np.abs(pi @ t - pi)) > BALANCE_TOL:
         raise NoUniqueStationary("balance equations not satisfied; chain is numerically reducible")
     return pi
 
@@ -209,11 +213,11 @@ def _cumulative_rows(rows):
 
 
 def _draw(rng: random.Random, cum) -> int:
-    u = rng.random()
-    for i, c in enumerate(cum):
-        if u < c:
-            return i
-    return len(cum) - 1
+    """Index of the first cumulative entry above one uniform draw, else the
+    last index. For a nondecreasing row that is bisect_right over all but
+    the last entry, and every row drawn from in the package is one: a
+    running sum of nonnegative probabilities."""
+    return bisect_right(cum, rng.random(), 0, len(cum) - 1)
 
 
 def _path_cums(model: ChannelModel, pi):

@@ -22,9 +22,9 @@ from .errors import (ContractViolation, ModelFormatError, NumericalFailure,
                      ResourceLimit, TraceFormatError, XorcastError)
 from .filtering import (dump_window_table, empirical_forgetting,
                         exhaustive_forgetting, window_table)
-from .region import (canonicalize, dist_from_dict, dist_to_dict, load_dist,
-                     sandwich, simulation_distribution, solve_region, sweep_table)
-from .sim import decode_verify, load_trace, save_trace, simulate, stability_verdict
+from .region import (canonicalize, dist_to_dict, load_dist, sandwich,
+                     simulation_distribution, solve_region, sweep_table)
+from .sim import decode_verify, load_trace, simulate, stability_verdict, write_trace
 
 
 class ConfigError(Exception):
@@ -113,7 +113,6 @@ def cmd_region(opts) -> int:
     witness_out = opts.get("witness_out")
     if witness_out and lam is None:
         raise ConfigError("--witness-out needs --lambda; a sweep has no single witness")
-    table = window_table(model, L)
     rows = []
     if opts.get("sandwich", default=False):
         if lam is None:
@@ -128,11 +127,11 @@ def cmd_region(opts) -> int:
             print("forgetting rate unavailable; nominal point only", file=sys.stderr)
         wit = res.nominal
     elif lam is not None:
-        wit = solve_region(table, lam, 1.0 - lam)
+        wit = solve_region(window_table(model, L), lam, 1.0 - lam)
         rows.append((lam, wit.R1, wit.R2, wit.status))
     else:
         k = opts.get("sweep", default=33, kind=int)
-        for wit in sweep_table(table, k):
+        for wit in sweep_table(window_table(model, L), k):
             rows.append((wit.w1, wit.R1, wit.R2, wit.status))
     with _output(opts.get("out")) as out:
         w = csv.writer(out)
@@ -148,6 +147,11 @@ def cmd_region(opts) -> int:
 
 
 def cmd_simulate(opts) -> int:
+    trace_path = opts.get("trace")
+    csv_path = opts.get("csv")
+    out_path = opts.get("out")
+    if [trace_path, csv_path, out_path or "-"].count("-") > 1:
+        raise ConfigError("at most one of --out, --csv and --trace may write to stdout")
     model = _load_model_opt(opts)
     scheduler = opts.get("scheduler", required=True)
     r1, r2 = _parse_rates(opts.get("rates", required=True))
@@ -165,12 +169,11 @@ def cmd_simulate(opts) -> int:
                 raise ConfigError("probabilistic runs need --dist or both --lambda and --L")
             table = window_table(model, L)
             _, dist, _ = simulation_distribution(table, lam)
-    trace_path = opts.get("trace")
-    csv_path = opts.get("csv")
     report = simulate(model, scheduler, r1, r2, n, seed, dist=dist,
                       collect_trace=bool(trace_path), collect_slots=bool(csv_path))
     if trace_path:
-        save_trace(report.trace, trace_path)
+        with _output(trace_path) as out:
+            write_trace(report.trace, out)
     if csv_path:
         with _output(csv_path) as out:
             w = csv.writer(out)
@@ -187,7 +190,7 @@ def cmd_simulate(opts) -> int:
         "action_counts": report.action_counts,
         "verdict": verdict,
     }
-    _write_json(opts.get("out"), summary)
+    _write_json(out_path, summary)
     return 0
 
 

@@ -199,23 +199,15 @@ def window_table(model: ChannelModel, L: int) -> WindowTable:
 
 
 def dump_window_table(table: WindowTable, out) -> None:
-    """Write the table as CSV with columns window, prob, eps1, eps2, eps12,
-    eps_n12, eps1_n2. Accepts a path or an open text file."""
-    close = False
-    if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
-        out = open(out, "w", encoding="utf-8", newline="")
-        close = True
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["window", "prob", "eps1", "eps2", "eps12", "eps_n12", "eps1_n2"])
-        for i in range(len(table)):
-            st = table.stats(i)
-            writer.writerow([table.label(i)] + [
-                f"{v:.12g}" for v in
-                (table.probs[i], st.eps1, st.eps2, st.eps12, st.eps_n12, st.eps1_n2)])
-    finally:
-        if close:
-            out.close()
+    """Write the table to the open text file out as CSV with columns
+    window, prob, eps1, eps2, eps12, eps_n12, eps1_n2."""
+    writer = csv.writer(out)
+    writer.writerow(["window", "prob", "eps1", "eps2", "eps12", "eps_n12", "eps1_n2"])
+    for i in range(len(table)):
+        st = table.stats(i)
+        writer.writerow([table.label(i)] + [
+            f"{v:.12g}" for v in
+            (table.probs[i], st.eps1, st.eps2, st.eps12, st.eps_n12, st.eps1_n2)])
 
 
 def _check_horizon(L: int, horizon: int) -> int:

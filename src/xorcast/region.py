@@ -24,6 +24,7 @@ from .lp import LE, LinearProgram, _Simplex, solve
 
 RATE_CAP = 2.0  # loose box for the rate variables; keeps the LP bounded
 CASE_TOL = 1e-10
+CUT_TOL = 1e-8   # how far a rate may exceed its cut and still pass achievable_check
 _TINY = 1e-15
 
 
@@ -174,24 +175,22 @@ def _refined(sx: _Simplex, table: WindowTable, w1: float, w2: float, slack: floa
     return _witness_from_point(table, w1, w2, slack, sol.point)
 
 
-def solve_region(table: WindowTable, w1: float, w2: float, slack: float = 0.0,
-                 refine: bool = True) -> RegionWitness:
-    """Maximize w1*R1 + w2*R2 over the region.
+def solve_region(table: WindowTable, w1: float, w2: float,
+                 slack: float = 0.0) -> RegionWitness:
+    """Maximize w1*R1 + w2*R2 over the region, refined to a Pareto corner.
 
-    With refine on, a second solve maximizes R1 + R2 subject to keeping the
-    weighted value, which lands on a unique Pareto corner instead of a
-    weight-dependent point of a face. That matters when a witness feeds the
-    simulator: corners have all four constraints doing real work. The
-    second solve re-optimizes the first one's tableau with the keep-value
-    row appended, so it needs no phase one.
+    A second solve maximizes R1 + R2 subject to keeping the weighted value,
+    which lands on a unique Pareto corner instead of a weight-dependent
+    point of a face. That matters when a witness feeds the simulator:
+    corners have all four constraints doing real work. The second solve
+    re-optimizes the first one's tableau with the keep-value row appended,
+    so it needs no phase one.
     """
     sx = _Simplex(region_lp(table, w1, w2, slack))
     sol = sx.solve()
     if sol.status != "Optimal":
         return RegionWitness(L=table.L, w1=w1, w2=w2, slack=slack, status=sol.status,
                              R1=None, R2=None, x=None, y=None)
-    if not refine:
-        return _witness_from_point(table, w1, w2, slack, sol.point)
     return _refined(sx, table, w1, w2, slack, sol.value)
 
 
@@ -458,12 +457,12 @@ def canonicalize(dist: ActionDistribution, table: WindowTable):
 
 
 def achievable_check(table: WindowTable, dist: ActionDistribution,
-                     R1: float, R2: float, tol: float = 1e-8) -> bool:
+                     R1: float, R2: float) -> bool:
     """True when each rate clears both split-invariant cuts (a and d) of its
-    receiver's pipeline within tol."""
+    receiver's pipeline within CUT_TOL."""
     cuts = cut_values(link_capacities(table, dist))
-    return (R1 <= min(cuts.a[0], cuts.d[0]) + tol and
-            R2 <= min(cuts.a[1], cuts.d[1]) + tol)
+    return (R1 <= min(cuts.a[0], cuts.d[0]) + CUT_TOL and
+            R2 <= min(cuts.a[1], cuts.d[1]) + CUT_TOL)
 
 
 def simulation_distribution(table: WindowTable, lam: float, backoff: float = 0.99):

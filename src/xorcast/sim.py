@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -38,6 +39,12 @@ MIX_FRESH = 4
 REMEDY = 5
 SUB1 = "sub1"   # lone uncoded retransmission from q2 of receiver 1
 SUB2 = "sub2"
+
+CHECKPOINTS = 4096      # about this many backlog checkpoints per run
+WARMUP_FRAC = 0.1       # share of a run's first slots left out of throughput
+SLOPE_STABLE = 1e-4     # stability verdict thresholds, packets per slot
+SLOPE_UNSTABLE = 1e-2
+BACKLOG_BOUND = 500.0   # largest mean backlog of a Stable run, packets
 
 _COUNT_KEYS = {IDLE: "idle", FRESH1: "fresh1", FRESH2: "fresh2", XOR_BACKLOG: "xor",
                MIX_FRESH: "mix", REMEDY: "remedy", SUB1: "sub1", SUB2: "sub2"}
@@ -64,32 +71,13 @@ class QueueState:
         return (len(self.q1[0]) + len(self.q1[1]) + len(self.q2[0]) +
                 len(self.q2[1]) + 2 * len(self.q3))
 
-    def feasible(self, action) -> bool:
-        if action == IDLE:
-            return True
-        if action == FRESH1:
-            return bool(self.q1[0])
-        if action == FRESH2:
-            return bool(self.q1[1])
-        if action == XOR_BACKLOG:
-            return bool(self.q2[0]) and bool(self.q2[1])
-        if action == MIX_FRESH:
-            return bool(self.q1[0]) and bool(self.q1[1])
-        if action == REMEDY:
-            return bool(self.q3)
-        if action == SUB1:
-            return bool(self.q2[0])
-        if action == SUB2:
-            return bool(self.q2[1])
-        raise ContractViolation(f"unknown action {action!r}")
 
-
-def _apply(state: QueueState, action, z1: int, z2: int, moves=None):
-    """Execute a feasible action under erasure pattern (z1, z2).
+def _apply(state: QueueState, action, z1: int, z2: int):
+    """Execute a feasible action under erasure pattern (z1, z2), in place.
 
     Returns (combo, delivered): the ids on air and a list of (receiver,
     account_id) deliveries. Every branch moves each queue entry at most one
-    hop, so callers can audit link usage per slot.
+    hop, so every queue length changes by at most one per slot.
     """
     q1, q2, q3 = state.q1, state.q2, state.q3
     delivered = []
@@ -102,13 +90,9 @@ def _apply(state: QueueState, action, z1: int, z2: int, moves=None):
         if zj == 0:
             q1[j].popleft()
             delivered.append((j + 1, p))
-            if moves is not None:
-                moves.append((f"q1_{j+1}", f"q4_{j+1}", p))
         elif zo == 0:
             q1[j].popleft()
             q2[j].append((p, p))
-            if moves is not None:
-                moves.append((f"q1_{j+1}", f"q2_{j+1}", p))
         return (p,), delivered
     if action == SUB1 or action == SUB2:
         j = 0 if action == SUB1 else 1
@@ -117,8 +101,6 @@ def _apply(state: QueueState, action, z1: int, z2: int, moves=None):
         if zj == 0:
             q2[j].popleft()
             delivered.append((j + 1, acct))
-            if moves is not None:
-                moves.append((f"q2_{j+1}", f"q4_{j+1}", acct))
         # heard only by the other receiver: it already knows tid, no move
         return (tid,), delivered
     if action == XOR_BACKLOG:
@@ -127,13 +109,9 @@ def _apply(state: QueueState, action, z1: int, z2: int, moves=None):
         if z1 == 0:
             q2[0].popleft()
             delivered.append((1, a1))
-            if moves is not None:
-                moves.append(("q2_1", "q4_1", a1))
         if z2 == 0:
             q2[1].popleft()
             delivered.append((2, a2))
-            if moves is not None:
-                moves.append(("q2_2", "q4_2", a2))
         return tuple(sorted((t1, t2))), delivered
     if action == MIX_FRESH:
         p1 = q1[0][0]
@@ -148,9 +126,6 @@ def _apply(state: QueueState, action, z1: int, z2: int, moves=None):
             q1[0].popleft()
             q1[1].popleft()
             q3.append((p1, p2, remedy, code))
-            if moves is not None:
-                moves.append(("q1_1", "q3", p1))
-                moves.append(("q1_2", "q3", p2))
         return tuple(sorted((p1, p2))), delivered
     if action == REMEDY:
         p1, p2, remedy, _code = q3[0]
@@ -158,54 +133,16 @@ def _apply(state: QueueState, action, z1: int, z2: int, moves=None):
             q3.popleft()
             delivered.append((1, p1))
             delivered.append((2, p2))
-            if moves is not None:
-                moves.append(("q3", "q4_1", p1))
-                moves.append(("q3", "q4_2", p2))
         elif z1 == 0:
             q3.popleft()
             delivered.append((1, p1))
             q2[1].append((p2, remedy))
-            if moves is not None:
-                moves.append(("q3", "q4_1", p1))
-                moves.append(("q3", "q2_2", p2))
         elif z2 == 0:
             q3.popleft()
             delivered.append((2, p2))
             q2[0].append((p1, remedy))
-            if moves is not None:
-                moves.append(("q3", "q4_2", p2))
-                moves.append(("q3", "q2_1", p1))
         return (remedy,), delivered
     raise ContractViolation(f"unknown action {action!r}")
-
-
-@dataclass
-class StepRecord:
-    action: object
-    combo: tuple
-    received: tuple
-    delivered: list
-    moves: list
-
-
-def step(pattern, action, state: QueueState) -> StepRecord:
-    """Apply one slot's action to the queue state, in place.
-
-    pattern is (z1, z2) or a pattern index; action is 0..5 or "sub1"/"sub2".
-    Infeasible actions (empty source queues) raise ContractViolation.
-    """
-    if isinstance(pattern, int):
-        z1, z2 = PATTERNS[pattern]
-    else:
-        z1, z2 = pattern
-    if z1 not in (0, 1) or z2 not in (0, 1):
-        raise ContractViolation(f"bad pattern {(z1, z2)!r}")
-    if not state.feasible(action):
-        raise ContractViolation(f"action {action!r} infeasible for the current queues")
-    moves: list = []
-    combo, delivered = _apply(state, action, z1, z2, moves)
-    return StepRecord(action=action, combo=combo, received=(z1 == 0, z2 == 0),
-                      delivered=delivered, moves=moves)
 
 
 def _maxweight(state: QueueState, p01: float, p10: float, p11: float):
@@ -255,22 +192,27 @@ def maxweight_action(state: QueueState, stats: ErasureStats):
 
 
 def substitute_action(sampled: int, state: QueueState):
-    """Feasibility ladder of the probabilistic scheme.
+    """Feasibility ladder of the probabilistic scheme, for a sampled
+    transmit action 1..5.
 
     A sampled action with an empty source idles, except the backlog XOR
     with exactly one nonempty queue, which degrades to an uncoded
     retransmission of that lone head packet.
     """
+    q1, q2 = state.q1, state.q2
+    if sampled == FRESH1:
+        return FRESH1 if q1[0] else IDLE
+    if sampled == FRESH2:
+        return FRESH2 if q1[1] else IDLE
     if sampled == XOR_BACKLOG:
-        have1, have2 = bool(state.q2[0]), bool(state.q2[1])
-        if have1 and have2:
-            return XOR_BACKLOG
-        if have1:
-            return SUB1
-        if have2:
-            return SUB2
-        return IDLE
-    return sampled if state.feasible(sampled) else IDLE
+        if q2[0]:
+            return XOR_BACKLOG if q2[1] else SUB1
+        return SUB2 if q2[1] else IDLE
+    if sampled == MIX_FRESH:
+        return MIX_FRESH if q1[0] and q1[1] else IDLE
+    if sampled == REMEDY:
+        return REMEDY if state.q3 else IDLE
+    raise ContractViolation(f"unknown action {sampled!r}")
 
 
 @dataclass
@@ -301,9 +243,7 @@ class SimReport:
 
 def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
              seed: int, dist: ActionDistribution | None = None,
-             collect_trace: bool = False, collect_slots: bool = False,
-             checkpoint_every: int | None = None,
-             warmup_frac: float = 0.1) -> SimReport:
+             collect_trace: bool = False, collect_slots: bool = False) -> SimReport:
     """Run n slots of one scheduler against a sampled channel path.
 
     Bernoulli arrivals at rates R1, R2. The rng draw order per slot is
@@ -315,6 +255,8 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     window of past patterns (seeded as all-clear) and never looks at queue
     sizes beyond the feasibility ladder. The max-weight scheduler tracks
     the exact state filter instead and needs no distribution.
+
+    Every draw follows channel._draw, written inline.
     """
     if scheduler not in ("maxweight", "probabilistic"):
         raise ContractViolation(f"unknown scheduler {scheduler!r}")
@@ -339,16 +281,14 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     arrivals = [0, 0]
     delivered_n = [0, 0]
     next_id = 0
-    cp = checkpoint_every or max(1, n // 4096)
-    warmup = int(n * warmup_frac)
+    cp = max(1, n // CHECKPOINTS)
+    warmup = int(n * WARMUP_FRAC)
     checkpoints = []
     trace = [] if collect_trace else None
     slot_rows = [] if collect_slots else None
 
-    u = rng.random()
-    s = 0
-    while s < len(pi_cum) - 1 and u >= pi_cum[s]:
-        s += 1
+    last = len(pi_cum) - 1
+    s = bisect_right(pi_cum, rng.random(), 0, last)
     for slot in range(n):
         if rng.random() < R1:
             state.q1[0].append(next_id)
@@ -359,19 +299,11 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
             next_id += 1
             arrivals[1] += 1
         if probabilistic:
-            u = rng.random()
-            row = cum_rows[win]
-            a = 0
-            while a < 4 and u >= row[a]:
-                a += 1
+            a = bisect_right(cum_rows[win], rng.random(), 0, 4)
             action = substitute_action(a + 1, state)
         else:
             action = _maxweight(state, p01, p10, p11)
-        u = rng.random()
-        zi = 0
-        row = e_cum[s]
-        while zi < 3 and u >= row[zi]:
-            zi += 1
+        zi = bisect_right(e_cum[s], rng.random(), 0, 3)
         z1, z2 = PATTERNS[zi]
         combo, delivered = _apply(state, action, z1, z2)
         counts[_COUNT_KEYS[action]] += 1
@@ -392,11 +324,7 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
                 raise ZeroLikelihood(
                     f"pattern {PATTERNS[zi]} has probability zero under the current belief")
             _p00, p01, p10, p11 = predict_pattern_probs(model, belief)
-        u = rng.random()
-        row = t_cum[s]
-        s = 0
-        while s < len(row) - 1 and u >= row[s]:
-            s += 1
+        s = bisect_right(t_cum[s], rng.random(), 0, last)
         if (slot + 1) % cp == 0 or slot + 1 == n:
             q1, q2, q3 = state.q1, state.q2, state.q3
             for j in (0, 1):
@@ -413,15 +341,14 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
                      slot_rows=slot_rows)
 
 
-def stability_verdict(report: SimReport, slope_stable: float = 1e-4,
-                      slope_unstable: float = 1e-2,
-                      backlog_bound: float = 500.0) -> str:
+def stability_verdict(report: SimReport) -> str:
     """Classify a run as Stable, Unstable or Inconclusive.
 
     Fits a least-squares line to the backlog over the last half of the run:
-    Stable needs both a flat slope (<= slope_stable packets per slot) and a
-    modest mean backlog; a slope >= slope_unstable is Unstable; anything in
-    between stays Inconclusive. Runs shorter than 10**4 slots are refused.
+    Stable needs both a flat slope (<= SLOPE_STABLE packets per slot) and a
+    mean backlog of at most BACKLOG_BOUND; a slope >= SLOPE_UNSTABLE is
+    Unstable; anything in between stays Inconclusive. Runs shorter than
+    10**4 slots are refused.
     """
     if report.n < 10_000:
         raise ContractViolation("a stability verdict needs at least 10^4 slots")
@@ -432,9 +359,9 @@ def stability_verdict(report: SimReport, slope_stable: float = 1e-4,
         raise ContractViolation("not enough checkpoints in the last half of the run")
     slope = float(np.polyfit(xs, ys, 1)[0])
     mean = float(np.mean(ys))
-    if slope <= slope_stable and mean <= backlog_bound:
+    if slope <= SLOPE_STABLE and mean <= BACKLOG_BOUND:
         return "Stable"
-    if slope >= slope_unstable:
+    if slope >= SLOPE_UNSTABLE:
         return "Unstable"
     return "Inconclusive"
 
@@ -535,15 +462,20 @@ def decode_verify(trace) -> DecodeReport:
 
 
 def save_trace(trace, path) -> None:
-    """Write a JSON-lines trace, one record per transmission, formatted as
-    json.dumps formats the record's dict."""
+    """Write a JSON-lines trace to path (see write_trace)."""
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(
-            f'{{"slot": {slot}, "action": {action}, "combo": [{", ".join(map(str, combo))}], '
-            f'"received_rx1": {"true" if r1 else "false"}, '
-            f'"received_rx2": {"true" if r2 else "false"}, '
-            f'"delivered": [{", ".join(f"[{j}, {pid}]" for j, pid in delivered)}]}}\n'
-            for slot, action, combo, r1, r2, delivered in trace)
+        write_trace(trace, f)
+
+
+def write_trace(trace, out) -> None:
+    """Write a JSON-lines trace to the open text file out, one record per
+    transmission, formatted as json.dumps formats the record's dict."""
+    out.writelines(
+        f'{{"slot": {slot}, "action": {action}, "combo": [{", ".join(map(str, combo))}], '
+        f'"received_rx1": {"true" if r1 else "false"}, '
+        f'"received_rx2": {"true" if r2 else "false"}, '
+        f'"delivered": [{", ".join(f"[{j}, {pid}]" for j, pid in delivered)}]}}\n'
+        for slot, action, combo, r1, r2, delivered in trace)
 
 
 def load_trace(path) -> list:

@@ -5,12 +5,12 @@ state-path enumeration instead of recursive filtering, vertex enumeration
 instead of simplex pivoting, augmenting paths instead of cut formulas,
 Gaussian elimination instead of union-find, a cold two-phase solve per
 weight instead of one re-optimized tableau, per-window (x, y, t) fractions
-instead of action shares. The row-indexed filter update and prediction are
-the exception: they repeat the library's arithmetic term by term, so the
-column kernels must match them exactly. So are the
-one-at-a-time forms of batched code (the depth-first window table, the
-per-sample forgetting loop, the json.dumps trace writer): the batched code
-must reproduce them bit for bit.
+instead of action shares, a linear scan instead of bisection. The
+row-indexed filter update and prediction are the exception: they repeat
+the library's arithmetic term by term, so the column kernels must match
+them exactly. So are the one-at-a-time forms of batched code (the
+depth-first window table, the per-sample forgetting loop, the json.dumps
+trace writer): the batched code must reproduce them bit for bit.
 """
 
 import itertools
@@ -23,6 +23,15 @@ import xorcast as xc
 from xorcast.filtering import _step
 from xorcast.lp import _Simplex, _verify
 from xorcast.region import _rate_terms, _witness_from_point, region_lp
+
+
+def draw_oracle(cum, u):
+    """The sampling rule as a linear scan: the index of the first cumulative
+    entry above u, else the last index."""
+    for i, c in enumerate(cum):
+        if u < c:
+            return i
+    return len(cum) - 1
 
 
 def random_model(rng, n_states, floor=0.02):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import xorcast as xc
+from xorcast.channel import _cumulative_rows, _draw
 
-from oracles import random_model
+from oracles import draw_oracle, random_model
 
 
 def test_model_shapes_and_readonly(ref_model):
@@ -174,3 +175,36 @@ def test_load_model_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(xc.ModelFormatError, match="line 1"):
         xc.load_model(path)
+
+
+class _Uniforms:
+    """Stub generator whose random() hands out the given doubles in order."""
+
+    def __init__(self, us):
+        self._us = iter(us)
+
+    def random(self):
+        return next(self._us)
+
+
+def test_draw_matches_linear_scan():
+    rng = random.Random(3)
+    rows = [(0.25, 0.25, 0.25, 0.25), (1.0,), (0.0, 1.0), (1.0, 0.0, 0.0),
+            (0.0, 0.5, 0.0, 0.5, 0.0), (0.0, 0.0, 0.0, 0.0),
+            (0.2, 0.3, 0.2, 0.2)]   # sums to 0.9: u may land above the last entry
+    for n in (1, 2, 3, 4, 5, 7):
+        for _ in range(40):
+            w = [rng.random() if rng.random() < 0.7 else 0.0 for _ in range(n)]
+            total = sum(w) or 1.0
+            rows.append(tuple(v / total for v in w))
+    cases = 0
+    for cum in _cumulative_rows(rows):
+        # every cumulative entry exactly, its neighbours, and the ends
+        us = {0.0, 0.5, 0.95, 1.0 - 2 ** -53, cum[-1]}
+        for c in cum:
+            us.update((c, math.nextafter(c, 0.0), math.nextafter(c, 1.0)))
+        us.update(rng.random() for _ in range(20))
+        for u in sorted(v for v in us if 0.0 <= v < 1.0):
+            assert _draw(_Uniforms([u]), cum) == draw_oracle(cum, u), (cum, u)
+            cases += 1
+    assert cases > 3000

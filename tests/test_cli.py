@@ -278,3 +278,40 @@ def test_region_witness_out_matches_rows(capsys, tmp_path, model_path):
     nominal = [l.split(",") for l in out.strip().splitlines()[1:] if l.endswith("nominal")]
     assert json.loads(wit_path.read_text()) == wit
     assert (nominal[0][1], nominal[0][2]) == (r1, r2)
+
+
+SIM_ARGS = ["simulate", "--scheduler", "maxweight", "--rates", "0.2,0.2",
+            "--slots", "500", "--seed", "3"]
+
+
+def test_simulate_csv_to_stdout_needs_out_file(capsys, model_path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    base = SIM_ARGS + ["--model", model_path, "--csv", "-"]
+    summary = tmp_path / "summary.json"
+    # the summary would follow the CSV on stdout: refused before any output
+    for extra in ([], ["--out", "-"], ["--trace", "-", "--out", str(summary)]):
+        code, out, err = run(capsys, base + extra)
+        assert code == 2 and out == "" and "stdout" in err, extra
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+    code, out, _ = run(capsys, base + ["--out", str(summary)])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "slot,action,z1,z2,totalQ,delivered1,delivered2"
+    assert len(lines) == 1 + 500
+    assert json.loads(summary.read_text())["slots"] == 500
+
+
+def test_simulate_trace_to_stdout_needs_out_file(capsys, model_path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    base = SIM_ARGS + ["--model", model_path]
+    for extra in (["--trace", "-"], ["--trace", "-", "--out", "-"]):
+        code, out, err = run(capsys, base + extra)
+        assert code == 2 and out == "" and "stdout" in err, extra
+    assert not (tmp_path / "-").exists()   # once written as a file of that name
+    summary = tmp_path / "summary.json"
+    code, out, _ = run(capsys, base + ["--trace", "-", "--out", str(summary)])
+    assert code == 0
+    trace_path = tmp_path / "trace.jsonl"
+    assert run(capsys, base + ["--trace", str(trace_path), "--out", str(summary)])[0] == 0
+    assert out == trace_path.read_text() and out
+    assert not (tmp_path / "-").exists()

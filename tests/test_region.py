@@ -81,7 +81,7 @@ def test_solve_matches_vertex_oracle(ref_model):
     t = xc.window_table(ref_model, 1)
     for w1, w2 in ((1.0, 1.0), (1.0, 0.0), (0.2, 0.8), (0.7, 0.3)):
         expected = vertex_oracle(region_lp(t, w1, w2))
-        got = xc.solve_region(t, w1, w2, refine=False).value
+        got = xc.solve(region_lp(t, w1, w2)).value
         assert abs(got - expected) < 1e-7, f"w=({w1},{w2})"
 
 
@@ -93,10 +93,10 @@ def test_region_lp_reports_pivots(ref_model):
 
 def test_refine_keeps_value(ref_model):
     t = xc.window_table(ref_model, 2)
-    plain = xc.solve_region(t, 0.3, 0.7, refine=False)
+    plain = xc.solve(region_lp(t, 0.3, 0.7))
     refined = xc.solve_region(t, 0.3, 0.7)
     assert abs(plain.value - refined.value) < 1e-9
-    assert refined.R1 + refined.R2 >= plain.R1 + plain.R2 - 1e-9
+    assert refined.R1 + refined.R2 >= plain.point[0] + plain.point[1] - 1e-9
 
 
 def test_sweep_sorted_dedup_feasible(ref_model):

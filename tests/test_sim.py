@@ -1,15 +1,19 @@
 import hashlib
+import itertools
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import xorcast as xc
 from xorcast.cli import main as cli_main
 from xorcast.sim import (FRESH1, FRESH2, IDLE, MIX_FRESH, REMEDY, SUB1, SUB2,
-                         XOR_BACKLOG, QueueState, maxweight_action, step,
-                         substitute_action)
+                         XOR_BACKLOG, QueueState, _apply, _maxweight, _well_formed,
+                         maxweight_action, substitute_action)
 
 from oracles import gf2_decode_oracle, save_trace_json
 
@@ -29,96 +33,52 @@ def stats(e1, e2, e12):
                            eps_n12=e2 - e12, eps1_n2=e1 - e12)
 
 
+def snapshot(st):
+    return (tuple(st.q1[0]), tuple(st.q1[1]), tuple(st.q2[0]), tuple(st.q2[1]),
+            tuple(st.q3))
+
+
+def run_slot(st, pattern, action, after, delivered=()):
+    """One slot of sim._apply on st, checked against the queues of the state
+    after and the deliveries; returns the combination on air."""
+    combo, got = _apply(st, action, *pattern)
+    assert snapshot(st) == snapshot(after), (action, pattern)
+    assert sorted(got) == sorted(delivered), (action, pattern)
+    return combo
+
+
 def test_step_fresh_movements():
-    st = filled(q1_1=[7])
-    rec = step((0, 1), FRESH1, st)
-    assert rec.delivered == [(1, 7)]
-    assert rec.moves == [("q1_1", "q4_1", 7)]
-    assert not st.q1[0]
-
-    st = filled(q1_1=[7])
-    rec = step((1, 0), FRESH1, st)  # overheard by the wrong receiver
-    assert rec.delivered == []
-    assert rec.moves == [("q1_1", "q2_1", 7)]
-    assert list(st.q2[0]) == [(7, 7)]
-
-    st = filled(q1_1=[7])
-    rec = step((1, 1), FRESH1, st)
-    assert rec.moves == [] and list(st.q1[0]) == [7]
-    assert rec.combo == (7,)
-
-    st = filled(q1_2=[9])
-    rec = step((1, 0), FRESH2, st)
-    assert rec.delivered == [(2, 9)]
+    run_slot(filled(q1_1=[7]), (0, 1), FRESH1, QueueState(), [(1, 7)])
+    # overheard by the wrong receiver
+    run_slot(filled(q1_1=[7]), (1, 0), FRESH1, filled(q2_1=[(7, 7)]))
+    assert run_slot(filled(q1_1=[7]), (1, 1), FRESH1, filled(q1_1=[7])) == (7,)
+    run_slot(filled(q1_2=[9]), (1, 0), FRESH2, QueueState(), [(2, 9)])
 
 
 def test_step_xor_movements():
-    st = filled(q2_1=[(3, 3)], q2_2=[(8, 8)])
-    rec = step((0, 1), XOR_BACKLOG, st)
-    assert rec.combo == (3, 8)
-    assert rec.delivered == [(1, 3)]
-    assert not st.q2[0] and list(st.q2[1]) == [(8, 8)]
-
-    st = filled(q2_1=[(3, 3)], q2_2=[(8, 8)])
-    rec = step((0, 0), XOR_BACKLOG, st)
-    assert sorted(rec.delivered) == [(1, 3), (2, 8)]
-    assert st.backlog() == 0
+    both = dict(q2_1=[(3, 3)], q2_2=[(8, 8)])
+    combo = run_slot(filled(**both), (0, 1), XOR_BACKLOG, filled(q2_2=[(8, 8)]), [(1, 3)])
+    assert combo == (3, 8)
+    run_slot(filled(**both), (0, 0), XOR_BACKLOG, QueueState(), [(1, 3), (2, 8)])
 
 
 def test_step_poison_remedy_designation():
+    pair = dict(q1_1=[1], q1_2=[2])
     # heard at both: the remedy is the first receiver's packet
-    st = filled(q1_1=[1], q1_2=[2])
-    step((0, 0), MIX_FRESH, st)
-    assert list(st.q3) == [(1, 2, 1, 3)]
-
-    st = filled(q1_1=[1], q1_2=[2])
-    step((0, 1), MIX_FRESH, st)  # only receiver 1 heard; 2 still needs its packet
-    assert list(st.q3) == [(1, 2, 2, 1)]
-
-    st = filled(q1_1=[1], q1_2=[2])
-    step((1, 0), MIX_FRESH, st)
-    assert list(st.q3) == [(1, 2, 1, 2)]
-
-    st = filled(q1_1=[1], q1_2=[2])
-    rec = step((1, 1), MIX_FRESH, st)
-    assert rec.moves == [] and not st.q3
-    assert rec.combo == (1, 2)
+    run_slot(filled(**pair), (0, 0), MIX_FRESH, filled(q3=[(1, 2, 1, 3)]))
+    # only receiver 1 heard; 2 still needs its packet
+    run_slot(filled(**pair), (0, 1), MIX_FRESH, filled(q3=[(1, 2, 2, 1)]))
+    run_slot(filled(**pair), (1, 0), MIX_FRESH, filled(q3=[(1, 2, 1, 2)]))
+    assert run_slot(filled(**pair), (1, 1), MIX_FRESH, filled(**pair)) == (1, 2)
 
 
 def test_step_remedy_rows():
     entry = (1, 2, 1, 3)
-    st = filled(q3=[entry])
-    rec = step((0, 0), REMEDY, st)
-    assert sorted(rec.delivered) == [(1, 1), (2, 2)]
-    assert not st.q3
-
-    st = filled(q3=[entry])
-    rec = step((0, 1), REMEDY, st)  # received only at receiver 1
-    assert rec.delivered == [(1, 1)]
-    assert list(st.q2[1]) == [(2, 1)]  # pair-mate waits, remedy id as proxy
-    assert ("q3", "q2_2", 2) in rec.moves
-
-    st = filled(q3=[entry])
-    rec = step((1, 0), REMEDY, st)
-    assert rec.delivered == [(2, 2)]
-    assert list(st.q2[0]) == [(1, 1)]
-
-    st = filled(q3=[entry])
-    rec = step((1, 1), REMEDY, st)
-    assert rec.moves == [] and list(st.q3) == [entry]
-    assert rec.combo == (1,)
-
-
-def test_step_validation():
-    st = QueueState()
-    with pytest.raises(xc.ContractViolation):
-        step((0, 0), FRESH1, st)
-    with pytest.raises(xc.ContractViolation):
-        step((0, 0), XOR_BACKLOG, filled(q2_1=[(1, 1)]))
-    with pytest.raises(xc.ContractViolation):
-        step((0, 2), IDLE, st)
-    rec = step(0, IDLE, st)  # pattern index form
-    assert rec.received == (True, True)
+    run_slot(filled(q3=[entry]), (0, 0), REMEDY, QueueState(), [(1, 1), (2, 2)])
+    # received only at receiver 1: the pair-mate waits, remedy id as proxy
+    run_slot(filled(q3=[entry]), (0, 1), REMEDY, filled(q2_2=[(2, 1)]), [(1, 1)])
+    run_slot(filled(q3=[entry]), (1, 0), REMEDY, filled(q2_1=[(1, 1)]), [(2, 2)])
+    assert run_slot(filled(q3=[entry]), (1, 1), REMEDY, filled(q3=[entry])) == (1,)
 
 
 def test_step_levels_move_one_hop():
@@ -131,13 +91,80 @@ def test_step_levels_move_one_hop():
     for action, build in builders.items():
         for pattern in ((0, 0), (0, 1), (1, 0), (1, 1)):
             st = build()
-            before = (len(st.q1[0]), len(st.q1[1]), len(st.q2[0]),
-                      len(st.q2[1]), len(st.q3))
-            step(pattern, action, st)
-            after = (len(st.q1[0]), len(st.q1[1]), len(st.q2[0]),
-                     len(st.q2[1]), len(st.q3))
+            before = [len(q) for q in snapshot(st)]
+            _apply(st, action, *pattern)
+            after = [len(q) for q in snapshot(st)]
             assert all(abs(a - b) <= 1 for a, b in zip(after, before)), \
                 (action, pattern)
+
+
+ACTIONS = (IDLE, FRESH1, FRESH2, XOR_BACKLOG, MIX_FRESH, REMEDY, SUB1, SUB2)
+
+
+def feasible(st, action):
+    """True when every queue the action reads a head packet from is nonempty."""
+    q1, q2 = st.q1, st.q2
+    return {IDLE: True, FRESH1: bool(q1[0]), FRESH2: bool(q1[1]),
+            XOR_BACKLOG: bool(q2[0] and q2[1]), MIX_FRESH: bool(q1[0] and q1[1]),
+            REMEDY: bool(st.q3), SUB1: bool(q2[0]), SUB2: bool(q2[1])}[action]
+
+
+def held(st, j):
+    """Account ids that receiver j + 1 is still owed, as a multiset."""
+    return Counter([*st.q1[j], *(a for a, _t in st.q2[j]), *(e[j] for e in st.q3)])
+
+
+@hs.composite
+def queue_states(draw):
+    """Queues with distinct packet ids, as a run builds them: a q2 entry goes
+    on air as itself or as a proxy id, and a poisoned pair names its remedy
+    as the fresh-pair mix does for its heard code."""
+    ids = itertools.count()
+    sizes = draw(hs.lists(hs.integers(0, 3), min_size=5, max_size=5))
+    st = QueueState()
+    for j in (0, 1):
+        st.q1[j].extend(next(ids) for _ in range(sizes[j]))
+        for _ in range(sizes[2 + j]):
+            acct = next(ids)
+            st.q2[j].append((acct, next(ids) if draw(hs.booleans()) else acct))
+    for _ in range(sizes[4]):
+        p1, p2 = next(ids), next(ids)
+        code = draw(hs.sampled_from((1, 2, 3)))
+        st.q3.append((p1, p2, p2 if code == 1 else p1, code))
+    return st
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(queue_states())
+def test_apply_conserves_and_moves_one_hop(st):
+    # every feasible action under every pattern, from the same queues
+    before = snapshot(st)
+    for action in ACTIONS:
+        if not feasible(st, action):
+            continue
+        for pattern in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            cur = filled(*before)
+            combo, delivered = _apply(cur, action, *pattern)
+            assert _well_formed(combo) if action != IDLE else combo == ()
+            for j in (0, 1):
+                got = Counter(pid for r, pid in delivered if r == j + 1)
+                assert held(cur, j) + got == held(st, j), (action, pattern, j)
+            assert all(r in (1, 2) for r, _pid in delivered)
+            assert all(abs(len(a) - len(b)) <= 1 for a, b in zip(snapshot(cur), before))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(queue_states(),
+       hs.lists(hs.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0))
+def test_schedulers_pick_feasible_actions(st, weights):
+    for sampled in (FRESH1, FRESH2, XOR_BACKLOG, MIX_FRESH, REMEDY):
+        got = substitute_action(sampled, st)
+        assert feasible(st, got)
+        if feasible(st, sampled):
+            assert got == sampled
+    total = sum(weights)
+    _p00, p01, p10, p11 = (w / total for w in weights)
+    assert feasible(st, _maxweight(st, p01, p10, p11))
 
 
 def test_maxweight_hand_arithmetic():
@@ -177,16 +204,15 @@ def test_substitute_ladder():
         assert substitute_action(a, QueueState()) == IDLE
     assert substitute_action(FRESH1, filled(q1_1=[3])) == FRESH1
     assert substitute_action(MIX_FRESH, filled(q1_1=[3])) == IDLE
+    for unknown in (IDLE, SUB1, 6):   # not a sampled transmit action
+        with pytest.raises(xc.ContractViolation):
+            substitute_action(unknown, both)
 
 
 def test_sub_transmits_stored_proxy():
-    st = filled(q2_2=[(12, 34)])  # credited id and on-air id differ
-    rec = step((1, 0), SUB2, st)
-    assert rec.combo == (34,)
-    assert rec.delivered == [(2, 12)]
-    st = filled(q2_2=[(12, 34)])
-    rec = step((1, 1), SUB2, st)
-    assert rec.delivered == [] and list(st.q2[1]) == [(12, 34)]
+    entry = (12, 34)  # credited id and on-air id differ
+    assert run_slot(filled(q2_2=[entry]), (1, 0), SUB2, QueueState(), [(2, 12)]) == (34,)
+    run_slot(filled(q2_2=[entry]), (1, 1), SUB2, filled(q2_2=[entry]))
 
 
 def test_simulate_validation(ref_model):
@@ -281,10 +307,9 @@ def test_decode_verify_proxy_substitution():
     patterns = {MIX_FRESH: (1, 0), REMEDY: (0, 1), SUB2: (1, 0)}
     for slot, action in enumerate([MIX_FRESH, REMEDY, SUB2]):
         z1, z2 = patterns[action]
-        rec = step((z1, z2), action, st)
+        combo, delivered = _apply(st, action, z1, z2)
         code = 3 if action in (SUB1, SUB2) else action
-        trace.append((slot, code, rec.combo, z1 == 0, z2 == 0,
-                      tuple(rec.delivered)))
+        trace.append((slot, code, combo, z1 == 0, z2 == 0, tuple(delivered)))
     assert st.backlog() == 0
     assert trace[1][5] == ((1, 0),)   # remedy delivered its own side first
     assert trace[2][2] == (0,)        # proxy on air, pair-mate credited
