@@ -9,7 +9,6 @@ everywhere in the package: (0,0), (0,1), (1,0), (1,1).
 from __future__ import annotations
 
 import json
-import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -74,62 +73,36 @@ class ValidationReport:
     aperiodic: bool
 
 
-def _reachable(adj: np.ndarray, start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(adj[u]):
-            v = int(v)
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def _closure(adj: np.ndarray) -> np.ndarray:
+    """Reachability of the support graph: reach[i, j] is True when state j
+    can be reached from state i in zero or more steps. Squares adj | I
+    until nothing changes."""
+    reach = adj | np.eye(adj.shape[0], dtype=bool)
+    while True:
+        nxt = reach @ reach
+        if (nxt == reach).all():
+            return reach
+        reach = nxt
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    return len(_reachable(adj, 0)) == n and len(_reachable(adj.T, 0)) == n
-
-
-def _sccs(adj: np.ndarray) -> list[set[int]]:
-    remaining = set(range(adj.shape[0]))
-    comps = []
-    while remaining:
-        u = next(iter(remaining))
-        comp = _reachable(adj, u) & _reachable(adj.T, u)
-        comps.append(comp)
-        remaining -= comp
-    return comps
-
-
-def _aperiodic_flag(adj: np.ndarray) -> bool:
+def _aperiodic_flag(adj: np.ndarray, reach: np.ndarray) -> bool:
     """True when every cycle-carrying component has period one.
 
-    Uses breadth-first layering: the gcd of (level[u] + 1 - level[v]) over
-    component-internal edges (u, v) is the component period. States that lie
-    on no cycle are ignored.
+    Row i of reach & reach.T is the component of state i. A component of
+    k > 1 states has period one iff its support submatrix is primitive, that
+    is iff its 2^j-th boolean power is all True once 2^j >= (k - 1)^2 + 1
+    (Wielandt's bound). States that lie on no cycle are ignored.
     """
-    for comp in _sccs(adj):
-        if len(comp) == 1:   # a self-loop has period one; no loop, no cycle
+    for i, comp in enumerate(reach & reach.T):
+        if comp.argmax() < i:   # checked already, from its lowest state
             continue
-        root = min(comp)
-        level = {root: 0}
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in np.flatnonzero(adj[u]):
-                v = int(v)
-                if v in comp and v not in level:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        g = 0
-        for u in comp:
-            for v in np.flatnonzero(adj[u]):
-                v = int(v)
-                if v in comp:
-                    g = math.gcd(g, level[u] + 1 - level[v])
-        if g != 1:
+        k = int(comp.sum())
+        if k == 1:   # a self-loop has period one; no loop, no cycle
+            continue
+        power = adj[comp][:, comp]
+        for _ in range(((k - 1) ** 2).bit_length()):   # to a power 2^j > (k - 1)^2
+            power = power @ power
+        if not power.all():
             return False
     return True
 
@@ -149,9 +122,10 @@ def validate_model(model: ChannelModel) -> ValidationReport:
         for i in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL):
             violations.append(f"{name} row {int(i)} sums to {sums[i]:.17g}")
     support = model.transition > 0.0
+    reach = _closure(support)
     strictly_positive = bool(np.all(model.transition > 0.0) and np.all(model.emission > 0.0))
-    irreducible = _strongly_connected(support)
-    aperiodic = _aperiodic_flag(support)
+    irreducible = bool(reach.all())
+    aperiodic = _aperiodic_flag(support, reach)
     if not irreducible:
         violations.append("transition support graph is not strongly connected")
     if not aperiodic:
@@ -162,14 +136,14 @@ def validate_model(model: ChannelModel) -> ValidationReport:
 def stationary_distribution(model: ChannelModel) -> np.ndarray:
     """Unique stationary distribution of the transition matrix.
 
-    Solved as an augmented linear system and verified to satisfy the balance
-    equations within BALANCE_TOL. A damped power iteration (which converges
-    for any irreducible chain, periodic or not) is the fallback when the
-    direct solve is unusable. Reducible chains raise NoUniqueStationary.
+    Solved as an augmented linear system by least squares, clipped to be
+    nonnegative, normalized and verified to satisfy the balance equations
+    within BALANCE_TOL. Reducible chains, and any chain the solve cannot
+    meet the balance equations on, raise NoUniqueStationary.
     """
     t = model.transition
     n = model.num_states
-    if not _strongly_connected(t > 0.0):
+    if not _closure(t > 0.0).all():
         raise NoUniqueStationary("transition support graph is not strongly connected")
     if n == 1:
         return np.array([1.0])
@@ -178,23 +152,13 @@ def stationary_distribution(model: ChannelModel) -> np.ndarray:
     b[n] = 1.0
     try:
         pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    except np.linalg.LinAlgError:
-        pi = None
-    if pi is not None:
-        pi = np.clip(pi, 0.0, None)
-        total = pi.sum()
-        if total > 0.0:
-            pi = pi / total
-            if np.max(np.abs(pi @ t - pi)) <= BALANCE_TOL:
-                return pi
-    pi = np.full(n, 1.0 / n)
-    for _ in range(1_000_000):
-        nxt = 0.5 * pi + 0.5 * (pi @ t)
-        if np.max(np.abs(nxt - pi)) <= 1e-12:
-            pi = nxt
-            break
-        pi = nxt
-    pi = pi / pi.sum()
+    except np.linalg.LinAlgError as e:
+        raise NoUniqueStationary(f"stationary solve failed: {e}") from e
+    pi = np.clip(pi, 0.0, None)
+    total = pi.sum()
+    if not total > 0.0:
+        raise NoUniqueStationary("stationary solve returned no probability mass")
+    pi = pi / total
     if np.max(np.abs(pi @ t - pi)) > BALANCE_TOL:
         raise NoUniqueStationary("balance equations not satisfied; chain is numerically reducible")
     return pi
@@ -239,9 +203,8 @@ def _draw_codes(cums, n: int, seeds):
         rng.seed(seed)
         u[:, k] = [rng.random() for _ in range(2 * n + 1)]
 
-    def pick(cum, v):  # the first cumulative entry above v, else the last
-        hit = v[:, None] < cum
-        return np.where(hit.any(axis=1), hit.argmax(axis=1), cum.shape[-1] - 1)
+    def pick(cum, v):  # _draw's rule: entries <= v among all but the last
+        return (cum[..., :-1] <= v[:, None]).sum(axis=1)
 
     s = pick(pi_cum, u[0])
     codes = np.empty((n, len(seeds)), dtype=np.intp)
@@ -302,7 +265,7 @@ def model_to_dict(model: ChannelModel) -> dict:
 def _parse_matrix(rows, name: str, nrows: int, ncols: int):
     if not isinstance(rows, list) or len(rows) != nrows:
         got = len(rows) if isinstance(rows, list) else type(rows).__name__
-        raise ModelFormatError(f"{name}: expected a list of {nrows} rows, got {got}")
+        raise ModelFormatError(f"{name}: expected {nrows} rows, got {got}")
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != ncols:
@@ -350,14 +313,19 @@ def model_from_dict(obj) -> ChannelModel:
     return model
 
 
-def load_model(path) -> ChannelModel:
+def _read_json(path):
+    """The JSON value in the file at path; a syntax error raises
+    ModelFormatError with its line and column."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from e
-    return model_from_dict(obj)
+
+
+def load_model(path) -> ChannelModel:
+    return model_from_dict(_read_json(path))
 
 
 def save_model(model: ChannelModel, path) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelModel, forgetting_rate_bound
+from .channel import ChannelModel, _parse_matrix, _read_json, forgetting_rate_bound
 from .errors import ContractViolation, ModelFormatError, NumericalFailure
 from .filtering import WindowTable, window_table
 from .lp import LE, LinearProgram, _Simplex, solve
@@ -26,6 +26,7 @@ RATE_CAP = 2.0  # loose box for the rate variables; keeps the LP bounded
 CASE_TOL = 1e-10
 CUT_TOL = 1e-8   # how far a rate may exceed its cut and still pass achievable_check
 _TINY = 1e-15
+_RATE_OF_ROW = (0, 0, 1, 1)  # the rate each row of _rate_rows bounds: R1, R1, R2, R2
 
 
 @dataclass
@@ -116,6 +117,18 @@ def _rate_terms(table: WindowTable):
     return p * (1.0 - e1), p * (1.0 - e2), g12, float(g12.sum())
 
 
+def _rate_rows(table: WindowTable):
+    """The four rate constraints as (X, Y, rhs): row k reads
+    R + X[k] @ x + Y[k] @ y <= rhs[k] for the rate R of _RATE_OF_ROW[k].
+    R1 is bounded by what receiver 1 hears of x-slots and by the y-slots
+    that reach someone, and R2 the same way round."""
+    g1, g2, g12, full = _rate_terms(table)
+    zeros = np.zeros(len(table))
+    X = np.array([-g1, zeros, zeros, g12])
+    Y = np.array([zeros, g12, -g2, zeros])
+    return X, Y, np.array([0.0, full, 0.0, full])
+
+
 def _rate_objective(n: int, w1: float, w2: float) -> np.ndarray:
     """w1*R1 + w2*R2 over the n variables of the region program."""
     if w1 + w2 <= 0.0 or w1 < 0.0 or w2 < 0.0:
@@ -133,23 +146,10 @@ def region_lp(table: WindowTable, w1: float, w2: float, slack: float = 0.0) -> L
     same amount, which is how the sandwich bounds are produced.
     """
     m = len(table)
-    g1, g2, g12, full = _rate_terms(table)
-    n = 2 + 2 * m
-    obj = _rate_objective(n, w1, w2)
-
-    def row(rate_idx, xcoefs, ycoefs, rhs):
-        c = np.zeros(n)
-        c[rate_idx] = 1.0
-        c[2:2 + m] = xcoefs
-        c[2 + m:] = ycoefs
-        return (c, LE, rhs)
-
-    constraints = [
-        row(0, -g1, np.zeros(m), slack),
-        row(0, np.zeros(m), g12, slack + full),
-        row(1, np.zeros(m), -g2, slack),
-        row(1, g12, np.zeros(m), slack + full),
-    ]
+    X, Y, rhs = _rate_rows(table)
+    obj = _rate_objective(2 + 2 * m, w1, w2)
+    rows = np.hstack([np.eye(2)[list(_RATE_OF_ROW)], X, Y])
+    constraints = [(row, LE, b + slack) for row, b in zip(rows, rhs)]
     bounds = [(0.0, RATE_CAP), (0.0, RATE_CAP)] + [(0.0, 1.0)] * (2 * m)
     return LinearProgram(obj, constraints, bounds)
 
@@ -218,50 +218,36 @@ def robust_witness(table: WindowTable, wit: RegionWitness,
     uncoded share at all, so callers that feed a scheduler pass a backoff
     slightly below 1 and trade a sliver of rate for breathing room. The
     returned witness records the backed-off rates it actually certifies.
-
-    Falls back to the given witness if the re-selection solve fails.
+    A failed re-selection solve raises NumericalFailure.
     """
     if wit.status != "Optimal":
         raise ContractViolation("cannot rebalance a non-optimal witness")
     if not 0.0 < backoff <= 1.0:
         raise ContractViolation("backoff must lie in (0, 1]")
-    r1, r2 = wit.R1 * backoff, wit.R2 * backoff
+    rates = (wit.R1 * backoff, wit.R2 * backoff)
     m = len(table)
     p = table.probs
-    g1, g2, g12, full = _rate_terms(table)
+    X, Y, rhs = _rate_rows(table)
     # variables: f1 (m), f2 (m), c (m)
-    zeros = np.zeros(m)
-    obj = np.concatenate([p, p, zeros])
-
-    def rate_row(xcoefs, ycoefs, rhs):
-        return (np.concatenate([xcoefs, ycoefs, xcoefs + ycoefs]), LE, rhs)
-
+    obj = np.concatenate([p, p, np.zeros(m)])
     # allow a hair of slack: the witness meets the constraints only to
     # solver tolerance and an exactly tight program may round infeasible
     eps = 1e-9
-    constraints = [
-        rate_row(-g1, zeros, -(r1 - eps)),
-        rate_row(zeros, g12, full - (r1 - eps)),
-        rate_row(zeros, -g2, -(r2 - eps)),
-        rate_row(g12, zeros, full - (r2 - eps)),
-    ]
+    constraints = [(row, LE, b - (rates[k] - eps))
+                   for row, b, k in zip(np.hstack([X, Y, X + Y]), rhs, _RATE_OF_ROW)]
     constraints += [(row, LE, 1.0) for row in np.tile(np.eye(m), 3)]
     sol = solve(LinearProgram(obj, constraints, [(0.0, 1.0)] * (3 * m)))
     if sol.status != "Optimal":
-        return wit
+        raise NumericalFailure("robust witness solve failed", {"status": sol.status})
     f1, f2, c = sol.point.reshape(3, m)
-    return replace(wit, R1=r1, R2=r2, x=f1 + c, y=f2 + c)
+    return replace(wit, R1=rates[0], R2=rates[1], x=f1 + c, y=f2 + c)
 
 
 def witness_residual(table: WindowTable, wit: RegionWitness) -> float:
     """Largest violation of the four rate constraints at the witness."""
-    g1, g2, g12, _ = _rate_terms(table)
-    s1 = float(np.sum(g1 * wit.x))
-    s2 = float(np.sum(g2 * wit.y))
-    sx = float(np.sum(g12 * (1.0 - wit.x)))
-    sy = float(np.sum(g12 * (1.0 - wit.y)))
-    c = wit.slack
-    return max(wit.R1 - s1 - c, wit.R1 - sy - c, wit.R2 - s2 - c, wit.R2 - sx - c)
+    X, Y, rhs = _rate_rows(table)
+    rates = np.array([wit.R1, wit.R2])[list(_RATE_OF_ROW)]
+    return float(np.max(rates + X @ wit.x + Y @ wit.y - rhs)) - wit.slack
 
 
 def boundary_sweep(model: ChannelModel, L: int, k: int = 33,
@@ -509,19 +495,7 @@ def dist_from_dict(obj) -> ActionDistribution:
     L = obj["L"]
     if isinstance(L, bool) or not isinstance(L, int) or L < 1:
         raise ModelFormatError("L: expected a positive integer")
-    rows = obj["actions"]
-    if not isinstance(rows, list) or len(rows) != 4 ** L:
-        raise ModelFormatError(f"actions: expected {4 ** L} rows")
-    table = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 5:
-            raise ModelFormatError(f"actions[{i}]: expected 5 numbers")
-        vals = []
-        for j, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ModelFormatError(f"actions[{i}][{j}]: expected a number")
-            vals.append(float(v))
-        table.append(vals)
+    table = _parse_matrix(obj["actions"], "actions", 4 ** L, 5)
     try:
         return ActionDistribution(L=L, table=np.asarray(table))
     except ContractViolation as e:
@@ -529,13 +503,7 @@ def dist_from_dict(obj) -> ActionDistribution:
 
 
 def load_dist(path) -> ActionDistribution:
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from e
-    return dist_from_dict(obj)
+    return dist_from_dict(_read_json(path))
 
 
 def save_dist(dist: ActionDistribution, path) -> None:

@@ -164,10 +164,10 @@ def _maxweight(state: QueueState, p01: float, p10: float, p11: float):
         w = (1.0 - e2) * n12 + only1 * (n12 - n22)
         if best_w is None or w > best_w:
             best, best_w = FRESH2, w
-    if n21 and n22:
+    if n21 or n22:
         w = (1.0 - e1) * n21 + (1.0 - e2) * n22
         if best_w is None or w > best_w:
-            best, best_w = XOR_BACKLOG, w
+            best, best_w = (XOR_BACKLOG if n21 and n22 else SUB1 if n21 else SUB2), w
     if n11 and n12:
         w = (1.0 - e12) * (n11 - n3 + n12 - n3)
         if best_w is None or w > best_w:
@@ -186,7 +186,9 @@ def maxweight_action(state: QueueState, stats: ErasureStats):
 
     Weights trade off immediate delivery against the option value of
     overhearing, using the predicted erasure statistics for the slot.
-    eps1 and eps2 are taken as eps1_n2 + eps12 and eps_n12 + eps12.
+    eps1 and eps2 are taken as eps1_n2 + eps12 and eps_n12 + eps12. The
+    overheard queues score together when either is nonempty: the backlog
+    XOR serves both, a lone retransmission (SUB1 or SUB2) the only one.
     """
     return _maxweight(state, stats.eps_n12, stats.eps1_n2, stats.eps12)
 

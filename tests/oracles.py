@@ -5,7 +5,8 @@ state-path enumeration instead of recursive filtering, vertex enumeration
 instead of simplex pivoting, augmenting paths instead of cut formulas,
 Gaussian elimination instead of union-find, a cold two-phase solve per
 weight instead of one re-optimized tableau, per-window (x, y, t) fractions
-instead of action shares, a linear scan instead of bisection. The
+instead of action shares, a linear scan instead of bisection, graph
+searches instead of a boolean reachability closure. The
 row-indexed filter update and prediction are the exception: they repeat
 the library's arithmetic term by term, so the column kernels must match
 them exactly. So are the one-at-a-time forms of batched code (the
@@ -32,6 +33,60 @@ def draw_oracle(cum, u):
         if u < c:
             return i
     return len(cum) - 1
+
+
+def _reachable(adj, start):
+    """States reachable from start along the support graph, by depth-first
+    search."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in np.flatnonzero(adj[u]):
+            v = int(v)
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def strongly_connected_oracle(adj):
+    """Every state reaches state 0 and is reached from it."""
+    n = adj.shape[0]
+    return len(_reachable(adj, 0)) == n and len(_reachable(adj.T, 0)) == n
+
+
+def aperiodic_oracle(adj):
+    """True when every cycle-carrying strongly connected component has
+    period one. Components come from forward and backward searches; the
+    period of one is the gcd of level[u] + 1 - level[v] over its internal
+    edges (u, v), with levels from a breadth-first search."""
+    remaining = set(range(adj.shape[0]))
+    while remaining:
+        u = next(iter(remaining))
+        comp = _reachable(adj, u) & _reachable(adj.T, u)
+        remaining -= comp
+        if len(comp) == 1:
+            continue
+        root = min(comp)
+        level = {root: 0}
+        queue = [root]
+        while queue:
+            a = queue.pop(0)
+            for b in np.flatnonzero(adj[a]):
+                b = int(b)
+                if b in comp and b not in level:
+                    level[b] = level[a] + 1
+                    queue.append(b)
+        g = 0
+        for a in comp:
+            for b in np.flatnonzero(adj[a]):
+                b = int(b)
+                if b in comp:
+                    g = math.gcd(g, level[a] + 1 - level[b])
+        if g != 1:
+            return False
+    return True
 
 
 def random_model(rng, n_states, floor=0.02):

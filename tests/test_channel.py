@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import xorcast as xc
-from xorcast.channel import _cumulative_rows, _draw
+from xorcast.channel import BALANCE_TOL, _cumulative_rows, _draw
 
-from oracles import draw_oracle, random_model
+from oracles import aperiodic_oracle, draw_oracle, random_model, strongly_connected_oracle
 
 
 def test_model_shapes_and_readonly(ref_model):
@@ -62,6 +62,61 @@ def test_validate_reducible_chain():
     m = xc.ChannelModel([[1.0, 0.0], [0.0, 1.0]], [[0.25] * 4, [0.25] * 4])
     rep = xc.validate_model(m)
     assert not rep.irreducible
+
+
+def _support_model(support):
+    """A model whose transition support is the given boolean matrix; rows
+    without an edge stay zero, which only the row-sum check reads."""
+    t = support.astype(float)
+    sums = t.sum(axis=1, keepdims=True)
+    t = np.divide(t, sums, out=np.zeros_like(t), where=sums > 0)
+    return xc.ChannelModel(t, np.full((len(t), 4), 0.25))
+
+
+def test_graph_flags_match_search_oracle():
+    rng = np.random.default_rng(11)
+    supports = []
+    for density in (0.2, 0.4, 0.7):
+        for _ in range(700):
+            n = int(rng.integers(1, 8))
+            supports.append(rng.random((n, n)) < density)
+    for n in range(2, 9):
+        cycle = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+        looped = cycle.copy()
+        looped[n - 1, n - 1] = True
+        supports += [cycle, looped]
+    seen = set()
+    for support in supports:
+        rep = xc.validate_model(_support_model(support))
+        want = (strongly_connected_oracle(support), aperiodic_oracle(support))
+        assert (rep.irreducible, rep.aperiodic) == want, support.astype(int)
+        seen.add(want)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_stationary_direct_solve_meets_balance(monkeypatch):
+    rng = np.random.default_rng(5)
+    chains = []
+    for n in range(2, 9):
+        cycle = np.roll(np.eye(n), 1, axis=1)
+        chains.append(cycle)
+        for k in range(3, 16):
+            leave = 10.0 ** -k   # nearly decomposable: each state almost absorbing
+            mix = rng.random((n, n))
+            mix /= mix.sum(axis=1, keepdims=True)
+            chains.append((1.0 - leave) * np.eye(n) + leave * mix)
+            chains.append((1.0 - leave) * np.eye(n) + leave * cycle)
+    for t in chains:
+        m = xc.ChannelModel(t, np.full((len(t), 4), 0.25))
+        pi = xc.stationary_distribution(m)
+        assert np.all(pi >= 0.0) and abs(pi.sum() - 1.0) < 1e-12
+        assert np.max(np.abs(pi @ m.transition - pi)) <= BALANCE_TOL
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "lstsq", broken)
+    with pytest.raises(xc.NoUniqueStationary, match="SVD"):
+        xc.stationary_distribution(xc.ChannelModel(chains[0], np.full((2, 4), 0.25)))
 
 
 def test_stationary_two_state(ref_model):

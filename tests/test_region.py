@@ -6,6 +6,7 @@ import pytest
 
 import xorcast as xc
 from xorcast import region
+from xorcast.cli import main as cli_main
 from xorcast.lp import VERIFY_TOL, _Simplex
 from xorcast.region import region_lp, witness_residual
 
@@ -83,6 +84,23 @@ def test_solve_matches_vertex_oracle(ref_model):
         expected = vertex_oracle(region_lp(t, w1, w2))
         got = xc.solve(region_lp(t, w1, w2)).value
         assert abs(got - expected) < 1e-7, f"w=({w1},{w2})"
+
+
+HIGHS_CASES = [(L, lam) for L in range(1, 6) for lam in (0.25, 0.5, 0.75)] + [
+    pytest.param(L, 0.5, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: absolute pricing TOL")) for L in (6, 7)]
+
+
+@pytest.mark.parametrize("L,lam", HIGHS_CASES)
+def test_region_lp_matches_highs(ref_model, L, lam):
+    # scipy is a test-only cross-check, not a dependency of the package
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    lp = region_lp(xc.window_table(ref_model, L), lam, 1.0 - lam)
+    a_ub = np.array([coefs for coefs, _rel, _rhs in lp.constraints])
+    b_ub = np.array([rhs for _coefs, _rel, rhs in lp.constraints])
+    ref = linprog(-lp.objective, A_ub=a_ub, b_ub=b_ub, bounds=lp.bounds, method="highs")
+    assert ref.status == 0, ref.message
+    assert abs(xc.solve(lp).value + ref.fun) <= 1e-10 * abs(ref.fun)
 
 
 def test_region_lp_reports_pivots(ref_model):
@@ -415,6 +433,23 @@ def test_simulation_distribution_checks_once(ref_model, monkeypatch):
     xc.simulation_distribution(xc.window_table(ref_model, 4), 0.5)
     assert rows == [4 + 4 ** 4]
     assert checks == [True]
+
+
+def test_robust_witness_failure_raises(ref_model, monkeypatch, tmp_path, capsys):
+    table = xc.window_table(ref_model, 2)
+    wit = xc.solve_region(table, 0.5, 0.5)
+    monkeypatch.setattr(region, "solve", lambda lp: xc.LpSolution("Infeasible", None, None))
+    with pytest.raises(xc.NumericalFailure) as err:
+        xc.robust_witness(table, wit, 0.99)
+    assert err.value.diagnostics == {"status": "Infeasible"}
+    with pytest.raises(xc.NumericalFailure):
+        xc.simulation_distribution(table, 0.5)
+    model = tmp_path / "model.json"
+    xc.save_model(ref_model, model)
+    assert cli_main(["simulate", "--model", str(model), "--scheduler", "probabilistic",
+                     "--rates", "0.3,0.3", "--slots", "100",
+                     "--L", "2", "--lambda", "0.5"]) == 1
+    assert "robust witness solve failed" in capsys.readouterr().err
 
 
 def test_simulation_distribution(ref_model):

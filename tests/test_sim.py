@@ -194,6 +194,17 @@ def test_maxweight_prefers_remedy_backlog():
     assert maxweight_action(st, stats(0.3, 0.25, 0.1)) == REMEDY
 
 
+def test_maxweight_drains_one_sided_traffic(ref_model):
+    # a packet overheard only by the wrong receiver waits in q2 with no
+    # pair-mate under one-sided traffic; a lone retransmission must serve it
+    sv = stats(0.3, 0.25, 0.1)
+    assert maxweight_action(filled(q2_1=[(1, 1)]), sv) == SUB1
+    assert maxweight_action(filled(q2_2=[(2, 2)]), sv) == SUB2
+    for r1, r2 in ((0.3, 0.0), (0.0, 0.3), (0.3, 0.01)):
+        rep = xc.simulate(ref_model, "maxweight", r1, r2, 20_000, 1)
+        assert xc.stability_verdict(rep) == "Stable", (r1, r2, rep.final_backlog)
+
+
 def test_substitute_ladder():
     both = filled(q2_1=[(1, 1)], q2_2=[(2, 2)])
     assert substitute_action(XOR_BACKLOG, both) == XOR_BACKLOG
@@ -466,20 +477,21 @@ def test_load_trace_rejects_non_integer_claim(tmp_path, capsys):
 
 
 # sha256 of repr((trace, checkpoints, action_counts, delivered)), recorded
-# with the row-indexed filter that the column kernel replaced
+# with the row-indexed filter that the column kernel replaced; the max-weight
+# digests since max-weight scores a lone overheard queue (SUB1 or SUB2)
 PINNED_RUNS = {
     (0.95, "probabilistic", 1): "0aa18bc24845159def00248a526b2ac21668ca44f7e3cc98ea1ac0be73a83c18",
     (0.95, "probabilistic", 2): "f39ae1e83d4967d2a1d712d0b9a426d4633a307af321eb3f247f7f9f8a6a4a67",
     (0.95, "probabilistic", 4): "a5da3c07b9da1b5c6f022642b1bff1a5f3678ba46b722757fcc1e39d5960edd7",
-    (0.95, "maxweight", 1): "08186935e473df63b846e985bcaab704bd94ac2ac831d754ea34c7fe1d2eeb1d",
-    (0.95, "maxweight", 2): "425e83e981c48c620a33f9701e9ccd4931cd6eaecc6005b493537ef1b218dbe4",
-    (0.95, "maxweight", 4): "466166839c81058e16143aaf2847492464667634af31b5cd3c2f39d17ec2a6d9",
+    (0.95, "maxweight", 1): "6ad8324f3ba0efeb708cab409c3da761c76d6fe20ecfb120d61ce149aab94176",
+    (0.95, "maxweight", 2): "275c8266b24d99ba31f90d72aa7133eba0e2d22487ae13a978db7b5a6160a46d",
+    (0.95, "maxweight", 4): "5aa0e281d16c506f890f23f2a403ec722ec0e26f36f5cd6442274feb8458309c",
     (1.10, "probabilistic", 1): "378de6519f151997ca6a03b09f498614282d2ae739fec3a152290c3a70ad6cf9",
     (1.10, "probabilistic", 2): "8c23eedb59ccadaf8e9de161989c23528f8c297451bf028185068c1a4f1a844e",
     (1.10, "probabilistic", 4): "42e929c53f9b0dcf96d83a9a0fc4225e8b89d2ac2e5c6e03fc049cb155be542a",
-    (1.10, "maxweight", 1): "46583d7b2ce246072a3b3bda45aacb7f39af937cf12018a025c4f9c63510a133",
-    (1.10, "maxweight", 2): "dffebefd791cda9c191b8706600579ed3e8ddc154235cf1df560ae9b723b983c",
-    (1.10, "maxweight", 4): "2648930f8e75ae462a4b56af52dedb831331253df3f19149f3e0e0efab3b5376",
+    (1.10, "maxweight", 1): "dc853058ae05061096a6f955ffee9cdbf575a4730dccec3bd693fd8df0cd09c9",
+    (1.10, "maxweight", 2): "bc635639372a9e061fa2062273d4b81795ca759c5fd687f6963e1a5904ae1d38",
+    (1.10, "maxweight", 4): "ed0048053511e8c3fc3aad9aedc96e9d1c9a803665427e65096f42d3dd2a7522",
 }
 
 
