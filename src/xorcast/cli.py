@@ -51,17 +51,22 @@ class Options:
                 raise ConfigError("config: expected a JSON object")
 
     def get(self, name, default=None, required=False, cfg_key=None, kind=None):
-        """The flag value, else the config value, else default; kind (int or
-        float) parses it as a number."""
+        """The flag value, else the config value, else default; kind int or
+        float parses it as a number, and kind str (a file path) requires a
+        string."""
         option = "--" + (cfg_key or name).replace("_", "-")
         val = getattr(self.args, name, None)
         if val is None:
             val = self.cfg.get(cfg_key or name, default)
         if required and val is None:
             raise ConfigError(f"missing required option {option}")
-        if kind is not None and val is not None:
-            val = _number(val, option, kind)
-        return val
+        if kind is None or val is None:
+            return val
+        if kind is str:
+            if not isinstance(val, str):
+                raise ConfigError(f"{option} expects a file path, got {val!r}")
+            return val
+        return _number(val, option, kind)
 
 
 def _number(raw, option: str, kind):
@@ -96,7 +101,7 @@ def _write_json(path, obj) -> None:
 
 
 def _load_model_opt(opts) -> object:
-    return load_model(opts.get("model", required=True))
+    return load_model(opts.get("model", required=True, kind=str))
 
 
 def _parse_rates(raw) -> tuple:
@@ -110,7 +115,7 @@ def cmd_region(opts) -> int:
     model = _load_model_opt(opts)
     L = opts.get("L", required=True, cfg_key="L", kind=int)
     lam = opts.get("lam", cfg_key="lambda", kind=float)
-    witness_out = opts.get("witness_out")
+    witness_out = opts.get("witness_out", kind=str)
     if witness_out and lam is None:
         raise ConfigError("--witness-out needs --lambda; a sweep has no single witness")
     rows = []
@@ -133,7 +138,7 @@ def cmd_region(opts) -> int:
         k = opts.get("sweep", default=33, kind=int)
         for wit in sweep_table(window_table(model, L), k):
             rows.append((wit.w1, wit.R1, wit.R2, wit.status))
-    with _output(opts.get("out")) as out:
+    with _output(opts.get("out", kind=str)) as out:
         w = csv.writer(out)
         w.writerow(["lambda", "R1", "R2", "status"])
         for lam_v, r1, r2, status in rows:
@@ -147,9 +152,9 @@ def cmd_region(opts) -> int:
 
 
 def cmd_simulate(opts) -> int:
-    trace_path = opts.get("trace")
-    csv_path = opts.get("csv")
-    out_path = opts.get("out")
+    trace_path = opts.get("trace", kind=str)
+    csv_path = opts.get("csv", kind=str)
+    out_path = opts.get("out", kind=str)
     if [trace_path, csv_path, out_path or "-"].count("-") > 1:
         raise ConfigError("at most one of --out, --csv and --trace may write to stdout")
     model = _load_model_opt(opts)
@@ -159,7 +164,7 @@ def cmd_simulate(opts) -> int:
     seed = opts.get("seed", default=0, kind=int)
     dist = None
     if scheduler == "probabilistic":
-        dist_path = opts.get("dist")
+        dist_path = opts.get("dist", kind=str)
         if dist_path:
             dist = load_dist(dist_path)
         else:
@@ -213,7 +218,7 @@ def cmd_forgetting(opts) -> int:
             method = "empirical"
         bound = "" if sigma is None else _fmt(2.0 * (1.0 - sigma) ** L)
         rows.append([L, _fmt(tv), bound, method])
-    with _output(opts.get("out")) as out:
+    with _output(opts.get("out", kind=str)) as out:
         w = csv.writer(out)
         w.writerow(["L", "tv", "bound", "method"])
         w.writerows(rows)
@@ -221,7 +226,7 @@ def cmd_forgetting(opts) -> int:
 
 
 def cmd_verify(opts) -> int:
-    trace = load_trace(opts.get("trace", required=True))
+    trace = load_trace(opts.get("trace", required=True, kind=str))
     report = decode_verify(trace)
     summary = {
         "ok": report.ok,
@@ -230,13 +235,13 @@ def cmd_verify(opts) -> int:
                      for j, pid, slot in report.failures],
         "transmissions": len(trace),
     }
-    _write_json(opts.get("out"), summary)
+    _write_json(opts.get("out", kind=str), summary)
     return 0 if report.ok else 1
 
 
 def cmd_canonicalize(opts) -> int:
     model = _load_model_opt(opts)
-    dist = load_dist(opts.get("dist", required=True))
+    dist = load_dist(opts.get("dist", required=True, kind=str))
     table = window_table(model, dist.L)
     new_dist, rep = canonicalize(dist, table)
     payload = dist_to_dict(new_dist)
@@ -244,7 +249,7 @@ def cmd_canonicalize(opts) -> int:
     payload["theta"] = rep.theta
     payload["cuts_before"] = {k: list(getattr(rep.cuts_before, k)) for k in "abcd"}
     payload["cuts_after"] = {k: list(getattr(rep.cuts_after, k)) for k in "abcd"}
-    _write_json(opts.get("out"), payload)
+    _write_json(opts.get("out", kind=str), payload)
     return 0
 
 
@@ -252,7 +257,7 @@ def cmd_dump_window_table(opts) -> int:
     model = _load_model_opt(opts)
     L = opts.get("L", required=True, cfg_key="L", kind=int)
     table = window_table(model, L)
-    with _output(opts.get("out")) as out:
+    with _output(opts.get("out", kind=str)) as out:
         dump_window_table(table, out)
     return 0
 

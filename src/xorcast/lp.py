@@ -1,8 +1,11 @@
 """Two-phase dense simplex for small linear programs.
 
 Variables carry box bounds that are handled implicitly: a nonbasic variable
-may rest at either of its bounds, so the tableau keeps one row per
-functional constraint no matter how many variables are boxed.
+may rest at either of its bounds. The tableau keeps one row per functional
+constraint, however many variables are boxed, for the whole solve. Phase one
+ends one way: once the artificials sum to zero, each gets the bound zero. One
+left basic on a redundant row stays at zero until a pivot through that row
+moves it out, and a column whose bound is zero never enters.
 
 Pricing takes the improving column with the largest reduced cost (Dantzig's
 rule; at the upper bound the reduced cost counts negated), ties going to
@@ -149,13 +152,10 @@ class _Simplex:
         self.T = a[:, :s].copy()
         self.beta = b.copy()
         self.basis = np.array(basis, dtype=np.intp)
-        self.N = s
-        self.m_rows = m
         self.n_struct = n
         self.u = u[:s]
         self.is_artificial = np.zeros(s, dtype=bool)
         self.is_artificial[art_cols] = True
-        self.fixed = self.u <= TOL
         self.status_arr = np.full(s, AT_LOWER, dtype=np.int8)
         for j in basis:
             self.status_arr[j] = BASIC
@@ -170,10 +170,11 @@ class _Simplex:
     def _entering(self, red: np.ndarray, bland: bool) -> int:
         """Improving nonbasic column with the largest gain, or with the lowest
         index when bland is set; -1 at optimality. The gain is the reduced
-        cost at the lower bound and its negation at the upper bound."""
+        cost at the lower bound and its negation at the upper bound. A column
+        whose bound is zero never enters."""
         status = self.status_arr
         gain = np.where(status == AT_UPPER, -red, red)
-        gain[(status == BASIC) | self.fixed] = 0.0
+        gain[(status == BASIC) | (self.u <= TOL)] = 0.0
         if bland:
             improving = np.flatnonzero(gain > TOL)
             return int(improving[0]) if improving.size else -1
@@ -190,7 +191,7 @@ class _Simplex:
         ub = self.u[self.basis]
         down = col > TOL
         up = (col < -TOL) & np.isfinite(ub)
-        steps = np.full(self.m_rows, math.inf)
+        steps = np.full(len(beta), math.inf)
         steps[down] = np.maximum(beta[down], 0.0) / col[down]
         steps[up] = np.maximum(ub[up] - beta[up], 0.0) / -col[up]
         best_t = float(steps.min(initial=math.inf))
@@ -217,7 +218,7 @@ class _Simplex:
         self.status_arr[e] = BASIC
         self.status_arr[leaving] = AT_UPPER if to_upper else AT_LOWER
         if self.is_artificial[leaving]:
-            self.fixed[leaving] = True
+            self.u[leaving] = 0.0
         return row
 
     def _iterate(self, c: np.ndarray, phase: int) -> str:
@@ -250,56 +251,24 @@ class _Simplex:
             row = self._pivot(best_row, e, best_t, direction, to_upper)
             red = red - red[e] * row
 
-    def _drive_out_artificials(self):
-        r = 0
-        while r < self.m_rows:
-            j = self.basis[r]
-            if not self.is_artificial[j]:
-                r += 1
-                continue
-            e = -1
-            for cand in range(self.N):
-                if self.is_artificial[cand] or self.status_arr[cand] == BASIC:
-                    continue
-                if abs(self.T[r, cand]) > TOL:
-                    e = cand
-                    break
-            if e < 0:
-                # row is redundant in the structural columns; drop it
-                self.T = np.delete(self.T, r, axis=0)
-                self.beta = np.delete(self.beta, r)
-                self.basis = np.delete(self.basis, r)
-                self.m_rows -= 1
-                self.status_arr[j] = AT_LOWER
-                self.fixed[j] = True
-                continue
-            direction = 1 if self.status_arr[e] == AT_LOWER else -1
-            self._pivot(r, e, 0.0, direction, to_upper=False)
-            r += 1
-
     def phase_one(self) -> bool:
-        c1 = np.zeros(self.N)
+        c1 = np.zeros(len(self.u))
         c1[self.is_artificial] = -1.0
         self._iterate(c1, phase=1)
-        infeas = sum(self.beta[i] for i in range(self.m_rows)
-                     if self.is_artificial[self.basis[i]])
-        if infeas > TOL:
+        if self.beta[self.is_artificial[self.basis]].sum() > TOL:
             return False
-        self._drive_out_artificials()
         self.u[self.is_artificial] = 0.0
-        self.fixed |= self.is_artificial
         return True
 
     def phase_two(self) -> str:
-        c2 = np.zeros(self.N)
+        c2 = np.zeros(len(self.u))
         c2[:self.n_struct] = self.objective
         return self._iterate(c2, phase=2)
 
     def extract(self) -> np.ndarray:
         x = np.where(self.status_arr == AT_UPPER,
                      np.where(np.isfinite(self.u), self.u, 0.0), 0.0)
-        for i in range(self.m_rows):
-            x[self.basis[i]] = self.beta[i]
+        x[self.basis] = self.beta
         return self.lo + x[:self.n_struct]
 
     def _vector(self, v, what: str) -> np.ndarray:
@@ -323,9 +292,9 @@ class _Simplex:
 
     def reoptimize(self, objective) -> LpSolution:
         """Phase two under a new objective, resuming from the current basis.
-        The constraints are unchanged, so a basis without artificials stays
-        primal feasible and phase one is not needed."""
-        if self.is_artificial[self.basis].any():
+        The constraints are unchanged, so once phase one has bounded every
+        artificial at zero the basis stays primal feasible."""
+        if self.u[self.is_artificial].any():
             raise ContractViolation("reoptimize needs a primal feasible basis")
         self.objective = self._vector(objective, "objective")
         self.pivots = 0
@@ -337,7 +306,7 @@ class _Simplex:
         so the copy is primal feasible as it stands. The original tableau is
         left untouched."""
         coefs = self._vector(coefs, "appended row")
-        n, m, s = self.n_struct, self.m_rows, self.N
+        n, (m, s) = self.n_struct, self.T.shape
         a = np.zeros(s + 1)
         a[:n] = coefs
         a[s] = 1.0
@@ -353,11 +322,8 @@ class _Simplex:
         sx.T = T
         sx.beta = np.append(self.beta, max(value, 0.0))
         sx.basis = np.append(self.basis, s)
-        sx.N = s + 1
-        sx.m_rows = m + 1
         sx.u = np.append(self.u, math.inf)
         sx.is_artificial = np.append(self.is_artificial, False)
-        sx.fixed = np.append(self.fixed, False)
         sx.status_arr = np.append(self.status_arr, np.int8(BASIC))
         sx.pivots = 0
         sx.cap = _stall_cap(m + 1, s + 1)

@@ -258,8 +258,10 @@ def boundary_sweep(model: ChannelModel, L: int, k: int = 33,
 
 def sweep_table(table: WindowTable, k: int = 33, slack: float = 0.0) -> list[RegionWitness]:
     """Trace the boundary with k weight vectors (lam, 1 - lam) on a uniform
-    grid including both endpoints. Points are sorted by R1 and deduplicated
-    at 1e-9; every returned witness is re-checked against the constraints.
+    grid including both endpoints. A point within 1e-9 of the last one kept
+    in grid order is dropped, so each vertex keeps the first weight that
+    reaches it; the points are then sorted by R1. Every returned witness is
+    re-checked against the constraints.
 
     Only the objective changes along the grid, so one tableau walks it:
     each weight re-optimizes from the previous optimal basis, and each point
@@ -274,18 +276,14 @@ def sweep_table(table: WindowTable, k: int = 33, slack: float = 0.0) -> list[Reg
         lam = i / (k - 1)
         sol = sx.reoptimize(_rate_objective(sx.n_struct, lam, 1.0 - lam))
         if sol.status != "Optimal":
-            continue
+            raise NumericalFailure("sweep solve failed", {"status": sol.status, "lam": lam})
         wit = _refined(sx, table, lam, 1.0 - lam, slack, sol.value)
         if witness_residual(table, wit) > 1e-8:
             raise NumericalFailure("witness failed re-check", {"lam": lam})
-        out.append(wit)
-    out.sort(key=lambda w: (w.R1, w.R2))
-    dedup = []
-    for wit in out:
-        if dedup and abs(dedup[-1].R1 - wit.R1) <= 1e-9 and abs(dedup[-1].R2 - wit.R2) <= 1e-9:
+        if out and abs(out[-1].R1 - wit.R1) <= 1e-9 and abs(out[-1].R2 - wit.R2) <= 1e-9:
             continue
-        dedup.append(wit)
-    return dedup
+        out.append(wit)
+    return sorted(out, key=lambda w: (w.R1, w.R2))
 
 
 @dataclass

@@ -215,21 +215,19 @@ def solve_region_cold(table, w1, w2, slack=0.0):
 
 
 def sweep_table_cold(table, k=33, slack=0.0):
-    """sweep_table with two cold solves per weight: sorted by R1 and
-    deduplicated at 1e-9, as the library does."""
+    """sweep_table with two cold solves per weight: a point within 1e-9 of
+    the last one kept in grid order is dropped, then the rest are sorted by
+    R1, as the library does."""
     out = []
     for i in range(k):
         lam = i / (k - 1)
         wit = solve_region_cold(table, lam, 1.0 - lam, slack)
-        if wit is not None:
-            out.append(wit)
-    out.sort(key=lambda w: (w.R1, w.R2))
-    dedup = []
-    for wit in out:
-        if dedup and abs(dedup[-1].R1 - wit.R1) <= 1e-9 and abs(dedup[-1].R2 - wit.R2) <= 1e-9:
+        if wit is None:
             continue
-        dedup.append(wit)
-    return dedup
+        if out and abs(out[-1].R1 - wit.R1) <= 1e-9 and abs(out[-1].R2 - wit.R2) <= 1e-9:
+            continue
+        out.append(wit)
+    return sorted(out, key=lambda w: (w.R1, w.R2))
 
 
 def robust_witness_xyt(table, wit, backoff=1.0):

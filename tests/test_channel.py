@@ -24,6 +24,8 @@ def test_model_rejects_bad_shapes():
         xc.ChannelModel([[1.0, 0.0]], [[0.25, 0.25, 0.25, 0.25]])
     with pytest.raises(xc.StructuralError):
         xc.ChannelModel([[1.0]], [[0.5, 0.5]])
+    with pytest.raises(xc.StructuralError, match="labels"):
+        xc.ChannelModel([[1.0]], [[0.25] * 4], labels=["calm", "storm"])
 
 
 def test_validate_ok(ref_model):
@@ -199,6 +201,11 @@ def test_model_json_roundtrip(tmp_path, ref_model):
     loaded = xc.load_model(path)
     assert np.array_equal(loaded.transition, ref_model.transition)
     assert np.array_equal(loaded.emission, ref_model.emission)
+    assert loaded.labels is None
+    labelled = xc.ChannelModel(ref_model.transition, ref_model.emission,
+                               labels=["calm", "storm"])
+    xc.save_model(labelled, path)
+    assert xc.load_model(path).labels == ("calm", "storm")
 
 
 def test_model_dict_errors():

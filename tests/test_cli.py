@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -198,6 +201,12 @@ def test_exit_codes(capsys, tmp_path, model_path):
     code, _, err = run(capsys, ["region", "--model", str(bad), "--L", "1"])
     assert code == 3
 
+    one_label = tmp_path / "labels.json"
+    one_label.write_text(json.dumps(dict(xc.model_to_dict(xc.load_model(model_path)),
+                                         labels=["calm"])))
+    code, _, err = run(capsys, ["region", "--model", str(one_label), "--L", "1"])
+    assert code == 3 and "labels: expected a list of 2 strings" in err
+
     bad_dist = tmp_path / "dist.json"
     bad_dist.write_text('{"L": 1}')
     code, _, err = run(capsys, ["canonicalize", "--model", model_path,
@@ -240,6 +249,29 @@ def test_bad_numbers_exit_2(capsys, tmp_path, model_path):
         assert code == 2 and option in err, err
 
 
+def test_path_options_from_config_must_be_strings(capsys, tmp_path, model_path):
+    # a number would open a file descriptor and a list would escape as a
+    # TypeError; every path option is checked before any file is opened
+    cfg = tmp_path / "cfg.json"
+    sim = ["simulate", "--model", model_path, "--scheduler", "maxweight",
+           "--rates", "0.1,0.1", "--slots", "10"]
+    cases = (
+        (["region", "--L", "1"], {"model": 0}, "--model"),
+        (["region", "--L", "1"], {"model": ["x"]}, "--model"),
+        (["dump-window-table", "--model", model_path, "--L", "1"], {"out": True}, "--out"),
+        (["canonicalize", "--model", model_path], {"dist": 5}, "--dist"),
+        (["verify"], {"trace": 1.5}, "--trace"),
+        (sim, {"csv": ["x"]}, "--csv"),
+        (["region", "--model", model_path, "--L", "1", "--lambda", "0.5"],
+         {"witness_out": {"path": "w.json"}}, "--witness-out"),
+    )
+    for argv, bad, option in cases:
+        cfg.write_text(json.dumps(bad))
+        code, out, err = run(capsys, argv + ["--config", str(cfg)])
+        assert code == 2 and out == "", (bad, err)
+        assert err.count("\n") == 1 and option in err, err
+
+
 def test_simulate_deterministic_output(capsys, model_path):
     argv = ["simulate", "--model", model_path, "--scheduler", "maxweight",
             "--rates", "0.25,0.2", "--slots", "3000", "--seed", "13"]
@@ -253,6 +285,12 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "xorcast" in capsys.readouterr().out
+    # the module entry point runs the same parser
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xc.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "xorcast", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"xorcast {xc.__version__}"
 
 
 def test_region_witness_out_matches_rows(capsys, tmp_path, model_path):

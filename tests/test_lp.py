@@ -87,9 +87,31 @@ def test_degenerate_redundant_rows():
         ([2, 2], "=", 2),
         ([1, 1], "=", 1),
     ]
-    sol = xc.solve(lp([1, 2], cons, [(0, 1), (0, 1)]))
+    bounds = [(0, 1), (0, 1)]
+    program = lp([1, 2], cons, bounds)
+    sol = xc.solve(program)
     assert sol.status == "Optimal"
     assert abs(sol.value - 2.0) < 1e-9
+    # phase one ends with artificials basic on the redundant rows; every
+    # row stays in the tableau, and warm starts from it match cold solves
+    sx = _Simplex(program)
+    assert sx.solve().value == sol.value
+    assert sx.T.shape[0] == len(sx.beta) == len(sx.basis) == len(cons)
+    assert sx.is_artificial[sx.basis].any()
+    for obj in ([2, 1], [-1, 0], [1, -1], [0, -1], [1, 2]):
+        warm = sx.reoptimize(obj)
+        cold = xc.solve(lp(obj, cons, bounds))
+        assert warm.status == cold.status == "Optimal"
+        assert abs(warm.value - cold.value) < 1e-9
+        assert abs(warm.value - vertex_oracle(lp(obj, cons, bounds))) < 1e-7
+    # the current point (0, 1) meets x <= 0.5; maximizing x then pivots
+    # through the appended row
+    extended = lp([1, 0], cons + [([1, 0], "<=", 0.5)], bounds)
+    warm = sx.with_row([1, 0], 0.5).reoptimize([1, 0])
+    assert warm.status == "Optimal" and warm.pivots > 0
+    assert abs(warm.value - xc.solve(extended).value) < 1e-9
+    assert abs(warm.value - vertex_oracle(extended)) < 1e-7
+    assert abs(warm.value - 0.5) < 1e-9
 
 
 def test_tight_set():

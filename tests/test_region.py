@@ -7,7 +7,7 @@ import pytest
 import xorcast as xc
 from xorcast import region
 from xorcast.cli import main as cli_main
-from xorcast.lp import VERIFY_TOL, _Simplex
+from xorcast.lp import VERIFY_TOL, LpSolution, _Simplex
 from xorcast.region import region_lp, witness_residual
 
 from oracles import (pipeline_max_flow, random_model, robust_witness_xyt,
@@ -505,9 +505,9 @@ def _support(points, k):
 
 
 def test_warm_sweep_matches_cold_reference(ref_model):
-    # one re-optimized tableau against two cold solves per weight; the
-    # weighted values are compared as the best value at each grid weight,
-    # since near-duplicate points may keep a different weight label
+    # one re-optimized tableau against two cold solves per weight: the same
+    # points under the same weight labels, and the same best value at each
+    # grid weight
     k = 33
     for L in (1, 2, 3, 4):
         t = xc.window_table(ref_model, L)
@@ -517,6 +517,7 @@ def test_warm_sweep_matches_cold_reference(ref_model):
             assert len(warm) == len(cold) >= 2, (L, slack)
             for a, b in zip(warm, cold):
                 assert abs(a.R1 - b.R1) <= 1e-9 and abs(a.R2 - b.R2) <= 1e-9, (L, slack)
+                assert a.w1 == b.w1, (L, slack)
             assert np.max(np.abs(_support(warm, k) - _support(cold, k))) <= 1e-12
 
 
@@ -527,6 +528,8 @@ def test_warm_sweep_matches_cold_random_models():
     # near-duplicate points. So the sweeps are compared as boundaries: equal
     # best values at every grid weight, and every point of either sweep
     # optimal for its own weight among the other's points, to VERIFY_TOL.
+    # Each vertex keeps the first grid weight that reaches it, so the labels
+    # increase with R1, and sweeps that keep as many points label them alike.
     rng = random.Random(2024)
     k = 17
     for _ in range(6):
@@ -540,10 +543,25 @@ def test_warm_sweep_matches_cold_random_models():
                     assert warm == []
                     continue
                 assert np.max(np.abs(_support(warm, k) - _support(cold, k))) <= VERIFY_TOL
+                labels = [p.w1 for p in warm]
+                assert labels == sorted(labels), (L, slack)
+                if len(warm) == len(cold):
+                    assert labels == [p.w1 for p in cold], (L, slack)
                 for ours, theirs in ((warm, cold), (cold, warm)):
                     for p in ours:
                         best = max(p.w1 * q.R1 + p.w2 * q.R2 for q in theirs)
                         assert abs(p.value - best) <= VERIFY_TOL, (L, slack, p.w1)
+
+
+def test_sweep_failure_raises(ref_model, monkeypatch):
+    # a weight whose solve fails raises, as the refine and the robust
+    # witness do, instead of leaving a gap in the sweep
+    t = xc.window_table(ref_model, 1)
+    monkeypatch.setattr(_Simplex, "reoptimize",
+                        lambda self, objective: LpSolution("Unbounded", None, None))
+    with pytest.raises(xc.NumericalFailure) as failure:
+        xc.sweep_table(t, 5)
+    assert failure.value.diagnostics == {"status": "Unbounded", "lam": 0.0}
 
 
 def test_infeasible_sweep_is_empty(ref_model):
