@@ -20,7 +20,7 @@ from .region import (ActionDistribution, CanonicalizationReport, CapacitySet,
                      CutValues, RegionWitness, SandwichResult,
                      achievable_check, boundary_sweep, canonicalize,
                      cut_values, dist_from_dict, dist_to_dict, link_capacities,
-                     load_dist, max_rate, region_lp, robust_witness, sandwich,
+                     load_dist, max_rate, robust_witness, sandwich,
                      save_dist,
                      simulation_distribution, solve_region, sweep_table,
                      witness_residual, xy_to_actions)

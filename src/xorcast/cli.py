@@ -119,7 +119,10 @@ def cmd_region(opts) -> int:
     if witness_out and lam is None:
         raise ConfigError("--witness-out needs --lambda; a sweep has no single witness")
     rows = []
-    if opts.get("sandwich", default=False):
+    bracket = opts.get("sandwich", default=False)
+    if not isinstance(bracket, bool):
+        raise ConfigError(f"--sandwich expects true or false, got {bracket!r}")
+    if bracket:
         if lam is None:
             raise ConfigError("--sandwich needs --lambda")
         res = sandwich(model, L, lam, 1.0 - lam)
@@ -277,9 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--L")
     sp.add_argument("--lambda", dest="lam", help="single weight point")
     sp.add_argument("--sweep", help="number of sweep weights (default 33)")
-    sp.add_argument("--sandwich", action="store_true",
+    sp.add_argument("--sandwich", action="store_true", default=None,
                     help="bracket the --lambda point with inner/outer bounds")
-    sp.add_argument("--witness-out", dest="witness_out", help="write the LP witness JSON here")
+    sp.add_argument("--witness-out", dest="witness_out", help="write the witness JSON here")
     sp.set_defaults(func=cmd_region)
 
     sp = sub.add_parser("simulate", help="run one scheduler on a sampled channel path")
@@ -335,7 +338,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (NumericalFailure, XorcastError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        detail = ", ".join(f"{k}={v}" for k, v in getattr(e, "diagnostics", {}).items())
+        print(f"error: {e}" + (f" ({detail})" if detail else ""), file=sys.stderr)
         return 1
 
 

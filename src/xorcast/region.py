@@ -1,13 +1,18 @@
 """Rate-region approximation and action-distribution machinery.
 
-The L-th order region is a linear program over per-window transmit
+The L-th order region bounds the two rates through per-window transmit
 fractions: x (share of slots spent on fresh data for receiver 1 or on
 mixtures that serve it) and y (same for receiver 2), with the two coupling
-constraints that mixture slots are shared. Witnesses convert to
-distributions over the five transmit actions, which in turn induce link
-capacities on the four-node relay picture of one receiver's pipeline:
-node 1 holds fresh packets, node 2 overheard-but-undelivered ones, node 3
-poisoned pairs and node 4 is delivery.
+constraints that mixture slots are shared. Each receiver's side of those
+four rate rows is a fractional knapsack, so the region is an exact polygon
+built by sorting the windows (Dantzig's greedy rule): boundary points,
+sweeps and sandwich bounds are its vertices, and a vertex's witness is the
+two greedy fills. Only the robust re-selection of a witness solves a linear
+program. Witnesses convert to distributions over the five transmit
+actions, which in turn induce link capacities on the four-node relay
+picture of one receiver's pipeline: node 1 holds fresh packets, node 2
+overheard-but-undelivered ones, node 3 poisoned pairs and node 4 is
+delivery.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ import numpy as np
 from .channel import ChannelModel, _parse_matrix, _read_json, forgetting_rate_bound
 from .errors import ContractViolation, ModelFormatError, NumericalFailure
 from .filtering import WindowTable, window_table
-from .lp import LE, LinearProgram, _Simplex, solve
+from .lp import LE, LinearProgram, solve
 
-RATE_CAP = 2.0  # loose box for the rate variables; keeps the LP bounded
 CASE_TOL = 1e-10
 CUT_TOL = 1e-8   # how far a rate may exceed its cut and still pass achievable_check
 _TINY = 1e-15
@@ -31,7 +35,7 @@ _RATE_OF_ROW = (0, 0, 1, 1)  # the rate each row of _rate_rows bounds: R1, R1, R
 
 @dataclass
 class RegionWitness:
-    """One boundary point of the L-th order region with its LP witness."""
+    """One boundary point of the L-th order region with its witness (x, y)."""
 
     L: int
     w1: float
@@ -129,69 +133,116 @@ def _rate_rows(table: WindowTable):
     return X, Y, np.array([0.0, full, 0.0, full])
 
 
-def _rate_objective(n: int, w1: float, w2: float) -> np.ndarray:
-    """w1*R1 + w2*R2 over the n variables of the region program."""
-    if w1 + w2 <= 0.0 or w1 < 0.0 or w2 < 0.0:
-        raise ContractViolation("weights must be nonnegative with a positive sum")
-    obj = np.zeros(n)
-    obj[0], obj[1] = w1, w2
-    return obj
+def _greedy(g: np.ndarray, g12: np.ndarray):
+    """One side of the region as a fractional knapsack. Buying window i in
+    full adds g[i] to this side's rate and spends g12[i] of the other side's
+    room, so the cheapest way to any rate fills the windows with g > 0 by
+    decreasing g / g12, ties to the lowest index, the last one in part
+    (Dantzig 1957). g <= g12, so g12 > 0 wherever g > 0. Returns (order, B,
+    A): the fill order and the breakpoints of the concave gain A = F(B),
+    cumulative budget and rate from (0, 0)."""
+    keep = np.flatnonzero(g > 0.0)
+    order = keep[np.argsort(-(g[keep] / g12[keep]), kind="stable")]
+    return (order, np.concatenate(([0.0], np.cumsum(g12[order]))),
+            np.concatenate(([0.0], np.cumsum(g[order]))))
 
 
-def region_lp(table: WindowTable, w1: float, w2: float, slack: float = 0.0) -> LinearProgram:
-    """Build the L-th order region program, maximizing w1*R1 + w2*R2.
-
-    Variables: [R1, R2, x per window, y per window]. A nonzero slack
-    loosens (positive) or tightens (negative) every rate constraint by the
-    same amount, which is how the sandwich bounds are produced.
-    """
-    m = len(table)
-    X, Y, rhs = _rate_rows(table)
-    obj = _rate_objective(2 + 2 * m, w1, w2)
-    rows = np.hstack([np.eye(2)[list(_RATE_OF_ROW)], X, Y])
-    constraints = [(row, LE, b + slack) for row, b in zip(rows, rhs)]
-    bounds = [(0.0, RATE_CAP), (0.0, RATE_CAP)] + [(0.0, 1.0)] * (2 * m)
-    return LinearProgram(obj, constraints, bounds)
+def _fill(side, rate: float, m: int) -> np.ndarray:
+    """The least-budget x in [0, 1]^m with g @ x = rate along one side's
+    greedy order: the windows up to the last breakpoint at or below rate in
+    full, the next one in part."""
+    order, _, A = side
+    x = np.zeros(m)
+    k = int(np.count_nonzero(A <= rate)) - 1
+    x[order[:k]] = 1.0
+    if k < len(order):
+        x[order[k]] = (rate - A[k]) / (A[k + 1] - A[k])
+    return x
 
 
-def _witness_from_point(table, w1, w2, slack, point):
+def _polygon(table: WindowTable, slack: float):
+    """The region as an exact polygon: the two greedy sides and the
+    candidate vertices of the upper boundary, or None in place of the
+    vertices when the region is empty.
+
+    Given R1, the largest R2 is min(F2(full - R1), full - F1^-1(R1)): y may
+    spend only the room R1 leaves it, and x must buy R1 at the least budget.
+    Both pieces are concave and piecewise linear in R1, so the boundary's
+    vertices lie at the breakpoints of F1, at full minus those of F2, and
+    where the two pieces cross between adjacent breakpoints. A slack s moves
+    every rate row by s, so the region at s is the one at slack 0 shifted by
+    (s, s) and cut at the axes. For s < 0 only the vertices that stay in the
+    quadrant are kept, with the boundary's crossings of R1 = -s and R2 = -s,
+    and the region is empty when (-s, -s) lies outside it. The vertices come
+    back unshifted, sorted by R1; _corner shifts them."""
+    g1, g2, g12, full = _rate_terms(table)
+    one, two = _greedy(g1, g12), _greedy(g2, g12)
+
+    def bounds(a, b, r):
+        """Side b's two bounds beside the rates r of side a: what the room
+        r leaves buys, and full less the least budget that buys r."""
+        return np.interp(full - r, b[1], b[2]), full - np.interp(r, a[2], a[1])
+
+    def top(a, b, r):
+        """The largest rate of side b beside the rates r of side a; rounding
+        may leave full less a whole side's budget an ulp below zero."""
+        return np.maximum(np.minimum(*bounds(a, b, r)), 0.0)
+
+    # one sort routine for the whole builder, the stable argsort of
+    # _greedy: each further numpy routine pages in code, which shows in the
+    # peak memory of a small solve
+    r = np.concatenate((one[2], full - two[1]))
+    r = r[np.argsort(r, kind="stable")]
+    r = r[(r >= 0.0) & (r <= one[2][-1])]
+    r = r[np.append(True, r[1:] != r[:-1])]
+    room, rest = bounds(one, two, r)
+    gap = room - rest
+    i = np.flatnonzero(gap[:-1] * gap[1:] < 0.0)
+    r = np.insert(r, i + 1, r[i] + (r[i + 1] - r[i]) * (gap[i] / (gap[i] - gap[i + 1])))
+    points = np.column_stack((r, top(one, two, r)))
+    if slack < 0.0:
+        need = -slack
+        left, right = top(one, two, need), top(two, one, need)
+        if need > one[2][-1] or left < need:
+            return (one, two), None
+        points = np.vstack(([need, left], points[(points >= need).all(axis=1)], [right, need]))
+    return (one, two), points
+
+
+def _corner(table: WindowTable, sides, points: np.ndarray, w1: float, w2: float,
+            slack: float) -> RegionWitness:
+    """The vertex of the shifted polygon that maximizes w1*R1 + w2*R2, ties
+    within 1e-12 going to the largest R1 + R2, with its greedy witness: x
+    and y fill the unshifted rates at the least budget."""
+    rates = np.maximum(points + slack, 0.0)
+    value = w1 * rates[:, 0] + w2 * rates[:, 1]
+    best = np.where(value >= value.max() - 1e-12, rates[:, 0] + rates[:, 1], -np.inf)
+    k = int(np.argmax(best))
     m = len(table)
     return RegionWitness(L=table.L, w1=w1, w2=w2, slack=slack, status="Optimal",
-                         R1=float(point[0]), R2=float(point[1]),
-                         x=point[2:2 + m].copy(), y=point[2 + m:].copy())
-
-
-def _refined(sx: _Simplex, table: WindowTable, w1: float, w2: float, slack: float,
-             value: float) -> RegionWitness:
-    """Maximize R1 + R2 subject to keeping w1*R1 + w2*R2 >= value - 1e-12,
-    on a copy of the tableau sx solved for those weights. The keep-value row
-    holds at that optimum, so the copy starts primal feasible."""
-    n = sx.n_struct
-    keep = np.zeros(n)
-    keep[0], keep[1] = -w1, -w2
-    sol = sx.with_row(keep, -(value - 1e-12)).reoptimize(_rate_objective(n, 1.0, 1.0))
-    if sol.status != "Optimal":
-        raise NumericalFailure("refinement solve failed", {"status": sol.status})
-    return _witness_from_point(table, w1, w2, slack, sol.point)
+                         R1=float(rates[k, 0]), R2=float(rates[k, 1]),
+                         x=_fill(sides[0], points[k, 0], m),
+                         y=_fill(sides[1], points[k, 1], m))
 
 
 def solve_region(table: WindowTable, w1: float, w2: float,
                  slack: float = 0.0) -> RegionWitness:
-    """Maximize w1*R1 + w2*R2 over the region, refined to a Pareto corner.
+    """Maximize w1*R1 + w2*R2 over the region at the given slack.
 
-    A second solve maximizes R1 + R2 subject to keeping the weighted value,
-    which lands on a unique Pareto corner instead of a weight-dependent
-    point of a face. That matters when a witness feeds the simulator:
-    corners have all four constraints doing real work. The second solve
-    re-optimizes the first one's tableau with the keep-value row appended,
-    so it needs no phase one.
+    The answer is a vertex of the exact polygon (see _polygon); among
+    vertices within 1e-12 of the best weighted value the one with the
+    largest R1 + R2 wins, so a weight normal to an edge lands on its Pareto
+    end rather than on a point of the face. That matters when a witness
+    feeds the simulator: corners have all four constraints doing real
+    work. An empty region comes back with status "Infeasible".
     """
-    sx = _Simplex(region_lp(table, w1, w2, slack))
-    sol = sx.solve()
-    if sol.status != "Optimal":
-        return RegionWitness(L=table.L, w1=w1, w2=w2, slack=slack, status=sol.status,
+    if w1 + w2 <= 0.0 or w1 < 0.0 or w2 < 0.0:
+        raise ContractViolation("weights must be nonnegative with a positive sum")
+    sides, points = _polygon(table, slack)
+    if points is None:
+        return RegionWitness(L=table.L, w1=w1, w2=w2, slack=slack, status="Infeasible",
                              R1=None, R2=None, x=None, y=None)
-    return _refined(sx, table, w1, w2, slack, sol.value)
+    return _corner(table, sides, points, w1, w2, slack)
 
 
 def robust_witness(table: WindowTable, wit: RegionWitness,
@@ -200,12 +251,12 @@ def robust_witness(table: WindowTable, wit: RegionWitness,
     uncoded share.
 
     Any (x, y) satisfying the four rate constraints at a rate pair
-    certifies it, but a simplex vertex tends to be bang-bang (x and y in
-    {0, 1} per window), which leaves the mapped action distribution with no
-    mass on the two plain transmissions. The running scheduler then serves
-    the two fresh queues only in lockstep through mixtures, so their
-    difference is never pushed back and one of them drifts off even for
-    arrival rates strictly inside the region. Maximizing the pooled
+    certifies it, but the greedy witness of a vertex is bang-bang (x and y
+    in {0, 1} in every window but one per side), which leaves the mapped
+    action distribution with no mass on the two plain transmissions. The
+    running scheduler then serves the two fresh queues only in lockstep
+    through mixtures, so their difference is never pushed back and one of
+    them drifts off even for arrival rates strictly inside the region. Maximizing the pooled
     uncoded share restores that slack.
 
     The program runs over per-window action shares, fresh-1 f1, fresh-2 f2
@@ -258,26 +309,21 @@ def boundary_sweep(model: ChannelModel, L: int, k: int = 33,
 
 def sweep_table(table: WindowTable, k: int = 33, slack: float = 0.0) -> list[RegionWitness]:
     """Trace the boundary with k weight vectors (lam, 1 - lam) on a uniform
-    grid including both endpoints. A point within 1e-9 of the last one kept
-    in grid order is dropped, so each vertex keeps the first weight that
-    reaches it; the points are then sorted by R1. Every returned witness is
-    re-checked against the constraints.
-
-    Only the objective changes along the grid, so one tableau walks it:
-    each weight re-optimizes from the previous optimal basis, and each point
-    is refined as in solve_region on a copy of that tableau."""
+    grid including both endpoints. The polygon is built once and each weight
+    picks its vertex as solve_region does. A point within 1e-9 of the last
+    one kept in grid order is dropped, so each vertex keeps the first weight
+    that reaches it; the points are then sorted by R1. Every returned
+    witness is re-checked against the constraints, and one that fails
+    raises NumericalFailure. An empty region gives an empty list."""
     if k < 2:
         raise ContractViolation("a sweep needs at least two weight points")
-    sx = _Simplex(region_lp(table, 0.0, 1.0, slack))
-    if sx.solve().status != "Optimal":
-        return []   # feasibility does not depend on the weights
+    sides, points = _polygon(table, slack)
+    if points is None:
+        return []
     out = []
     for i in range(k):
         lam = i / (k - 1)
-        sol = sx.reoptimize(_rate_objective(sx.n_struct, lam, 1.0 - lam))
-        if sol.status != "Optimal":
-            raise NumericalFailure("sweep solve failed", {"status": sol.status, "lam": lam})
-        wit = _refined(sx, table, lam, 1.0 - lam, slack, sol.value)
+        wit = _corner(table, sides, points, lam, 1.0 - lam, slack)
         if witness_residual(table, wit) > 1e-8:
             raise NumericalFailure("witness failed re-check", {"lam": lam})
         if out and abs(out[-1].R1 - wit.R1) <= 1e-9 and abs(out[-1].R2 - wit.R2) <= 1e-9:
@@ -300,7 +346,9 @@ def sandwich(model: ChannelModel, L: int, w1: float, w2: float) -> SandwichResul
     """Nominal boundary point bracketed by provable inner and outer points.
 
     The bracket width is 2 * (1 - sigma) ** L per rate constraint, using the
-    forgetting rate of the model. Without a usable sigma only the nominal
+    forgetting rate of the model, so the inner and outer regions are the
+    nominal polygon shifted by (-margin, -margin) and cut at the axes, and
+    shifted by (margin, margin). Without a usable sigma only the nominal
     point is returned, flagged as degraded. An empty inner region comes back
     as inner=None.
     """
@@ -322,7 +370,7 @@ def sandwich(model: ChannelModel, L: int, w1: float, w2: float) -> SandwichResul
 
 
 def xy_to_actions(wit: RegionWitness, s_param: float = 0.0) -> ActionDistribution:
-    """Turn an LP witness into per-window action probabilities.
+    """Turn a region witness into per-window action probabilities.
 
     Per window, x is the total share of fresh-1 plus mixing actions and y
     the same for receiver 2; the overlap s (mixing share) is free inside

@@ -3,8 +3,8 @@
 Everything here recomputes results by a different method than the library:
 state-path enumeration instead of recursive filtering, vertex enumeration
 instead of simplex pivoting, augmenting paths instead of cut formulas,
-Gaussian elimination instead of union-find, a cold two-phase solve per
-weight instead of one re-optimized tableau, per-window (x, y, t) fractions
+Gaussian elimination instead of union-find, the region as a linear program
+instead of a polygon built by sorting, per-window (x, y, t) fractions
 instead of action shares, a linear scan instead of bisection, graph
 searches instead of a boolean reachability closure. The
 row-indexed filter update and prediction are the exception: they repeat
@@ -22,8 +22,8 @@ import numpy as np
 
 import xorcast as xc
 from xorcast.filtering import _step
-from xorcast.lp import _Simplex, _verify
-from xorcast.region import _rate_terms, _witness_from_point, region_lp
+from xorcast.lp import LE, _Simplex, _verify
+from xorcast.region import _RATE_OF_ROW, _rate_rows, _rate_terms
 
 
 def draw_oracle(cum, u):
@@ -195,41 +195,6 @@ def feasible(lp):
     return True, x
 
 
-def solve_region_cold(table, w1, w2, slack=0.0):
-    """solve_region with its refine step as a second cold solve of the
-    region program plus the keep-value row."""
-    lp = region_lp(table, w1, w2, slack)
-    sol = xc.solve(lp)
-    if sol.status != "Optimal":
-        return None
-    n = lp.num_vars
-    keep = np.zeros(n)
-    keep[0], keep[1] = -w1, -w2
-    lp2 = xc.LinearProgram(
-        np.concatenate([[1.0, 1.0], np.zeros(n - 2)]),
-        lp.constraints + [(keep, "<=", -(sol.value - 1e-12))],
-        lp.bounds)
-    sol2 = xc.solve(lp2)
-    assert sol2.status == "Optimal", sol2.status
-    return _witness_from_point(table, w1, w2, slack, sol2.point)
-
-
-def sweep_table_cold(table, k=33, slack=0.0):
-    """sweep_table with two cold solves per weight: a point within 1e-9 of
-    the last one kept in grid order is dropped, then the rest are sorted by
-    R1, as the library does."""
-    out = []
-    for i in range(k):
-        lam = i / (k - 1)
-        wit = solve_region_cold(table, lam, 1.0 - lam, slack)
-        if wit is None:
-            continue
-        if out and abs(out[-1].R1 - wit.R1) <= 1e-9 and abs(out[-1].R2 - wit.R2) <= 1e-9:
-            continue
-        out.append(wit)
-    return sorted(out, key=lambda w: (w.R1, w.R2))
-
-
 def robust_witness_xyt(table, wit, backoff=1.0):
     """robust_witness over (x, y, t) per window, with two rows per window
     stating t <= min(x + y, 2 - x - y) and the objective sum p * t: the
@@ -302,6 +267,41 @@ def brute_force_window(model, L):
         if total > 0.0:
             preds[widx] = nxt / total
     return probs, preds
+
+
+def region_lp(table, w1, w2, slack=0.0):
+    """The L-th order region as a linear program, maximizing w1*R1 + w2*R2.
+
+    Variables: [R1, R2, x per window, y per window], with the four rate rows
+    of _rate_rows loosened (positive) or tightened (negative) by the slack.
+    The rows bound both rates, so the rates need no upper bound."""
+    m = len(table)
+    X, Y, rhs = _rate_rows(table)
+    obj = np.zeros(2 + 2 * m)
+    obj[0], obj[1] = w1, w2
+    rows = np.hstack([np.eye(2)[list(_RATE_OF_ROW)], X, Y])
+    constraints = [(row, LE, b + slack) for row, b in zip(rows, rhs)]
+    bounds = [(0.0, math.inf)] * 2 + [(0.0, 1.0)] * (2 * m)
+    return xc.LinearProgram(obj, constraints, bounds)
+
+
+def highs_region(table, w1, w2, slack=0.0):
+    """The optimum of region_lp by scipy's HiGHS at primal and dual
+    feasibility tolerances of 1e-10 (its defaults leave it up to 2e-8
+    short): the value, or None when HiGHS finds the program infeasible.
+    Scipy is a test-only cross-check, not a dependency of the package."""
+    from scipy.optimize import linprog
+    lp = region_lp(table, w1, w2, slack)
+    ref = linprog(-lp.objective,
+                  A_ub=np.array([coefs for coefs, _rel, _rhs in lp.constraints]),
+                  b_ub=np.array([rhs for _coefs, _rel, rhs in lp.constraints]),
+                  bounds=lp.bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if ref.status == 2:
+        return None
+    assert ref.status == 0, ref.message
+    return -ref.fun
 
 
 def vertex_oracle(lp, tol=1e-7):

@@ -178,6 +178,30 @@ def test_dump_window_table(capsys, model_path):
     assert len(lines) == 1 + 16
 
 
+def test_region_sandwich_from_config(capsys, tmp_path, model_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model_path, "L": 1, "lambda": 0.5,
+                               "sandwich": True}))
+    code, out, _ = run(capsys, ["region", "--config", str(cfg)])
+    assert code == 0
+    kinds = [l.split(",")[3] for l in out.strip().splitlines()[1:]]
+    assert "nominal" in kinds and "Optimal" not in kinds
+    # a string is not a switch: "false" must not turn the sandwich on
+    cfg.write_text(json.dumps({"model": model_path, "L": 1, "lambda": 0.5,
+                               "sandwich": "false"}))
+    code, out, err = run(capsys, ["region", "--config", str(cfg)])
+    assert code == 2 and out == "" and "--sandwich expects true or false" in err
+
+
+def test_numerical_failure_prints_diagnostics(capsys, model_path, monkeypatch):
+    monkeypatch.setattr(xc.region, "solve", lambda lp: xc.LpSolution("Infeasible", None, None))
+    code, out, err = run(capsys, ["simulate", "--model", model_path,
+                                  "--scheduler", "probabilistic", "--rates", "0.3,0.3",
+                                  "--slots", "100", "--lambda", "0.5", "--L", "2"])
+    assert code == 1 and out == ""
+    assert err == "error: robust witness solve failed (status=Infeasible)\n"
+
+
 def test_config_file_with_flag_override(capsys, model_path, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": model_path, "L": 1}))

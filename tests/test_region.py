@@ -1,5 +1,5 @@
-import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -7,11 +7,10 @@ import pytest
 import xorcast as xc
 from xorcast import region
 from xorcast.cli import main as cli_main
-from xorcast.lp import VERIFY_TOL, LpSolution, _Simplex
-from xorcast.region import region_lp, witness_residual
+from xorcast.region import witness_residual
 
-from oracles import (pipeline_max_flow, random_model, robust_witness_xyt,
-                     sweep_table_cold, vertex_oracle)
+from oracles import (highs_region, pipeline_max_flow, random_model, region_lp,
+                     robust_witness_xyt, vertex_oracle)
 
 # frozen weighted-sum values for the two-state fixture, weights (1, 1)
 REF_SUMS = {
@@ -33,9 +32,9 @@ def make_witness(L, x, y):
 def test_region_lp_rejects_bad_weights(ref_model):
     t = xc.window_table(ref_model, 1)
     with pytest.raises(xc.ContractViolation):
-        region_lp(t, -0.1, 0.5)
+        xc.solve_region(t, -0.1, 0.5)
     with pytest.raises(xc.ContractViolation):
-        region_lp(t, 0.0, 0.0)
+        xc.solve_region(t, 0.0, 0.0)
 
 
 def test_memoryless_closed_form_sum(memoryless_model):
@@ -68,6 +67,30 @@ def test_perfect_channel_time_sharing():
     assert abs(corner.R2) < 1e-9
 
 
+def test_one_deaf_receiver():
+    # receiver 2 never hears: the region is the segment R2 = 0, R1 <= 0.9.
+    # Under the weights (0, 1) every point ties at 0 and the Pareto end
+    # wins; any tightening empties the region
+    t = xc.window_table(xc.ChannelModel([[1.0]], [[0.0, 0.9, 0.0, 0.1]]), 1)
+    wit = xc.solve_region(t, 0.0, 1.0)
+    assert abs(wit.R1 - 0.9) < 1e-15 and wit.R2 == 0.0
+    assert xc.solve_region(t, 1.0, 0.0, slack=-0.1).status == "Infeasible"
+    # receiver 1 never hears: R1 = 0, and R1 cannot reach 0.1 at any R2
+    t = xc.window_table(xc.ChannelModel([[1.0]], [[0.0, 0.0, 0.9, 0.1]]), 1)
+    assert abs(xc.solve_region(t, 0.0, 1.0).R2 - 0.9) < 1e-15
+    assert xc.solve_region(t, 0.0, 1.0, slack=-0.1).status == "Infeasible"
+
+
+def test_greedy_ties_go_to_the_lowest_window():
+    # on a uniform memoryless channel every window weighs the same, so the
+    # greedy fills run in window order: ones, at most one fraction, zeros
+    t = xc.window_table(xc.ChannelModel([[1.0]], [[0.25] * 4]), 3)
+    wit = xc.solve_region(t, 0.5, 0.5)
+    for v in (wit.x, wit.y):
+        assert np.all(np.diff(v) <= 0.0) and v[0] == 1.0 and v[-1] == 0.0
+        assert np.count_nonzero((v > 0.0) & (v < 1.0)) <= 1
+
+
 def test_max_single_user_rate_is_marginal(ref_model):
     # weight (1, 0) endpoint: all slots serve receiver 1 uncoded
     t = xc.window_table(ref_model, 1)
@@ -82,25 +105,46 @@ def test_solve_matches_vertex_oracle(ref_model):
     t = xc.window_table(ref_model, 1)
     for w1, w2 in ((1.0, 1.0), (1.0, 0.0), (0.2, 0.8), (0.7, 0.3)):
         expected = vertex_oracle(region_lp(t, w1, w2))
-        got = xc.solve(region_lp(t, w1, w2)).value
-        assert abs(got - expected) < 1e-7, f"w=({w1},{w2})"
+        got = xc.solve_region(t, w1, w2)
+        assert abs(got.value - expected) < 1e-7, f"w=({w1},{w2})"
+        assert witness_residual(t, got) <= 1e-15
 
 
-HIGHS_CASES = [(L, lam) for L in range(1, 6) for lam in (0.25, 0.5, 0.75)] + [
-    pytest.param(L, 0.5, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: absolute pricing TOL")) for L in (6, 7)]
+HIGHS_CASES = ([(L, lam) for L in range(1, 6) for lam in (0.25, 0.5, 0.75)]
+               + [(L, 0.5) for L in (6, 7, 8)])
 
 
 @pytest.mark.parametrize("L,lam", HIGHS_CASES)
 def test_region_lp_matches_highs(ref_model, L, lam):
-    # scipy is a test-only cross-check, not a dependency of the package
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    lp = region_lp(xc.window_table(ref_model, L), lam, 1.0 - lam)
-    a_ub = np.array([coefs for coefs, _rel, _rhs in lp.constraints])
-    b_ub = np.array([rhs for _coefs, _rel, rhs in lp.constraints])
-    ref = linprog(-lp.objective, A_ub=a_ub, b_ub=b_ub, bounds=lp.bounds, method="highs")
-    assert ref.status == 0, ref.message
-    assert abs(xc.solve(lp).value + ref.fun) <= 1e-10 * abs(ref.fun)
+    pytest.importorskip("scipy.optimize")
+    t = xc.window_table(ref_model, L)
+    ref = highs_region(t, lam, 1.0 - lam)
+    assert abs(xc.solve_region(t, lam, 1.0 - lam).value - ref) <= 1e-12 * ref
+
+
+def test_region_matches_highs_random_models():
+    # random 1-3-state models at L = 1..3, at slacks that loosen, tighten
+    # and empty the region: the same optimum as HiGHS, or the same verdict
+    # that there is none
+    pytest.importorskip("scipy.optimize")
+    rng = random.Random(41)
+    empty = solved = 0
+    for _ in range(40):
+        t = xc.window_table(random_model(rng, rng.randint(1, 3)), rng.randint(1, 3))
+        w1 = rng.choice((0.0, 0.5, 1.0, rng.random()))
+        for slack in (0.0, 0.05, -0.02, -0.2, -rng.uniform(0.0, 0.5)):
+            wit = xc.solve_region(t, w1, 1.0 - w1, slack)
+            ref = highs_region(t, w1, 1.0 - w1, slack)
+            if ref is None:
+                assert wit.status == "Infeasible", (w1, slack)
+                empty += 1
+                continue
+            assert wit.status == "Optimal", (w1, slack)
+            assert abs(wit.value - ref) <= 1e-12 * ref, (w1, slack)
+            assert witness_residual(t, wit) <= 1e-12
+            assert min(wit.R1, wit.R2) >= 0.0
+            solved += 1
+    assert empty > 5 and solved > 100
 
 
 def test_region_lp_reports_pivots(ref_model):
@@ -110,6 +154,8 @@ def test_region_lp_reports_pivots(ref_model):
 
 
 def test_refine_keeps_value(ref_model):
+    # the polygon's vertex has the simplex optimum's value and, of the
+    # points with that value, the largest R1 + R2
     t = xc.window_table(ref_model, 2)
     plain = xc.solve(region_lp(t, 0.3, 0.7))
     refined = xc.solve_region(t, 0.3, 0.7)
@@ -498,70 +544,33 @@ def test_dist_parse_errors(tmp_path):
     assert "line 1" in str(err.value)
 
 
-def _support(points, k):
-    """Best weighted value over the points at each grid weight (lam, 1 - lam)."""
-    return np.array([max(i / (k - 1) * p.R1 + (1 - i / (k - 1)) * p.R2 for p in points)
-                     for i in range(k)])
+def test_sweep_failure_raises(ref_model, monkeypatch):
+    # a witness that fails its re-check raises, as the robust witness does,
+    # instead of leaving a gap in the sweep
+    t = xc.window_table(ref_model, 1)
+    monkeypatch.setattr(region, "witness_residual", lambda table, wit: 1.0)
+    with pytest.raises(xc.NumericalFailure) as failure:
+        xc.sweep_table(t, 5)
+    assert failure.value.diagnostics == {"lam": 0.0}
 
 
-def test_warm_sweep_matches_cold_reference(ref_model):
-    # one re-optimized tableau against two cold solves per weight: the same
-    # points under the same weight labels, and the same best value at each
-    # grid weight
-    k = 33
+def test_sweep_support_matches_highs(ref_model):
+    # at every grid weight the best swept point has the HiGHS optimum, and
+    # each vertex keeps the first weight that reaches it, so the labels
+    # increase with R1
+    pytest.importorskip("scipy.optimize")
+    k = 17
     for L in (1, 2, 3, 4):
         t = xc.window_table(ref_model, L)
         for slack in (0.0, 0.05, -0.02):
-            warm = xc.sweep_table(t, k, slack)
-            cold = sweep_table_cold(t, k, slack)
-            assert len(warm) == len(cold) >= 2, (L, slack)
-            for a, b in zip(warm, cold):
-                assert abs(a.R1 - b.R1) <= 1e-9 and abs(a.R2 - b.R2) <= 1e-9, (L, slack)
-                assert a.w1 == b.w1, (L, slack)
-            assert np.max(np.abs(_support(warm, k) - _support(cold, k))) <= 1e-12
-
-
-def test_warm_sweep_matches_cold_random_models():
-    # On random models both sweeps are optimal only to the solver's absolute
-    # pricing tolerance, and a cold solve can stop a few 1e-10 short where
-    # the warm one does not (or the reverse), which may split or merge
-    # near-duplicate points. So the sweeps are compared as boundaries: equal
-    # best values at every grid weight, and every point of either sweep
-    # optimal for its own weight among the other's points, to VERIFY_TOL.
-    # Each vertex keeps the first grid weight that reaches it, so the labels
-    # increase with R1, and sweeps that keep as many points label them alike.
-    rng = random.Random(2024)
-    k = 17
-    for _ in range(6):
-        model = random_model(rng, 2)
-        for L in (1, 2, 3):
-            t = xc.window_table(model, L)
-            for slack in (0.0, 0.03, -0.01):
-                warm = xc.sweep_table(t, k, slack)
-                cold = sweep_table_cold(t, k, slack)
-                if not cold:
-                    assert warm == []
-                    continue
-                assert np.max(np.abs(_support(warm, k) - _support(cold, k))) <= VERIFY_TOL
-                labels = [p.w1 for p in warm]
-                assert labels == sorted(labels), (L, slack)
-                if len(warm) == len(cold):
-                    assert labels == [p.w1 for p in cold], (L, slack)
-                for ours, theirs in ((warm, cold), (cold, warm)):
-                    for p in ours:
-                        best = max(p.w1 * q.R1 + p.w2 * q.R2 for q in theirs)
-                        assert abs(p.value - best) <= VERIFY_TOL, (L, slack, p.w1)
-
-
-def test_sweep_failure_raises(ref_model, monkeypatch):
-    # a weight whose solve fails raises, as the refine and the robust
-    # witness do, instead of leaving a gap in the sweep
-    t = xc.window_table(ref_model, 1)
-    monkeypatch.setattr(_Simplex, "reoptimize",
-                        lambda self, objective: LpSolution("Unbounded", None, None))
-    with pytest.raises(xc.NumericalFailure) as failure:
-        xc.sweep_table(t, 5)
-    assert failure.value.diagnostics == {"status": "Unbounded", "lam": 0.0}
+            points = xc.sweep_table(t, k, slack)
+            labels = [p.w1 for p in points]
+            assert len(points) >= 2 and labels == sorted(labels), (L, slack)
+            for i in range(k):
+                lam = i / (k - 1)
+                ref = highs_region(t, lam, 1.0 - lam, slack)
+                best = max(lam * p.R1 + (1.0 - lam) * p.R2 for p in points)
+                assert abs(best - ref) <= 1e-12 * ref, (L, slack, lam)
 
 
 def test_infeasible_sweep_is_empty(ref_model):
@@ -570,41 +579,41 @@ def test_infeasible_sweep_is_empty(ref_model):
     assert xc.sweep_table(t, 5, slack=-0.9) == []
 
 
-def _record_pivots(monkeypatch):
-    """Pivot count of every warm re-optimization, in call order."""
-    counts = []
-    reoptimize = _Simplex.reoptimize
-
-    def recording(self, objective):
-        sol = reoptimize(self, objective)
-        counts.append((sol.pivots, self.cap))
-        return sol
-
-    monkeypatch.setattr(_Simplex, "reoptimize", recording)
-    return counts
-
-
-def test_warm_sweep_deterministic(ref_model, monkeypatch):
+def test_sweep_deterministic(ref_model):
     t = xc.window_table(ref_model, 3)
-    counts = _record_pivots(monkeypatch)
     first = xc.sweep_table(t, 33)
-    first_counts = list(counts)
-    counts.clear()
     second = xc.sweep_table(t, 33)
-    assert counts == first_counts and sum(c for c, _ in counts) > 0
-    assert len(first) == len(second)
+    assert len(first) == len(second) >= 2
     for a, b in zip(first, second):
         assert (a.w1, a.R1, a.R2) == (b.w1, b.R1, b.R2)
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
 
 
-def test_long_sweep_counts_pivots_per_solve(ref_model, monkeypatch):
-    # 257 weights at L=4: each re-optimization has its own pivot count and
-    # stall cap, so a long chain cannot trip the cap however many it runs
-    t = xc.window_table(ref_model, 4)
-    counts = _record_pivots(monkeypatch)
-    points = xc.sweep_table(t, 257)
-    assert len(counts) == 2 * 257
-    assert all(0 <= c < cap for c, cap in counts)
-    assert len(points) >= 2
-    assert all(witness_residual(t, p) <= 1e-8 for p in points)
+# R(L) at lambda = 0.5 for L = 1..8: the reference model, and a model with
+# long memory (stay probability 0.995; independent erasures of 0.05 in the
+# good state and 0.5 in the bad one)
+REF_RATES = (0.3679250394, 0.3682531330, 0.3683039976, 0.3683064921,
+             0.3683065350, 0.3683065396, 0.3683065402, 0.3683065403)
+MEMORY_RATES = (0.4144740763, 0.4206484697, 0.4223154558, 0.4242650357,
+                0.4251877665, 0.4253539588, 0.4255318821, 0.4256406964)
+
+
+def test_rate_nondecreasing_in_window(ref_model):
+    # a longer window conditions on more feedback, so R(L) never falls; at
+    # L = 8 (65536 windows) the region still takes two sorts, well under 0.2 s
+    def independent(e):
+        return [(1 - e) ** 2, (1 - e) * e, e * (1 - e), e * e]
+
+    long_memory = xc.ChannelModel([[0.995, 0.005], [0.005, 0.995]],
+                                  [independent(0.05), independent(0.5)])
+    for model, want in ((ref_model, REF_RATES), (long_memory, MEMORY_RATES)):
+        rates = []
+        for L in range(1, 9):
+            t = xc.window_table(model, L)
+            t0 = time.perf_counter()
+            wit = xc.solve_region(t, 0.5, 0.5)
+            assert time.perf_counter() - t0 < 0.2, L
+            assert witness_residual(t, wit) <= 1e-12, L
+            rates.append(wit.R1)
+        assert np.max(np.abs(np.array(rates) - want)) <= 1e-10, rates
+        assert all(a <= b for a, b in zip(rates, rates[1:])), rates
