@@ -236,7 +236,7 @@ def forgetting_rate_bound(model: ChannelModel) -> float | None:
     """Geometric forgetting rate sigma in (0, 1], or None when unavailable.
 
     Observations more than L slots old perturb the predicted erasure
-    statistics by at most 2 * (1 - sigma) ** L in total variation. The rate
+    statistics by at most forgetting_margin(model, L) in total variation. The rate
     used here is num_states * min(transition) * min(emission) / max(emission),
     clamped to 1. A single-state model carries no hidden memory at all, so
     sigma is 1 regardless of its emission row. Any zero transition or
@@ -249,6 +249,13 @@ def forgetting_rate_bound(model: ChannelModel) -> float | None:
         return None
     sigma = model.num_states * float(t.min()) * float(e.min()) / float(e.max())
     return min(sigma, 1.0)
+
+
+def forgetting_margin(model: ChannelModel, L: int) -> float | None:
+    """The total-variation bound 2 * (1 - sigma) ** L on what observations
+    more than L slots old change, or None when forgetting_rate_bound is."""
+    sigma = forgetting_rate_bound(model)
+    return None if sigma is None else 2.0 * (1.0 - sigma) ** L
 
 
 def model_to_dict(model: ChannelModel) -> dict:

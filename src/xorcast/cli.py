@@ -4,7 +4,7 @@ Subcommands: region, simulate, forgetting, verify, canonicalize,
 dump-window-table. Options can come from a JSON config file (--config);
 explicit flags win over config values. Exit codes: 0 success, 1 numerical
 or verification failure, 2 configuration or file problems (a window length
-above the cap among them), 3 malformed data files.
+above a cap among them), 3 malformed data files.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__
-from .channel import forgetting_rate_bound, load_model
+from .channel import forgetting_margin, load_model
 from .errors import (ContractViolation, ModelFormatError, NumericalFailure,
                      ResourceLimit, TraceFormatError, XorcastError)
 from .filtering import (dump_window_table, empirical_forgetting,
@@ -50,14 +50,14 @@ class Options:
             if not isinstance(self.cfg, dict):
                 raise ConfigError("config: expected a JSON object")
 
-    def get(self, name, default=None, required=False, cfg_key=None, kind=None):
+    def get(self, name, default=None, required=False, kind=None):
         """The flag value, else the config value, else default; kind int or
         float parses it as a number, and kind str (a file path) requires a
-        string."""
-        option = "--" + (cfg_key or name).replace("_", "-")
+        string. name is the argparse dest and the config key alike."""
+        option = "--" + name.replace("_", "-")
         val = getattr(self.args, name, None)
         if val is None:
-            val = self.cfg.get(cfg_key or name, default)
+            val = self.cfg.get(name, default)
         if required and val is None:
             raise ConfigError(f"missing required option {option}")
         if kind is None or val is None:
@@ -113,8 +113,8 @@ def _parse_rates(raw) -> tuple:
 
 def cmd_region(opts) -> int:
     model = _load_model_opt(opts)
-    L = opts.get("L", required=True, cfg_key="L", kind=int)
-    lam = opts.get("lam", cfg_key="lambda", kind=float)
+    L = opts.get("L", required=True, kind=int)
+    lam = opts.get("lambda", kind=float)
     witness_out = opts.get("witness_out", kind=str)
     if witness_out and lam is None:
         raise ConfigError("--witness-out needs --lambda; a sweep has no single witness")
@@ -131,7 +131,7 @@ def cmd_region(opts) -> int:
         rows.append((lam, res.nominal.R1, res.nominal.R2, "nominal"))
         if res.outer is not None:
             rows.append((lam, res.outer.R1, res.outer.R2, "outer"))
-        if res.degraded:
+        if res.margin is None:
             print("forgetting rate unavailable; nominal point only", file=sys.stderr)
         wit = res.nominal
     elif lam is not None:
@@ -171,8 +171,8 @@ def cmd_simulate(opts) -> int:
         if dist_path:
             dist = load_dist(dist_path)
         else:
-            lam = opts.get("lam", cfg_key="lambda", kind=float)
-            L = opts.get("L", cfg_key="L", kind=int)
+            lam = opts.get("lambda", kind=float)
+            L = opts.get("L", kind=int)
             if lam is None or L is None:
                 raise ConfigError("probabilistic runs need --dist or both --lambda and --L")
             table = window_table(model, L)
@@ -204,13 +204,12 @@ def cmd_simulate(opts) -> int:
 
 def cmd_forgetting(opts) -> int:
     model = _load_model_opt(opts)
-    l_max = opts.get("L", required=True, cfg_key="L", kind=int)
+    l_max = opts.get("L", required=True, kind=int)
     if l_max < 1:
         raise ContractViolation("window length must be at least 1")
     horizon = opts.get("horizon", default=l_max + 4, kind=int)
     seed = opts.get("seed", default=0, kind=int)
     samples = opts.get("samples", default=256, kind=int)
-    sigma = forgetting_rate_bound(model)
     rows = []   # all rows first, so an error leaves no partial CSV
     for L in range(1, l_max + 1):
         if 4 ** (horizon - 1) <= 65536:
@@ -219,7 +218,8 @@ def cmd_forgetting(opts) -> int:
         else:
             tv = empirical_forgetting(model, L, horizon, seed, samples)
             method = "empirical"
-        bound = "" if sigma is None else _fmt(2.0 * (1.0 - sigma) ** L)
+        margin = forgetting_margin(model, L)
+        bound = "" if margin is None else _fmt(margin)
         rows.append([L, _fmt(tv), bound, method])
     with _output(opts.get("out", kind=str)) as out:
         w = csv.writer(out)
@@ -258,7 +258,7 @@ def cmd_canonicalize(opts) -> int:
 
 def cmd_dump_window_table(opts) -> int:
     model = _load_model_opt(opts)
-    L = opts.get("L", required=True, cfg_key="L", kind=int)
+    L = opts.get("L", required=True, kind=int)
     table = window_table(model, L)
     with _output(opts.get("out", kind=str)) as out:
         dump_window_table(table, out)
@@ -278,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("region", help="boundary points of the L-th order region")
     common(sp)
     sp.add_argument("--L")
-    sp.add_argument("--lambda", dest="lam", help="single weight point")
+    sp.add_argument("--lambda", help="single weight point")
     sp.add_argument("--sweep", help="number of sweep weights (default 33)")
     sp.add_argument("--sandwich", action="store_true", default=None,
                     help="bracket the --lambda point with inner/outer bounds")
@@ -292,8 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--slots")
     sp.add_argument("--seed")
     sp.add_argument("--L")
-    sp.add_argument("--lambda", dest="lam",
-                    help="derive the action distribution from this boundary point")
+    sp.add_argument("--lambda", help="derive the action distribution from this boundary point")
     sp.add_argument("--dist", help="action distribution JSON file")
     sp.add_argument("--trace", help="write a JSON-lines transmission trace here")
     sp.add_argument("--csv", help="write a per-slot CSV here")

@@ -89,7 +89,6 @@ class LpSolution:
     status: str                      # 'Optimal' | 'Infeasible' | 'Unbounded'
     value: float | None
     point: np.ndarray | None
-    tight: tuple[int, ...] = ()
     pivots: int = 0                  # iterations of this solve, both phases
 
 
@@ -146,8 +145,6 @@ class _Simplex:
         self.cap = 1000 + 100 * (m + s)   # pivots before the solve counts as stalled
 
     def _reduced(self, c: np.ndarray) -> np.ndarray:
-        if len(self.basis) == 0:
-            return c.copy()
         return c - c[self.basis] @ self.T
 
     def _entering(self, red: np.ndarray, bland: bool) -> int:
@@ -243,32 +240,27 @@ class _Simplex:
         self.u[self.is_artificial] = 0.0
         return True
 
-    def phase_two(self) -> str:
-        c2 = np.zeros(len(self.u))
-        c2[:self.n_struct] = self.lp.objective
-        return self._iterate(c2, phase=2)
-
     def extract(self) -> np.ndarray:
-        x = np.where(self.status_arr == AT_UPPER,
-                     np.where(np.isfinite(self.u), self.u, 0.0), 0.0)
+        # a column rests at its upper bound only when that bound is finite
+        x = np.where(self.status_arr == AT_UPPER, self.u, 0.0)
         x[self.basis] = self.beta
         return self.lo + x[:self.n_struct]
 
     def solve(self) -> LpSolution:
         """Both phases from the slack-and-artificial starting basis."""
         if not self.phase_one():
-            return LpSolution("Infeasible", None, None, pivots=self.pivots)
-        if self.phase_two() == "unbounded":
-            return LpSolution("Unbounded", None, None, pivots=self.pivots)
+            return LpSolution("Infeasible", None, None, self.pivots)
+        c2 = np.zeros(len(self.u))
+        c2[:self.n_struct] = self.lp.objective
+        if self._iterate(c2, phase=2) == "unbounded":
+            return LpSolution("Unbounded", None, None, self.pivots)
         x = self.extract()
-        tight = _verify(self.lp.constraints, self.lp.bounds, x)
-        return LpSolution("Optimal", float(self.lp.objective @ x), x, tight, self.pivots)
+        _verify(self.lp.constraints, self.lp.bounds, x)
+        return LpSolution("Optimal", float(self.lp.objective @ x), x, self.pivots)
 
 
-def _verify(constraints, bounds, x: np.ndarray):
-    """Re-check x against the constraints and bounds; returns the indices of
-    the constraints tight at x."""
-    tight = []
+def _verify(constraints, bounds, x: np.ndarray) -> None:
+    """Re-check x against the constraints and bounds."""
     for k, (coefs, rel, rhs) in enumerate(constraints):
         lhs = float(coefs @ x)
         if rel == LE and lhs > rhs + VERIFY_TOL:
@@ -277,13 +269,10 @@ def _verify(constraints, bounds, x: np.ndarray):
         if rel == EQ and abs(lhs - rhs) > VERIFY_TOL:
             raise NumericalFailure("solution violates an equality",
                                    {"constraint": k, "lhs": lhs, "rhs": rhs})
-        if abs(lhs - rhs) <= VERIFY_TOL:
-            tight.append(k)
     for j, (lo, hi) in enumerate(bounds):
         if x[j] < lo - VERIFY_TOL or x[j] > hi + VERIFY_TOL:
             raise NumericalFailure("solution violates a variable bound",
                                    {"variable": j, "value": float(x[j])})
-    return tuple(tight)
 
 
 def solve(lp: LinearProgram) -> LpSolution:

@@ -22,9 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelModel, _parse_matrix, _read_json, forgetting_rate_bound
-from .errors import ContractViolation, ModelFormatError, NumericalFailure
-from .filtering import WindowTable, window_table
+from .channel import ChannelModel, _parse_matrix, _read_json, forgetting_margin
+from .errors import ContractViolation, ModelFormatError, NumericalFailure, ResourceLimit
+from .filtering import ROBUST_WINDOW_CAP, WindowTable, window_table
 from .lp import LE, LinearProgram, solve
 
 CASE_TOL = 1e-10
@@ -245,8 +245,7 @@ def solve_region(table: WindowTable, w1: float, w2: float,
     return _corner(table, sides, points, w1, w2, slack)
 
 
-def robust_witness(table: WindowTable, wit: RegionWitness,
-                   backoff: float = 1.0) -> RegionWitness:
+def robust_witness(table: WindowTable, wit: RegionWitness, backoff: float) -> RegionWitness:
     """Re-select (x, y) for the rates backoff * (R1, R2), maximizing the
     uncoded share.
 
@@ -269,12 +268,16 @@ def robust_witness(table: WindowTable, wit: RegionWitness,
     uncoded share at all, so callers that feed a scheduler pass a backoff
     slightly below 1 and trade a sliver of rate for breathing room. The
     returned witness records the backed-off rates it actually certifies.
-    A failed re-selection solve raises NumericalFailure.
+    A failed solve raises NumericalFailure, and a table of more than
+    ROBUST_WINDOW_CAP windows ResourceLimit before anything is allocated.
     """
     if wit.status != "Optimal":
         raise ContractViolation("cannot rebalance a non-optimal witness")
     if not 0.0 < backoff <= 1.0:
         raise ContractViolation("backoff must lie in (0, 1]")
+    if len(table) > ROBUST_WINDOW_CAP:
+        raise ResourceLimit(f"a robust witness over {len(table)} windows exceeds the cap "
+                            f"of {ROBUST_WINDOW_CAP}")
     rates = (wit.R1 * backoff, wit.R2 * backoff)
     m = len(table)
     p = table.probs
@@ -301,29 +304,25 @@ def witness_residual(table: WindowTable, wit: RegionWitness) -> float:
     return float(np.max(rates + X @ wit.x + Y @ wit.y - rhs)) - wit.slack
 
 
-def boundary_sweep(model: ChannelModel, L: int, k: int = 33,
-                   slack: float = 0.0) -> list[RegionWitness]:
-    table = window_table(model, L)
-    return sweep_table(table, k, slack)
+def boundary_sweep(model: ChannelModel, L: int, k: int = 33) -> list[RegionWitness]:
+    return sweep_table(window_table(model, L), k)
 
 
-def sweep_table(table: WindowTable, k: int = 33, slack: float = 0.0) -> list[RegionWitness]:
+def sweep_table(table: WindowTable, k: int = 33) -> list[RegionWitness]:
     """Trace the boundary with k weight vectors (lam, 1 - lam) on a uniform
     grid including both endpoints. The polygon is built once and each weight
     picks its vertex as solve_region does. A point within 1e-9 of the last
     one kept in grid order is dropped, so each vertex keeps the first weight
     that reaches it; the points are then sorted by R1. Every returned
     witness is re-checked against the constraints, and one that fails
-    raises NumericalFailure. An empty region gives an empty list."""
+    raises NumericalFailure."""
     if k < 2:
         raise ContractViolation("a sweep needs at least two weight points")
-    sides, points = _polygon(table, slack)
-    if points is None:
-        return []
+    sides, points = _polygon(table, 0.0)
     out = []
     for i in range(k):
         lam = i / (k - 1)
-        wit = _corner(table, sides, points, lam, 1.0 - lam, slack)
+        wit = _corner(table, sides, points, lam, 1.0 - lam, 0.0)
         if witness_residual(table, wit) > 1e-8:
             raise NumericalFailure("witness failed re-check", {"lam": lam})
         if out and abs(out[-1].R1 - wit.R1) <= 1e-9 and abs(out[-1].R2 - wit.R2) <= 1e-9:
@@ -337,27 +336,24 @@ class SandwichResult:
     nominal: RegionWitness
     inner: RegionWitness | None
     outer: RegionWitness | None
-    sigma: float | None
     margin: float | None
-    degraded: bool
 
 
 def sandwich(model: ChannelModel, L: int, w1: float, w2: float) -> SandwichResult:
     """Nominal boundary point bracketed by provable inner and outer points.
 
-    The bracket width is 2 * (1 - sigma) ** L per rate constraint, using the
-    forgetting rate of the model, so the inner and outer regions are the
-    nominal polygon shifted by (-margin, -margin) and cut at the axes, and
-    shifted by (margin, margin). Without a usable sigma only the nominal
-    point is returned, flagged as degraded. An empty inner region comes back
+    The bracket width per rate constraint is the forgetting margin of the
+    model (channel.forgetting_margin), so the inner and outer regions are
+    the nominal polygon shifted by (-margin, -margin) and cut at the axes,
+    and shifted by (margin, margin). Without a margin only the nominal
+    point is returned, with margin None. An empty inner region comes back
     as inner=None.
     """
     table = window_table(model, L)
     nominal = solve_region(table, w1, w2)
-    sigma = forgetting_rate_bound(model)
-    if sigma is None:
-        return SandwichResult(nominal, None, None, None, None, True)
-    margin = 2.0 * (1.0 - sigma) ** L
+    margin = forgetting_margin(model, L)
+    if margin is None:
+        return SandwichResult(nominal, None, None, None)
     inner = solve_region(table, w1, w2, slack=-margin)
     if inner.status != "Optimal":
         inner = None
@@ -366,7 +362,7 @@ def sandwich(model: ChannelModel, L: int, w1: float, w2: float) -> SandwichResul
     for lo, hi in zip(vals, vals[1:]):
         if lo > hi + 1e-8:
             raise NumericalFailure("sandwich ordering violated", {"values": vals})
-    return SandwichResult(nominal, inner, outer, sigma, margin, False)
+    return SandwichResult(nominal, inner, outer, margin)
 
 
 def xy_to_actions(wit: RegionWitness, s_param: float = 0.0) -> ActionDistribution:

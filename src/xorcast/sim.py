@@ -55,8 +55,9 @@ class QueueState:
 
     q1: per-receiver deques of packet ids.
     q2: per-receiver deques of (account_id, transmit_id).
-    q3: shared deque of (id_rx1, id_rx2, remedy_id, heard_code) where
-        heard_code records who heard the original mixture (1, 2, 3 = both).
+    q3: shared deque of (id_rx1, id_rx2, remedy_id): the remedy is the
+        packet of the receiver that missed the mixture, receiver 1's when
+        both heard it.
     """
 
     __slots__ = ("q1", "q2", "q3")
@@ -117,18 +118,12 @@ def _apply(state: QueueState, action, z1: int, z2: int):
         p1 = q1[0][0]
         p2 = q1[1][0]
         if z1 == 0 or z2 == 0:
-            if z1 == 0 and z2 == 0:
-                remedy, code = p1, 3
-            elif z1 == 0:
-                remedy, code = p2, 1   # receiver 1 heard it; 2 still needs p2
-            else:
-                remedy, code = p1, 2
             q1[0].popleft()
             q1[1].popleft()
-            q3.append((p1, p2, remedy, code))
+            q3.append((p1, p2, p2 if z2 else p1))
         return tuple(sorted((p1, p2))), delivered
     if action == REMEDY:
-        p1, p2, remedy, _code = q3[0]
+        p1, p2, remedy = q3[0]
         if z1 == 0 and z2 == 0:
             q3.popleft()
             delivered.append((1, p1))
@@ -234,12 +229,13 @@ class SimReport:
     slot_rows: list | None = field(default=None, repr=False)
 
     def throughput(self) -> tuple:
-        """Delivery rate per receiver over the post-warmup stretch."""
-        span = self.n - self.warmup
-        base1 = base2 = 0
+        """Delivery rate per receiver from the last checkpoint at or before
+        the warmup to the end of the run."""
+        start = base1 = base2 = 0
         for slot, _b, d1, d2 in self.checkpoints:
             if slot <= self.warmup:
-                base1, base2 = d1, d2
+                start, base1, base2 = slot, d1, d2
+        span = self.n - start
         return ((self.delivered[0] - base1) / span, (self.delivered[1] - base2) / span)
 
 
@@ -484,9 +480,10 @@ def load_trace(path) -> list:
     """Read a JSON-lines trace. Malformed lines, including a combination that
     is not one packet id or two distinct ones, or a delivery claim that is
     not two integers or names a receiver other than 1 or 2, raise
-    TraceFormatError with the 1-based line number. Ids, receivers and slots
-    must be JSON integers: a float, a string or a bool is rejected, not
-    converted."""
+    TraceFormatError with the 1-based line number, as does an action other
+    than the transmit codes 1..5 that write_trace writes. Ids, receivers,
+    slots and actions must be JSON integers: a float, a string or a bool is
+    rejected, not converted."""
     rows = []
     with open(path, "r", encoding="utf-8") as f:
         for i, line in enumerate(f, start=1):
@@ -510,6 +507,9 @@ def load_trace(path) -> list:
                     raise TypeError
             except (KeyError, TypeError, ValueError) as e:
                 raise TraceFormatError(f"line {i}: bad trace record", line=i) from e
+            if type(action) is not int or not FRESH1 <= action <= REMEDY:
+                raise TraceFormatError(f"line {i}: action {action!r} is not a transmit "
+                                       "action code 1..5", line=i)
             if not _well_formed(combo):
                 raise TraceFormatError(f"line {i}: combination {list(combo)} is not one "
                                        "packet id or two distinct ones", line=i)

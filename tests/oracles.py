@@ -195,7 +195,7 @@ def feasible(lp):
     return True, x
 
 
-def robust_witness_xyt(table, wit, backoff=1.0):
+def robust_witness_xyt(table, wit, backoff):
     """robust_witness over (x, y, t) per window, with two rows per window
     stating t <= min(x + y, 2 - x - y) and the objective sum p * t: the
     same optimum by another program, with 4 + 2m rows. Returns (witness,
@@ -311,6 +311,15 @@ def vertex_oracle(lp, tol=1e-7):
     Returns None when no feasible vertex exists, which for bounded sets
     means the program is infeasible.
     """
+    verts = feasible_vertices(lp, tol)
+    return float((verts @ lp.objective).max()) if len(verts) else None
+
+
+def feasible_vertices(lp, tol=1e-7):
+    """Every vertex of the feasible polytope, one row each, found by
+    solving each n-subset of the constraint and bound hyperplanes and
+    keeping the feasible solutions; the objective plays no part, so one
+    enumeration serves every objective over the same constraints."""
     n = lp.num_vars
     normals = []
     offsets = []
@@ -333,7 +342,7 @@ def vertex_oracle(lp, tol=1e-7):
     dets = np.linalg.det(mats)
     keep = np.abs(dets) > 1e-10
     if not keep.any():
-        return None
+        return np.zeros((0, n))
     sols = np.linalg.solve(mats[keep], rhss[keep][..., None])[..., 0]
     ok = np.ones(len(sols), dtype=bool)
     for coefs, rel, rhs in lp.constraints:
@@ -346,9 +355,7 @@ def vertex_oracle(lp, tol=1e-7):
         ok &= sols[:, j] >= lo - tol
         if math.isfinite(hi):
             ok &= sols[:, j] <= hi + tol
-    if not ok.any():
-        return None
-    return float((sols[ok] @ lp.objective).max())
+    return sols[ok]
 
 
 def _edmonds_karp(cap, source, sink):

@@ -187,6 +187,15 @@ def test_forgetting_bound_reference(ref_model):
     assert abs(sigma - 2.0 * 0.1 * 0.01 / 0.81) < 1e-15
 
 
+def test_forgetting_margin(ref_model, memoryless_model):
+    sigma = xc.forgetting_rate_bound(ref_model)
+    for L in (1, 3, 8):
+        assert xc.forgetting_margin(ref_model, L) == 2.0 * (1.0 - sigma) ** L
+    assert xc.forgetting_margin(memoryless_model, 2) == 0.0
+    zero = xc.ChannelModel([[0.0, 1.0], [1.0, 0.0]], [[0.25] * 4, [0.25] * 4])
+    assert xc.forgetting_margin(zero, 2) is None
+
+
 def test_forgetting_bound_clamped():
     m = xc.ChannelModel(
         [[0.5, 0.5], [0.5, 0.5]],

@@ -33,3 +33,29 @@ def test_runtime_imports_are_stdlib_or_numpy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in allowed]
     assert not found, "imports outside the standard library and numpy: " + ", ".join(found)
+
+
+def test_private_names_are_used():
+    # a module-level private name that nothing in the package reads is
+    # dead code: the tests may reach into private helpers, but they cannot
+    # keep one alive
+    defined = {}
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined.update((name, f"{path.name}:{node.lineno}") for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{where} {name}" for name, where in sorted(defined.items()) if name not in used]
+    assert defined and not unused, "private names nothing in src/xorcast reads: " + ", ".join(unused)

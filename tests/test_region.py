@@ -9,8 +9,8 @@ from xorcast import region
 from xorcast.cli import main as cli_main
 from xorcast.region import witness_residual
 
-from oracles import (highs_region, pipeline_max_flow, random_model, region_lp,
-                     robust_witness_xyt, vertex_oracle)
+from oracles import (feasible_vertices, highs_region, pipeline_max_flow, random_model,
+                     region_lp, robust_witness_xyt)
 
 # frozen weighted-sum values for the two-state fixture, weights (1, 1)
 REF_SUMS = {
@@ -29,7 +29,7 @@ def make_witness(L, x, y):
                             R1=0.1, R2=0.1, x=x, y=np.asarray(y, dtype=float))
 
 
-def test_region_lp_rejects_bad_weights(ref_model):
+def test_solve_region_rejects_bad_weights(ref_model):
     t = xc.window_table(ref_model, 1)
     with pytest.raises(xc.ContractViolation):
         xc.solve_region(t, -0.1, 0.5)
@@ -102,9 +102,12 @@ def test_max_single_user_rate_is_marginal(ref_model):
 
 
 def test_solve_matches_vertex_oracle(ref_model):
+    # the weights change only the objective, so one vertex enumeration
+    # prices all four
     t = xc.window_table(ref_model, 1)
+    vertices = feasible_vertices(region_lp(t, 1.0, 1.0))
     for w1, w2 in ((1.0, 1.0), (1.0, 0.0), (0.2, 0.8), (0.7, 0.3)):
-        expected = vertex_oracle(region_lp(t, w1, w2))
+        expected = float((vertices[:, :2] @ [w1, w2]).max())
         got = xc.solve_region(t, w1, w2)
         assert abs(got.value - expected) < 1e-7, f"w=({w1},{w2})"
         assert witness_residual(t, got) <= 1e-15
@@ -147,13 +150,13 @@ def test_region_matches_highs_random_models():
     assert empty > 5 and solved > 100
 
 
-def test_region_lp_reports_pivots(ref_model):
+def test_simplex_reports_pivots(ref_model):
     sol = xc.solve(region_lp(xc.window_table(ref_model, 4), 1.0, 1.0))
     assert sol.status == "Optimal"
     assert sol.pivots > 0
 
 
-def test_refine_keeps_value(ref_model):
+def test_solve_region_matches_simplex_optimum(ref_model):
     # the polygon's vertex has the simplex optimum's value and, of the
     # points with that value, the largest R1 + R2
     t = xc.window_table(ref_model, 2)
@@ -187,8 +190,7 @@ def test_boundary_sweep_wrapper(ref_model):
 
 def test_sandwich_memoryless_collapse(memoryless_model):
     res = xc.sandwich(memoryless_model, 1, 1.0, 1.0)
-    assert not res.degraded
-    assert res.sigma == 1.0
+    assert xc.forgetting_rate_bound(memoryless_model) == 1.0
     assert res.margin == 0.0
     assert abs(res.inner.value - res.nominal.value) < 1e-9
     assert abs(res.outer.value - res.nominal.value) < 1e-9
@@ -196,8 +198,9 @@ def test_sandwich_memoryless_collapse(memoryless_model):
 
 def test_sandwich_ordering(ref_model):
     res = xc.sandwich(ref_model, 2, 1.0, 1.0)
-    assert not res.degraded
-    assert abs(res.margin - 2.0 * (1.0 - res.sigma) ** 2) < 1e-15
+    sigma = xc.forgetting_rate_bound(ref_model)
+    assert abs(res.margin - 2.0 * (1.0 - sigma) ** 2) < 1e-15
+    assert res.margin == xc.forgetting_margin(ref_model, 2)
     # fixture forgets slowly, so the inner region at this L is empty
     vals = [v.value for v in (res.inner, res.nominal, res.outer) if v is not None]
     assert vals == sorted(vals)
@@ -209,7 +212,7 @@ def test_sandwich_degraded_without_sigma():
                             [[0.82, 0.09, 0.09, 0.0], [0.04, 0.16, 0.16, 0.64]])
     assert xc.forgetting_rate_bound(model) is None
     res = xc.sandwich(model, 1, 1.0, 1.0)
-    assert res.degraded
+    assert res.margin is None
     assert res.inner is None and res.outer is None
     assert res.nominal.status == "Optimal"
 
@@ -409,7 +412,7 @@ def test_robust_witness_validation(ref_model):
     failed = xc.RegionWitness(L=1, w1=1, w2=1, slack=0.0, status="Infeasible",
                               R1=None, R2=None, x=None, y=None)
     with pytest.raises(xc.ContractViolation):
-        xc.robust_witness(t, failed)
+        xc.robust_witness(t, failed, 0.99)
 
 
 def _robust_cases(ref_model):
@@ -498,6 +501,34 @@ def test_robust_witness_failure_raises(ref_model, monkeypatch, tmp_path, capsys)
     assert "robust witness solve failed" in capsys.readouterr().err
 
 
+def test_robust_witness_refuses_long_windows(ref_model, monkeypatch, tmp_path, capsys):
+    # at L = 7 the dense program would need tens of gigabytes: the refusal
+    # comes before any of it is allocated or solved
+    table = xc.window_table(ref_model, 7)
+    wit = xc.solve_region(table, 0.5, 0.5)
+    eye = np.eye
+
+    def small_eye(n, *args, **kwargs):
+        if n > 64:
+            raise AssertionError(f"np.eye({n}) reached")
+        return eye(n, *args, **kwargs)
+
+    def no_solve(lp):
+        raise AssertionError("region.solve reached")
+
+    monkeypatch.setattr(np, "eye", small_eye)
+    monkeypatch.setattr(region, "solve", no_solve)
+    assert len(table) > region.ROBUST_WINDOW_CAP == 4 ** 6
+    with pytest.raises(xc.ResourceLimit):
+        xc.robust_witness(table, wit, 0.99)
+    model = tmp_path / "model.json"
+    xc.save_model(ref_model, model)
+    assert cli_main(["simulate", "--model", str(model), "--scheduler", "probabilistic",
+                     "--rates", "0.3,0.3", "--slots", "100",
+                     "--L", "7", "--lambda", "0.5"]) == 2
+    assert "exceeds the cap of 4096" in capsys.readouterr().err
+
+
 def test_simulation_distribution(ref_model):
     t = xc.window_table(ref_model, 2)
     wit, dist, rep = xc.simulation_distribution(t, 0.5)
@@ -557,26 +588,34 @@ def test_sweep_failure_raises(ref_model, monkeypatch):
 def test_sweep_support_matches_highs(ref_model):
     # at every grid weight the best swept point has the HiGHS optimum, and
     # each vertex keeps the first weight that reaches it, so the labels
-    # increase with R1
+    # increase with R1; the loosened and tightened regions are solved per
+    # grid weight
     pytest.importorskip("scipy.optimize")
     k = 17
     for L in (1, 2, 3, 4):
         t = xc.window_table(ref_model, L)
-        for slack in (0.0, 0.05, -0.02):
-            points = xc.sweep_table(t, k, slack)
-            labels = [p.w1 for p in points]
-            assert len(points) >= 2 and labels == sorted(labels), (L, slack)
-            for i in range(k):
-                lam = i / (k - 1)
+        points = xc.sweep_table(t, k)
+        labels = [p.w1 for p in points]
+        assert len(points) >= 2 and labels == sorted(labels), L
+        for i in range(k):
+            lam = i / (k - 1)
+            ref = highs_region(t, lam, 1.0 - lam)
+            best = max(lam * p.R1 + (1.0 - lam) * p.R2 for p in points)
+            assert abs(best - ref) <= 1e-12 * ref, (L, lam)
+            for slack in (0.05, -0.02):
                 ref = highs_region(t, lam, 1.0 - lam, slack)
-                best = max(lam * p.R1 + (1.0 - lam) * p.R2 for p in points)
-                assert abs(best - ref) <= 1e-12 * ref, (L, slack, lam)
+                got = xc.solve_region(t, lam, 1.0 - lam, slack)
+                assert abs(got.value - ref) <= 1e-12 * ref, (L, slack, lam)
 
 
-def test_infeasible_sweep_is_empty(ref_model):
+def test_region_empty_only_when_tightened(ref_model):
+    # a tightened region can be empty, but at slack 0 the region holds the
+    # origin, so a sweep is never empty: on a channel that erases every
+    # slot at both receivers it is the origin alone
     t = xc.window_table(ref_model, 1)
     assert xc.solve_region(t, 0.5, 0.5, slack=-0.9).status == "Infeasible"
-    assert xc.sweep_table(t, 5, slack=-0.9) == []
+    deaf = xc.window_table(xc.ChannelModel([[1.0]], [[0.0, 0.0, 0.0, 1.0]]), 1)
+    assert [(p.w1, p.R1, p.R2) for p in xc.sweep_table(deaf, 5)] == [(0.0, 0.0, 0.0)]
 
 
 def test_sweep_deterministic(ref_model):

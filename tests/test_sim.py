@@ -65,15 +65,15 @@ def test_step_xor_movements():
 def test_step_poison_remedy_designation():
     pair = dict(q1_1=[1], q1_2=[2])
     # heard at both: the remedy is the first receiver's packet
-    run_slot(filled(**pair), (0, 0), MIX_FRESH, filled(q3=[(1, 2, 1, 3)]))
+    run_slot(filled(**pair), (0, 0), MIX_FRESH, filled(q3=[(1, 2, 1)]))
     # only receiver 1 heard; 2 still needs its packet
-    run_slot(filled(**pair), (0, 1), MIX_FRESH, filled(q3=[(1, 2, 2, 1)]))
-    run_slot(filled(**pair), (1, 0), MIX_FRESH, filled(q3=[(1, 2, 1, 2)]))
+    run_slot(filled(**pair), (0, 1), MIX_FRESH, filled(q3=[(1, 2, 2)]))
+    run_slot(filled(**pair), (1, 0), MIX_FRESH, filled(q3=[(1, 2, 1)]))
     assert run_slot(filled(**pair), (1, 1), MIX_FRESH, filled(**pair)) == (1, 2)
 
 
 def test_step_remedy_rows():
-    entry = (1, 2, 1, 3)
+    entry = (1, 2, 1)
     run_slot(filled(q3=[entry]), (0, 0), REMEDY, QueueState(), [(1, 1), (2, 2)])
     # received only at receiver 1: the pair-mate waits, remedy id as proxy
     run_slot(filled(q3=[entry]), (0, 1), REMEDY, filled(q2_2=[(2, 1)]), [(1, 1)])
@@ -86,7 +86,7 @@ def test_step_levels_move_one_hop():
     builders = {
         XOR_BACKLOG: lambda: filled(q2_1=[(1, 1)], q2_2=[(2, 2)]),
         MIX_FRESH: lambda: filled(q1_1=[1], q1_2=[2]),
-        REMEDY: lambda: filled(q3=[(1, 2, 1, 3)]),
+        REMEDY: lambda: filled(q3=[(1, 2, 1)]),
     }
     for action, build in builders.items():
         for pattern in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -117,8 +117,8 @@ def held(st, j):
 @hs.composite
 def queue_states(draw):
     """Queues with distinct packet ids, as a run builds them: a q2 entry goes
-    on air as itself or as a proxy id, and a poisoned pair names its remedy
-    as the fresh-pair mix does for its heard code."""
+    on air as itself or as a proxy id, and a poisoned pair names either of
+    its packets as the remedy, as the fresh-pair mix does."""
     ids = itertools.count()
     sizes = draw(hs.lists(hs.integers(0, 3), min_size=5, max_size=5))
     st = QueueState()
@@ -129,8 +129,7 @@ def queue_states(draw):
             st.q2[j].append((acct, next(ids) if draw(hs.booleans()) else acct))
     for _ in range(sizes[4]):
         p1, p2 = next(ids), next(ids)
-        code = draw(hs.sampled_from((1, 2, 3)))
-        st.q3.append((p1, p2, p2 if code == 1 else p1, code))
+        st.q3.append((p1, p2, p2 if draw(hs.booleans()) else p1))
     return st
 
 
@@ -181,7 +180,7 @@ def test_maxweight_hand_arithmetic():
     assert maxweight_action(filled(q1_2=[5]), sv) == FRESH2
     # exact weight tie resolves to the lowest action index: symmetric
     # stats make the backlog XOR and the remedy weigh the same here
-    tie = filled(q2_1=[(1, 1)], q2_2=[(2, 2)], q3=[(5, 6, 5, 3)])
+    tie = filled(q2_1=[(1, 1)], q2_2=[(2, 2)], q3=[(5, 6, 5)])
     tie_stats = stats(0.5, 0.5, 0.25)
     w3 = (1 - 0.5) * 1 + (1 - 0.5) * 1
     w5 = 0.25 * (1 - 1) + (1 - 0.5) * 1 + 0.25 * (1 - 1) + (1 - 0.5) * 1
@@ -190,7 +189,7 @@ def test_maxweight_hand_arithmetic():
 
 
 def test_maxweight_prefers_remedy_backlog():
-    st = filled(q1_1=[1, 2], q2_1=[(9, 9)], q3=[(i, i + 100, i, 3) for i in range(6)])
+    st = filled(q1_1=[1, 2], q2_1=[(9, 9)], q3=[(i, i + 100, i) for i in range(6)])
     assert maxweight_action(st, stats(0.3, 0.25, 0.1)) == REMEDY
 
 
@@ -288,6 +287,19 @@ def test_probabilistic_run_counts(ref_model):
     assert rep.delivered[0] > 0 and rep.delivered[1] > 0
     th = rep.throughput()
     assert 0.2 < th[0] < 0.4 and 0.2 < th[1] < 0.4
+
+
+def test_throughput_counts_from_its_checkpoint(ref_model):
+    # the warmup of 3000 slots falls between the checkpoints every 7 slots,
+    # so the count starts at slot 2996 and the rate divides by the slots
+    # after it
+    rep = xc.simulate(ref_model, "maxweight", 0.3, 0.3, 30_000, 1, collect_slots=True)
+    start = max(slot for slot, *_ in rep.checkpoints if slot <= rep.warmup)
+    assert (rep.warmup, start) == (3000, 2996)
+    _slot, _code, _z1, _z2, _q, d1, d2 = rep.slot_rows[start - 1]
+    span = rep.n - start
+    assert rep.throughput() == ((rep.delivered[0] - d1) / span,
+                                (rep.delivered[1] - d2) / span)
 
 
 def test_stability_verdict_contract(ref_model):
@@ -460,6 +472,20 @@ def test_load_trace_rejects_unknown_receiver(tmp_path, capsys):
         assert err.value.line == 1
         assert cli_main(["verify", "--trace", str(path)]) == 3
         assert "line 1" in capsys.readouterr().err
+
+
+def test_load_trace_rejects_unknown_action(tmp_path, capsys):
+    # write_trace writes the transmit codes 1..5 only, as JSON integers
+    path = tmp_path / "bad.jsonl"
+    good = {"slot": 0, "action": 1, "combo": [5], "received_rx1": True,
+            "received_rx2": False, "delivered": [[1, 5]]}
+    for action in ("x", 2.5, 99, 0, True, None):
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "action": action}) + "\n")
+        with pytest.raises(xc.TraceFormatError) as err:
+            xc.load_trace(path)
+        assert err.value.line == 2
+        assert cli_main(["verify", "--trace", str(path)]) == 3
+        assert "line 2" in capsys.readouterr().err
 
 
 def test_load_trace_rejects_non_integer_claim(tmp_path, capsys):
