@@ -321,12 +321,13 @@ def model_from_dict(obj) -> ChannelModel:
 
 
 def _read_json(path):
-    """The JSON value in the file at path; a syntax error raises
-    ModelFormatError with its line and column."""
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
+    """The JSON value in the file at path; text that is not UTF-8 raises
+    ModelFormatError, and so does a syntax error, with its line and column."""
     try:
-        return json.loads(text)
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(f"not UTF-8 text: {e.reason}") from e
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from e
 

@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__
-from .channel import forgetting_margin, load_model
+from .channel import _read_json, forgetting_margin, load_model
 from .errors import (ContractViolation, ModelFormatError, NumericalFailure,
                      ResourceLimit, TraceFormatError, XorcastError)
 from .filtering import (dump_window_table, empirical_forgetting,
@@ -43,12 +43,16 @@ class Options:
         self.cfg = {}
         if getattr(args, "config", None):
             try:
-                with open(args.config, "r", encoding="utf-8") as f:
-                    self.cfg = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"config: line {e.lineno}: {e.msg}") from e
+                self.cfg = _read_json(args.config)
+            except ModelFormatError as e:
+                raise ConfigError(f"config: {e}") from e
             if not isinstance(self.cfg, dict):
                 raise ConfigError("config: expected a JSON object")
+            # one file may serve several subcommands, so a key need only be
+            # an option of one of them
+            for key in sorted(set(self.cfg) - args.config_keys):
+                raise ConfigError(f"config: unknown key {key!r}; it is no option "
+                                  "of any subcommand")
 
     def get(self, name, default=None, required=False, kind=None):
         """The flag value, else the config value, else default; kind int or
@@ -320,6 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--L")
     sp.set_defaults(func=cmd_dump_window_table)
+    # the keys a --config file may hold: every option of every subcommand
+    options = set().union(*(vars(cmd.parse_args([])) for cmd in sub.choices.values()))
+    p.set_defaults(config_keys=options - {"config", "func"})
     return p
 
 

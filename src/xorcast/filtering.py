@@ -20,7 +20,7 @@ from .channel import (PATTERN_INDEX, PATTERNS, ChannelModel, _draw_codes, _path_
 from .errors import ContractViolation, NumericalFailure, ResourceLimit, ZeroLikelihood
 
 WINDOW_CAP = 10
-ROBUST_WINDOW_CAP = 4 ** 6   # most windows of a robust witness: 1.6 GB of dense LP at L = 6
+ROBUST_WINDOW_CAP = 4 ** 6   # most windows of a robust witness: 0.94 GB of dense LP at L = 6
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,6 @@ DEGENERATE_RUN = 50
 LE = "<="
 EQ = "="
 
-AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
-
 
 @dataclass
 class LinearProgram:
@@ -93,56 +91,44 @@ class LpSolution:
 
 
 class _Simplex:
+    """The working state of one solve: the tableau T and basic values beta
+    over the structural columns, one slack per <= row and one artificial
+    per row that needs one, in that order and each in row order; basis
+    names each row's basic column, and at_upper marks the nonbasic columns
+    resting at their upper bound."""
+
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         n = lp.num_vars
-        m = len(lp.constraints)
         lo = np.array([b[0] for b in lp.bounds])
         hi = np.array([b[1] for b in lp.bounds])
-        self.lo = lo
-        n_le = sum(1 for _, rel, _ in lp.constraints if rel == LE)
-        # column layout: structural, slacks for <= rows, artificials
-        a = np.zeros((m, n + n_le + m))
-        b = np.zeros(m)
-        slack_of = {}
-        s = n
-        for i, (coefs, rel, rhs) in enumerate(lp.constraints):
-            a[i, :n] = coefs
-            b[i] = rhs - coefs @ lo
+        beta = np.array([rhs - coefs @ lo for coefs, _, rhs in lp.constraints], dtype=float)
+        # an equality row, or a row whose right-hand side is negative at the
+        # lower bounds, starts on an artificial column
+        art = [rel == EQ or r < 0.0 for (_, rel, _), r in zip(lp.constraints, beta)]
+        n_le = sum(rel == LE for _, rel, _ in lp.constraints)
+        T = np.zeros((len(beta), n + n_le + sum(art)))
+        basis = np.empty(len(beta), dtype=np.intp)
+        slack, extra = n, n + n_le
+        for i, (coefs, rel, _) in enumerate(lp.constraints):
+            T[i, :n] = coefs
             if rel == LE:
-                a[i, s] = 1.0
-                slack_of[i] = s
-                s += 1
-        basis = []
-        art_cols = []
-        u = np.concatenate([hi - lo, np.full(n_le + m, math.inf)])
-        for i in range(m):
-            if b[i] < 0.0:
-                a[i] *= -1.0
-                b[i] = -b[i]
-                flipped = True
-            else:
-                flipped = False
-            if i in slack_of and not flipped:
-                basis.append(slack_of[i])
-            else:
-                col = s
-                a[i, col] = 1.0
-                art_cols.append(col)
-                basis.append(col)
-                s += 1
-        self.T = a[:, :s].copy()
-        self.beta = b.copy()
-        self.basis = np.array(basis, dtype=np.intp)
-        self.n_struct = n
-        self.u = u[:s]
-        self.is_artificial = np.zeros(s, dtype=bool)
-        self.is_artificial[art_cols] = True
-        self.status_arr = np.full(s, AT_LOWER, dtype=np.int8)
-        for j in basis:
-            self.status_arr[j] = BASIC
+                T[i, slack] = 1.0
+                basis[i] = slack
+                slack += 1
+            if beta[i] < 0.0:
+                T[i] *= -1.0
+                beta[i] = -beta[i]
+            if art[i]:
+                T[i, extra] = 1.0
+                basis[i] = extra
+                extra += 1
+        self.T, self.beta, self.basis = T, beta, basis
+        self.u = np.concatenate([hi - lo, np.full(T.shape[1] - n, math.inf)])
+        self.is_artificial = np.arange(T.shape[1]) >= n + n_le
+        self.at_upper = np.zeros(T.shape[1], dtype=bool)
         self.pivots = 0
-        self.cap = 1000 + 100 * (m + s)   # pivots before the solve counts as stalled
+        self.cap = 1000 + 100 * sum(T.shape)   # pivots before the solve counts as stalled
 
     def _reduced(self, c: np.ndarray) -> np.ndarray:
         return c - c[self.basis] @ self.T
@@ -152,9 +138,9 @@ class _Simplex:
         index when bland is set; -1 at optimality. The gain is the reduced
         cost at the lower bound and its negation at the upper bound. A column
         whose bound is zero never enters."""
-        status = self.status_arr
-        gain = np.where(status == AT_UPPER, -red, red)
-        gain[(status == BASIC) | (self.u <= TOL)] = 0.0
+        gain = np.where(self.at_upper, -red, red)
+        gain[self.basis] = 0.0
+        gain[self.u <= TOL] = 0.0
         if bland:
             improving = np.flatnonzero(gain > TOL)
             return int(improving[0]) if improving.size else -1
@@ -195,8 +181,8 @@ class _Simplex:
         T[r] = row
         beta[r] = t if direction > 0 else self.u[e] - t
         self.basis[r] = e
-        self.status_arr[e] = BASIC
-        self.status_arr[leaving] = AT_UPPER if to_upper else AT_LOWER
+        self.at_upper[e] = False
+        self.at_upper[leaving] = to_upper
         if self.is_artificial[leaving]:
             self.u[leaving] = 0.0
         return row
@@ -213,7 +199,7 @@ class _Simplex:
                     "simplex stalled",
                     {"phase": phase, "pivots": self.pivots, "entering": int(e)})
             self.pivots += 1
-            direction = 1 if self.status_arr[e] == AT_LOWER else -1
+            direction = -1 if self.at_upper[e] else 1
             best_t, best_row, to_upper = self._ratio(e, direction)
             own = self.u[e]
             if own <= best_t + 1e-12:
@@ -224,7 +210,7 @@ class _Simplex:
                 # bound flip, no basis change
                 self.beta -= direction * own * self.T[:, e]
                 np.maximum(self.beta, 0.0, out=self.beta)
-                self.status_arr[e] = AT_UPPER if direction > 0 else AT_LOWER
+                self.at_upper[e] = direction > 0
                 degenerate = 0
                 continue
             degenerate = degenerate + 1 if best_t <= TOL else 0
@@ -242,16 +228,16 @@ class _Simplex:
 
     def extract(self) -> np.ndarray:
         # a column rests at its upper bound only when that bound is finite
-        x = np.where(self.status_arr == AT_UPPER, self.u, 0.0)
+        x = np.where(self.at_upper, self.u, 0.0)
         x[self.basis] = self.beta
-        return self.lo + x[:self.n_struct]
+        return np.array([b[0] for b in self.lp.bounds]) + x[:self.lp.num_vars]
 
     def solve(self) -> LpSolution:
         """Both phases from the slack-and-artificial starting basis."""
         if not self.phase_one():
             return LpSolution("Infeasible", None, None, self.pivots)
         c2 = np.zeros(len(self.u))
-        c2[:self.n_struct] = self.lp.objective
+        c2[:self.lp.num_vars] = self.lp.objective
         if self._iterate(c2, phase=2) == "unbounded":
             return LpSolution("Unbounded", None, None, self.pivots)
         x = self.extract()

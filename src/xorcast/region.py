@@ -30,6 +30,8 @@ from .lp import LE, LinearProgram, solve
 CASE_TOL = 1e-10
 CUT_TOL = 1e-8   # how far a rate may exceed its cut and still pass achievable_check
 _TINY = 1e-15
+# what `xorcast canonicalize` writes beside a distribution's own keys
+_REPORT_KEYS = frozenset({"case", "theta", "cuts_before", "cuts_after"})
 _RATE_OF_ROW = (0, 0, 1, 1)  # the rate each row of _rate_rows bounds: R1, R1, R2, R2
 
 
@@ -527,10 +529,11 @@ def dist_to_dict(dist: ActionDistribution) -> dict:
 
 def dist_from_dict(obj) -> ActionDistribution:
     """Parse {"L": n, "actions": [[5 floats] x 4**n]} with field-precise
-    errors."""
+    errors. The report keys that `xorcast canonicalize` writes beside them
+    are ignored, so its output reads back."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"top level: expected an object, got {type(obj).__name__}")
-    for key in sorted(set(obj) - {"L", "actions"}):
+    for key in sorted(set(obj) - {"L", "actions"} - _REPORT_KEYS):
         raise ModelFormatError(f"unknown key {key!r}")
     if "L" not in obj or "actions" not in obj:
         raise ModelFormatError("missing key 'L' or 'actions'")

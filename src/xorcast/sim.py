@@ -477,16 +477,20 @@ def write_trace(trace, out) -> None:
 
 
 def load_trace(path) -> list:
-    """Read a JSON-lines trace. Malformed lines, including a combination that
-    is not one packet id or two distinct ones, or a delivery claim that is
-    not two integers or names a receiver other than 1 or 2, raise
-    TraceFormatError with the 1-based line number, as does an action other
-    than the transmit codes 1..5 that write_trace writes. Ids, receivers,
-    slots and actions must be JSON integers: a float, a string or a bool is
-    rejected, not converted."""
+    """Read a JSON-lines trace. Malformed lines, among them text that is not
+    UTF-8, a combination that is not one packet id or two distinct ones, or
+    a delivery claim that is not two integers or names a receiver other
+    than 1 or 2, raise TraceFormatError with the 1-based line number, as
+    does an action other than the transmit codes 1..5 that write_trace
+    writes. Ids, receivers, slots and actions must be JSON integers: a
+    float, a string or a bool is rejected, not converted."""
     rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for i, line in enumerate(f, start=1):
+    with open(path, "rb") as f:
+        for i, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise TraceFormatError(f"line {i}: not UTF-8 text", line=i) from e
             if not line.strip():
                 continue
             try:

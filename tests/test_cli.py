@@ -139,6 +139,13 @@ def test_forgetting_csv(capsys, model_path):
     tvs = [float(l.split(",")[1]) for l in lines[1:]]
     assert tvs == sorted(tvs, reverse=True)
     assert all(l.split(",")[3] == "exhaustive" for l in lines[1:])
+    # 4^(horizon - 1) histories outgrow the exhaustive sum at horizon 10
+    code, out, _ = run(capsys, ["forgetting", "--model", model_path, "--L", "2",
+                                "--horizon", "10", "--samples", "32", "--seed", "3"])
+    assert code == 0
+    rows = [l.split(",") for l in out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["1", "2"]
+    assert all(r[3] == "empirical" and 0.0 <= float(r[1]) <= 2.0 for r in rows)
 
 
 def test_forgetting_rejects_bad_counts(capsys, model_path):
@@ -165,8 +172,20 @@ def test_canonicalize_roundtrip(capsys, model_path, tmp_path, ref_model):
     assert payload["case"] == "I"
     assert abs(payload["theta"] - 0.8607652964762408) < 1e-9
     assert set(payload["cuts_after"]) == {"a", "b", "c", "d"}
-    back = xc.dist_from_dict({"L": payload["L"], "actions": payload["actions"]})
-    assert back.L == 1
+    # the output reads back: its report keys are the ones a distribution
+    # file may carry, and only those
+    assert set(payload) == {"L", "actions"} | xc.region._REPORT_KEYS
+    canon = tmp_path / "canon.json"
+    canon.write_text(out)
+    code, again, _ = run(capsys, ["canonicalize", "--model", model_path, "--dist", str(canon)])
+    assert code == 0 and json.loads(again)["actions"] == payload["actions"]
+    code, out, _ = run(capsys, ["simulate", "--model", model_path,
+                                "--scheduler", "probabilistic", "--rates", "0.2,0.2",
+                                "--slots", "1000", "--seed", "1", "--dist", str(canon)])
+    assert code == 0 and sum(json.loads(out)["action_counts"].values()) == 1000
+    canon.write_text(json.dumps(dict(payload, note="x")))
+    code, _, err = run(capsys, ["canonicalize", "--model", model_path, "--dist", str(canon)])
+    assert code == 3 and "unknown key 'note'" in err
 
 
 def test_dump_window_table(capsys, model_path):
@@ -191,6 +210,8 @@ def test_region_sandwich_from_config(capsys, tmp_path, model_path):
                                "sandwich": "false"}))
     code, out, err = run(capsys, ["region", "--config", str(cfg)])
     assert code == 2 and out == "" and "--sandwich expects true or false" in err
+    code, out, err = run(capsys, ["region", "--model", model_path, "--L", "1", "--sandwich"])
+    assert code == 2 and out == "" and "--sandwich needs --lambda" in err
 
 
 def test_numerical_failure_prints_diagnostics(capsys, model_path, monkeypatch):
@@ -244,6 +265,9 @@ def test_exit_codes(capsys, tmp_path, model_path):
     bad_cfg.write_text("[1, 2]")
     code, _, err = run(capsys, ["region", "--config", str(bad_cfg), "--L", "1"])
     assert code == 2 and "config" in err
+    bad_cfg.write_text('{"L": 1,\n "model": }')
+    code, out, err = run(capsys, ["region", "--config", str(bad_cfg)])
+    assert code == 2 and out == "" and err.startswith("error: config: line 2")
 
 
 def test_window_cap_exits_2(capsys, model_path):
@@ -258,6 +282,7 @@ def test_window_cap_exits_2(capsys, model_path):
 def test_bad_numbers_exit_2(capsys, tmp_path, model_path):
     base = ["simulate", "--model", model_path, "--scheduler", "maxweight"]
     for extra, option in ((["--rates", "0.3,abc", "--slots", "100"], "--rates"),
+                          (["--rates", "0.3", "--slots", "100"], "--rates"),
                           (["--rates", "0.3,0.3", "--slots", "ten"], "--slots"),
                           (["--rates", "0.3,0.3", "--slots", "100", "--seed", "1.5"],
                            "--seed")):
@@ -377,3 +402,43 @@ def test_simulate_trace_to_stdout_needs_out_file(capsys, model_path, tmp_path, m
     assert run(capsys, base + ["--trace", str(trace_path), "--out", str(summary)])[0] == 0
     assert out == trace_path.read_text() and out
     assert not (tmp_path / "-").exists()
+
+
+def test_files_that_are_not_utf8_exit_with_their_code(capsys, tmp_path, model_path):
+    # UTF-16 text starts with the bytes ff fe, which UTF-8 never does
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    for argv, want, what in (
+            (["dump-window-table", "--model", str(bad), "--L", "1"], 3, "error: not UTF-8"),
+            (["canonicalize", "--model", model_path, "--dist", str(bad)], 3, "error: not UTF-8"),
+            (["verify", "--trace", str(bad)], 3, "error: line 1: not UTF-8"),
+            (["region", "--config", str(bad)], 2, "error: config: not UTF-8")):
+        code, out, err = run(capsys, argv)
+        assert code == want and out == "", argv
+        assert err.startswith(what) and err.count("\n") == 1, err
+
+
+def test_config_keys_must_be_options(capsys, tmp_path, model_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lamda": 0.5, "L": 1, "model": model_path}))
+    code, out, err = run(capsys, ["region", "--config", str(cfg)])
+    assert code == 2 and out == "" and "'lamda'" in err and err.count("\n") == 1
+    # one file may hold the options of several subcommands
+    cfg.write_text(json.dumps({"model": model_path, "L": 1, "lambda": 0.5,
+                               "scheduler": "maxweight", "rates": "0.2,0.2",
+                               "slots": 500}))
+    assert run(capsys, ["region", "--config", str(cfg)])[0] == 0
+    assert run(capsys, ["simulate", "--config", str(cfg)])[0] == 0
+
+
+def test_sandwich_without_forgetting_rate(capsys, tmp_path):
+    # a zero emission entry in a two-state model leaves no forgetting rate:
+    # the nominal row alone, and a note on stderr
+    path = tmp_path / "zero.json"
+    xc.save_model(xc.ChannelModel([[0.9, 0.1], [0.2, 0.8]],
+                                  [[1.0, 0.0, 0.0, 0.0], [0.5, 0.2, 0.2, 0.1]]), path)
+    code, out, err = run(capsys, ["region", "--model", str(path), "--L", "1",
+                                  "--lambda", "0.5", "--sandwich"])
+    assert code == 0
+    assert [l.split(",")[3] for l in out.strip().splitlines()[1:]] == ["nominal"]
+    assert err == "forgetting rate unavailable; nominal point only\n"

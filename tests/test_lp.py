@@ -196,3 +196,32 @@ def test_random_against_vertex_enumeration():
             assert abs(sol.value - want) < 1e-7
             solved += 1
     assert solved > 50
+
+
+def test_tableau_has_one_column_per_slack_and_artificial():
+    # a <= row with a nonnegative right-hand side at the lower bounds starts
+    # on its slack; a <= row with a negative one and an = row need an
+    # artificial, and lower bounds of 1 make 2x + y <= 1 such a row
+    program = lp([1, 1], [([1, 1], "<=", 5), ([2, 1], "<=", 1), ([1, -1], "=", 0)],
+                 [(1, 2), (1, 2)])
+    sx = _Simplex(program)
+    assert sx.T.shape == (3, 2 + 2 + 2)
+    assert list(sx.basis) == [2, 4, 5]
+    assert list(sx.is_artificial) == [False] * 4 + [True] * 2
+    assert xc.solve(program).status == "Infeasible"
+    # both columns end at their upper bound, neither of them basic
+    sx = _Simplex(lp([1, 1], [([1, 1], "<=", 5)], [(0, 1), (0, 1)]))
+    assert sx.solve().value == 2.0
+    assert list(sx.at_upper) == [True, True, False]
+    rng = random.Random(123)
+    for _ in range(200):
+        program = random_program(rng)
+        lo = np.array([b[0] for b in program.bounds])
+        n_le = sum(rel == "<=" for _coefs, rel, _rhs in program.constraints)
+        n_art = sum(rel == "=" or rhs - coefs @ lo < 0.0
+                    for coefs, rel, rhs in program.constraints)
+        sx = _Simplex(program)
+        assert sx.T.shape == (len(program.constraints), program.num_vars + n_le + n_art)
+        assert sx.is_artificial.sum() == n_art
+        sx.solve()
+        assert not sx.at_upper[sx.basis].any()

@@ -81,6 +81,22 @@ def test_one_deaf_receiver():
     assert xc.solve_region(t, 0.0, 1.0, slack=-0.1).status == "Infeasible"
 
 
+def test_tightened_polygon_matches_vertex_oracle(ref_model):
+    # a negative slack keeps the polygon's vertices that stay in the
+    # quadrant and adds the boundary's crossings of R1 = -s and R2 = -s;
+    # the weights (1, 0) and (0, 1) pick those crossings. One enumeration of
+    # the tightened program's vertices prices every weight, without scipy
+    t = xc.window_table(ref_model, 1)
+    slack = -0.1
+    vertices = feasible_vertices(region_lp(t, 1.0, 1.0, slack))
+    for w1, w2 in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.2, 0.8), (0.7, 0.3)):
+        expected = float((vertices[:, :2] @ [w1, w2]).max())
+        got = xc.solve_region(t, w1, w2, slack)
+        assert got.status == "Optimal" and min(got.R1, got.R2) >= 0.0
+        assert abs(got.value - expected) < 1e-7, f"w=({w1},{w2})"
+        assert witness_residual(t, got) <= 1e-12
+
+
 def test_greedy_ties_go_to_the_lowest_window():
     # on a uniform memoryless channel every window weighs the same, so the
     # greedy fills run in window order: ones, at most one fraction, zeros

@@ -579,3 +579,27 @@ def test_save_trace_matches_json_oracle(tmp_path, ref_model):
         xc.save_trace(trace, got)
         save_trace_json(trace, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+def _verdict(n, backlog, every=1000):
+    """The verdict on a hand-built run of n slots whose checkpoints, every
+    `every` slots, read backlog(slot)."""
+    rep = xc.SimReport(scheduler="maxweight", R1=0.1, R2=0.1, n=n, seed=0,
+                       arrivals=(0, 0), delivered=(0, 0), action_counts={},
+                       checkpoints=[(s, backlog(s), 0, 0) for s in range(0, n + 1, every)],
+                       final_backlog=0, warmup=0)
+    return xc.stability_verdict(rep)
+
+
+def test_stability_verdict_branches():
+    # the fit reads only the checkpoints in the last half of the run
+    assert _verdict(20_000, lambda s: 10 + (s < 10_000) * s) == "Stable"
+    assert _verdict(20_000, lambda s: 2 * xc.sim.SLOPE_UNSTABLE * s) == "Unstable"
+    # between the two slopes, or flat above the backlog bound
+    assert _verdict(20_000, lambda s: 10 * xc.sim.SLOPE_STABLE * s) == "Inconclusive"
+    assert _verdict(20_000, lambda s: 2 * xc.sim.BACKLOG_BOUND) == "Inconclusive"
+    with pytest.raises(xc.ContractViolation, match="10\\^4 slots"):
+        _verdict(9_999, lambda s: 0)
+    # one checkpoint in the last half fits no line
+    with pytest.raises(xc.ContractViolation, match="checkpoints"):
+        _verdict(20_000, lambda s: 0, every=15_000)
