@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelFormatError, NoUniqueStationary, StructuralError
+from .errors import ContractViolation, ModelFormatError, NoUniqueStationary, StructuralError
 
 PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
 PATTERN_INDEX = {p: i for i, p in enumerate(PATTERNS)}
@@ -176,41 +175,79 @@ def _cumulative_rows(rows):
     return tuple(out)
 
 
-def _draw(rng: random.Random, cum) -> int:
-    """Index of the first cumulative entry above one uniform draw, else the
-    last index. For a nondecreasing row that is bisect_right over all but
-    the last entry, and every row drawn from in the package is one: a
-    running sum of nonnegative probabilities."""
-    return bisect_right(cum, rng.random(), 0, len(cum) - 1)
+def _words(rng: random.Random, k: int) -> bytes:
+    """The generator output that k rng.random() calls consume, advancing
+    rng past it: 2k 32-bit words, in order, as little-endian bytes
+    (getrandbits lays its words out least significant first)."""
+    return rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+
+
+def _uniforms(raw) -> np.ndarray:
+    """The doubles rng.random() makes of the words in raw (from _words):
+    two words each, the first first, as (a >> 5) * 2**26 + (b >> 6) over
+    2**53."""
+    w = np.frombuffer(raw, "<u4")
+    u = (w[0::2] >> 5) * 67108864.0
+    u += w[1::2] >> 6
+    u /= 9007199254740992.0
+    return u
+
+
+def _pick(cum, u):
+    """The package's sampling rule, over the last axis of cum against u
+    (broadcast to cum's other axes): the index of the first cumulative entry
+    above u, else the last index. For a nondecreasing row that is the count
+    of entries at or below u among all but the last, and every row drawn
+    from in the package is one: a running sum of nonnegative
+    probabilities."""
+    return (cum[..., :-1] <= u[..., None]).sum(axis=-1)
+
+
+def _check_seed(seed: int) -> None:
+    # random.Random seeds an int by its absolute value, so -s would replay s
+    if seed < 0:
+        raise ContractViolation(f"seed {seed} is negative; seeds are nonnegative integers")
 
 
 def _path_cums(model: ChannelModel, pi):
     """Cumulative rows of the start distribution pi, the transitions and the
-    emissions: what drawing a channel path needs."""
-    return (_cumulative_rows([tuple(pi)])[0],
-            _cumulative_rows(model.transition_rows),
-            _cumulative_rows(model.emission_rows))
+    emissions as arrays: what drawing a channel path needs."""
+    return (np.array(_cumulative_rows([tuple(pi)])[0]),
+            np.array(_cumulative_rows(model.transition_rows)),
+            np.array(_cumulative_rows(model.emission_rows)))
+
+
+def _walk(cums, s: int, u_pat, u_next):
+    """The slots whose pattern and next-state doubles are u_pat and u_next,
+    from hidden state s: returns (states, codes, s) with the state and
+    pattern index of each slot and the state after the last. Only the walk
+    along the states is sequential; its next-state candidates are picked
+    beforehand, one list per state."""
+    _pi_cum, t_cum, e_cum = cums
+    nxt = [_pick(row, u_next).tolist() for row in t_cum]
+    states = []
+    for i in range(len(u_next)):
+        states.append(s)
+        s = nxt[s][i]
+    return states, _pick(e_cum[states], u_pat), s
 
 
 def _draw_codes(cums, n: int, seeds):
     """Pattern indices of n slots per seed (one column each), drawn as
     sample_trajectory draws them from the start distribution of cums: one
     generator reseeded per path gives its 2n + 1 doubles."""
-    pi_cum, t_cum, e_cum = (np.array(c) for c in cums)
+    pi_cum, t_cum, e_cum = cums
     rng = random.Random()
-    u = np.empty((2 * n + 1, len(seeds)))
-    for k, seed in enumerate(seeds):
+    raw = bytearray()
+    for seed in seeds:
         rng.seed(seed)
-        u[:, k] = [rng.random() for _ in range(2 * n + 1)]
-
-    def pick(cum, v):  # _draw's rule: entries <= v among all but the last
-        return (cum[..., :-1] <= v[:, None]).sum(axis=1)
-
-    s = pick(pi_cum, u[0])
+        raw += _words(rng, 2 * n + 1)
+    u = _uniforms(raw).reshape(len(seeds), 2 * n + 1).T
+    s = _pick(pi_cum, u[0])
     codes = np.empty((n, len(seeds)), dtype=np.intp)
     for i in range(n):
-        codes[i] = pick(e_cum[s], u[2 * i + 1])
-        s = pick(t_cum[s], u[2 * i + 2])
+        codes[i] = _pick(e_cum[s], u[2 * i + 1])
+        s = _pick(t_cum[s], u[2 * i + 2])
     return codes
 
 
@@ -219,17 +256,14 @@ def sample_trajectory(model: ChannelModel, n: int, seed: int):
 
     The slot-0 state is drawn from the stationary distribution, then per
     slot its pattern and the next state. Returns (states, patterns) where
-    patterns are (z1, z2) tuples. Deterministic in the seed.
+    patterns are (z1, z2) tuples. Deterministic in the seed, which must be
+    nonnegative.
     """
-    pi_cum, t_cum, e_cum = _path_cums(model, stationary_distribution(model))
-    rng = random.Random(seed)
-    states, patterns = [], []
-    s = _draw(rng, pi_cum)
-    for _ in range(n):
-        states.append(s)
-        patterns.append(PATTERNS[_draw(rng, e_cum[s])])
-        s = _draw(rng, t_cum[s])
-    return states, patterns
+    _check_seed(seed)
+    cums = _path_cums(model, stationary_distribution(model))
+    u = _uniforms(_words(random.Random(seed), 2 * n + 1))
+    states, codes, _s = _walk(cums, int(_pick(cums[0], u[:1])[0]), u[1::2], u[2::2])
+    return states, [PATTERNS[z] for z in codes.tolist()]
 
 
 def forgetting_rate_bound(model: ChannelModel) -> float | None:

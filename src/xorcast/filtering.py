@@ -14,12 +14,14 @@ from operator import mul
 
 import numpy as np
 
-from .channel import (PATTERN_INDEX, PATTERNS, ChannelModel, _draw_codes, _path_cums,
-                      pattern_label, sample_trajectory,  # noqa: F401
+from .channel import (PATTERN_INDEX, PATTERNS, ChannelModel, _check_seed, _draw_codes,
+                      _path_cums, pattern_label, sample_trajectory,  # noqa: F401
                       stationary_distribution)
 from .errors import ContractViolation, NumericalFailure, ResourceLimit, ZeroLikelihood
 
 WINDOW_CAP = 10
+LANE = 32     # slots per lane of filter_path
+PASSES = 3    # lane passes of filter_path before it steps one slot at a time
 ROBUST_WINDOW_CAP = 4 ** 6   # most windows of a robust witness: 0.94 GB of dense LP at L = 6
 
 
@@ -81,6 +83,67 @@ def _step_batch(model: ChannelModel, belief, z):
         nxt = tuple([np.where(dead, b, v) for b, v in zip(belief, nxt)])
         ell = np.where(dead, 0.0, ell)
     return nxt, ell
+
+
+def filter_path(model: ChannelModel, belief, codes):
+    """The exact filter along the pattern path codes from belief: one array
+    per state, holding the belief before each slot and, last, after the
+    final one. Every value equals the sequential _step chain bit for bit,
+    and an impossible pattern raises ZeroLikelihood as filter_step does, at
+    the first slot where filter_step would.
+
+    The path is cut into lanes of LANE slots, filtered side by side with
+    _step_batch. The first pass starts every lane from belief; each later
+    pass starts lane b + 1 where lane b ended and re-filters from the first
+    lane whose start changed, until none does. Lane 0 starts exact, so a
+    lane whose start no longer changes is exact by induction. On a channel
+    that forgets a wrong start to the last bit within a lane, two passes
+    suffice. The worst case settles one lane per pass, and a batch step costs
+    several sequential ones, so after PASSES passes the unsettled lanes run
+    through _step one slot at a time, from the first one's exact start.
+    """
+    n = len(codes)
+    lanes = n // LANE + 1                   # slot n, the end, lies in a lane too
+    z = np.zeros(lanes * LANE, dtype=np.intp)
+    z[:n] = codes
+    z = z.reshape(lanes, LANE)
+    grids = [np.empty((lanes, LANE + 1)) for _ in belief]   # lane b: start, ..., end
+    ell = np.empty((lanes, LANE))
+    for g, v in zip(grids, belief):
+        g[:, 0] = v
+    first = 0
+    for _ in range(PASSES):
+        cur = tuple(g[first:, 0] for g in grids)
+        for t in range(LANE):
+            cur, ell[first:, t] = _step_batch(model, cur, z[first:, t])
+            for g, v in zip(grids, cur):
+                g[first:, t + 1] = v
+        changed = np.zeros(lanes, dtype=bool)
+        for g in grids:
+            changed[first + 1:] |= g[first + 1:, 0] != g[first:-1, LANE]
+        if not changed.any():
+            first = lanes
+            break
+        first = int(changed.argmax())
+        for g in grids:
+            g[first:, 0] = g[first - 1:-1, LANE]
+    # path order: slot i is column i % LANE of lane i // LANE
+    path = [g[:, :LANE].reshape(-1)[:n + 1] for g in grids]
+    ells = ell.reshape(-1)[:n]              # padded slots are not judged
+    start = first * LANE
+    if start < n:
+        b = tuple(float(p[start]) for p in path)
+        seq = []
+        for i, zi in enumerate(z.reshape(-1)[start:n].tolist(), start):
+            b, ells[i] = _step(model, b, zi)
+            seq.append(b)
+        for p, col in zip(path, zip(*seq)):
+            p[start + 1:] = col
+    dead = ells <= 0.0
+    if dead.any():
+        raise ZeroLikelihood(f"pattern {PATTERNS[codes[dead.argmax()]]} has probability "
+                             "zero under the current belief")
+    return tuple(path)
 
 
 def _pattern_arg(pattern) -> int:
@@ -258,8 +321,10 @@ def empirical_forgetting(model: ChannelModel, L: int, horizon: int, seed: int,
     """Sampled version of exhaustive_forgetting for horizons too long to
     enumerate. History k is drawn from the model itself as
     sample_trajectory(model, horizon - 1, seed + k) draws it, so all have
-    positive probability, and all histories are filtered together."""
+    positive probability, and all histories are filtered together. The seed
+    must be nonnegative, so that no two histories share a seed."""
     t = _check_horizon(L, horizon)
+    _check_seed(seed)
     if samples < 1:
         raise ContractViolation("sample count must be at least 1")
     pi = init_belief(model)

@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import PATTERNS, ChannelModel, _cumulative_rows, _path_cums
-from .errors import ContractViolation, NumericalFailure, TraceFormatError, ZeroLikelihood
+from .channel import (PATTERNS, ChannelModel, _check_seed, _cumulative_rows, _path_cums,
+                      _pick, _uniforms, _walk, _words)
+from .errors import ContractViolation, NumericalFailure, TraceFormatError
 # the traced benchmark wraps filter_step and predict_stats by name in this module
-from .filtering import (ErasureStats, _step, filter_step, init_belief,  # noqa: F401
+from .filtering import (ErasureStats, filter_path, filter_step, init_belief,  # noqa: F401
                         predict_pattern_probs, predict_stats)
 from .region import ActionDistribution
 
@@ -45,6 +45,7 @@ WARMUP_FRAC = 0.1       # share of a run's first slots left out of throughput
 SLOPE_STABLE = 1e-4     # stability verdict thresholds, packets per slot
 SLOPE_UNSTABLE = 1e-2
 BACKLOG_BOUND = 500.0   # largest mean backlog of a Stable run, packets
+BLOCK = 2048            # slots whose channel side simulate computes at once
 
 _COUNT_KEYS = {IDLE: "idle", FRESH1: "fresh1", FRESH2: "fresh2", XOR_BACKLOG: "xor",
                MIX_FRESH: "mix", REMEDY: "remedy", SUB1: "sub1", SUB2: "sub2"}
@@ -244,17 +245,25 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
              collect_trace: bool = False, collect_slots: bool = False) -> SimReport:
     """Run n slots of one scheduler against a sampled channel path.
 
-    Bernoulli arrivals at rates R1, R2. The rng draw order per slot is
-    fixed (arrival 1, arrival 2, action sample for the probabilistic
-    scheduler, erasure pattern, next state), so runs are reproducible from
-    the seed alone. Idle slots still advance the channel and the filter.
+    Bernoulli arrivals at rates R1, R2. The seed, a nonnegative integer,
+    fixes the whole run: after one double for the slot-0 state, each slot
+    takes its doubles in a fixed order (arrival 1, arrival 2, action sample
+    for the probabilistic scheduler, erasure pattern, next state). Idle
+    slots still advance the channel and the filter.
 
     The probabilistic scheduler samples from dist's row for the current
     window of past patterns (seeded as all-clear) and never looks at queue
     sizes beyond the feasibility ladder. The max-weight scheduler tracks
     the exact state filter instead and needs no distribution.
 
-    Every draw follows channel._draw, written inline.
+    Nothing on the channel side depends on the queues, so it is computed
+    BLOCK slots at a time: the doubles (channel._uniforms), the hidden-state
+    path and its patterns, the probabilistic window and its sampled action,
+    every pick by channel._pick's rule, and the max-weight belief
+    (filtering.filter_path, bit for bit the sequential filter). The slot
+    loop runs only the actions, the queues, the counts and the records. A
+    pattern of zero likelihood raises ZeroLikelihood before its block's
+    slots run.
     """
     if scheduler not in ("maxweight", "probabilistic"):
         raise ContractViolation(f"unknown scheduler {scheduler!r}")
@@ -262,19 +271,18 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
         raise ContractViolation("arrival rates must lie in [0, 1]")
     if n < 1:
         raise ContractViolation("n must be positive")
+    _check_seed(seed)
     probabilistic = scheduler == "probabilistic"
     if probabilistic:
         if dist is None:
             raise ContractViolation("the probabilistic scheduler needs an action distribution")
-        cum_rows = _cumulative_rows(dist.table)
-        mask = 4 ** dist.L - 1
+        cum_rows = np.array(_cumulative_rows(dist.table))
+        tail = np.zeros(dist.L, dtype=np.intp)   # the window starts all-clear
     rng = random.Random(seed)
     belief = init_belief(model)
-    pi_cum, t_cum, e_cum = _path_cums(model, belief)
-    if not probabilistic:
-        _p00, p01, p10, p11 = predict_pattern_probs(model, belief)
+    cums = _path_cums(model, belief)
+    width = 5 if probabilistic else 4    # doubles per slot
     state = QueueState()
-    win = 0
     counts = {v: 0 for v in _COUNT_KEYS.values()}
     arrivals = [0, 0]
     delivered_n = [0, 0]
@@ -285,53 +293,60 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     trace = [] if collect_trace else None
     slot_rows = [] if collect_slots else None
 
-    last = len(pi_cum) - 1
-    s = bisect_right(pi_cum, rng.random(), 0, last)
-    for slot in range(n):
-        if rng.random() < R1:
-            state.q1[0].append(next_id)
-            next_id += 1
-            arrivals[0] += 1
-        if rng.random() < R2:
-            state.q1[1].append(next_id)
-            next_id += 1
-            arrivals[1] += 1
+    s = int(_pick(cums[0], _uniforms(_words(rng, 1)))[0])
+    for base in range(0, n, BLOCK):
+        m = min(BLOCK, n - base)
+        u = _uniforms(_words(rng, m * width)).reshape(m, width)
+        _states, codes, s = _walk(cums, s, u[:, -2], u[:, -1])
         if probabilistic:
-            a = bisect_right(cum_rows[win], rng.random(), 0, 4)
-            action = substitute_action(a + 1, state)
+            # the window of slot i is the L patterns before it, oldest first
+            ext = np.concatenate((tail, codes))
+            wins = np.zeros(m, dtype=np.intp)
+            for k in range(dist.L):
+                wins = (wins << 2) | ext[k:k + m]
+            tail = ext[m:]
+            choices = (_pick(cum_rows[wins], u[:, 2]) + 1).tolist()
         else:
-            action = _maxweight(state, p01, p10, p11)
-        zi = bisect_right(e_cum[s], rng.random(), 0, 3)
-        z1, z2 = PATTERNS[zi]
-        combo, delivered = _apply(state, action, z1, z2)
-        counts[_COUNT_KEYS[action]] += 1
-        for j, _pid in delivered:
-            delivered_n[j - 1] += 1
-        if trace is not None and combo:
+            beliefs = filter_path(model, belief, codes)
+            belief = tuple(float(b[-1]) for b in beliefs)
+            _p00, p01, p10, p11 = predict_pattern_probs(model, tuple(b[:-1] for b in beliefs))
+            choices = zip(p01.tolist(), p10.tolist(), p11.tolist())
+        new1 = (u[:, 0] < R1).tolist()
+        new2 = (u[:, 1] < R2).tolist()
+        for slot, zi, a1, a2, choice in zip(range(base, base + m), codes.tolist(),
+                                            new1, new2, choices):
+            if a1:
+                state.q1[0].append(next_id)
+                next_id += 1
+                arrivals[0] += 1
+            if a2:
+                state.q1[1].append(next_id)
+                next_id += 1
+                arrivals[1] += 1
+            if probabilistic:
+                action = substitute_action(choice, state)
+            else:
+                action = _maxweight(state, *choice)
+            z1, z2 = PATTERNS[zi]
+            combo, delivered = _apply(state, action, z1, z2)
+            counts[_COUNT_KEYS[action]] += 1
+            for j, _pid in delivered:
+                delivered_n[j - 1] += 1
             code = 3 if action in (SUB1, SUB2) else action
-            trace.append((slot, code, combo, z1 == 0, z2 == 0, tuple(delivered)))
-        if slot_rows is not None:
-            code = 3 if action in (SUB1, SUB2) else action
-            slot_rows.append((slot, code, z1, z2, state.backlog(),
-                              delivered_n[0], delivered_n[1]))
-        if probabilistic:
-            win = ((win << 2) | zi) & mask
-        else:
-            belief, ell = _step(model, belief, zi)
-            if ell <= 0.0:
-                raise ZeroLikelihood(
-                    f"pattern {PATTERNS[zi]} has probability zero under the current belief")
-            _p00, p01, p10, p11 = predict_pattern_probs(model, belief)
-        s = bisect_right(t_cum[s], rng.random(), 0, last)
-        if (slot + 1) % cp == 0 or slot + 1 == n:
-            q1, q2, q3 = state.q1, state.q2, state.q3
-            for j in (0, 1):
-                held = len(q1[j]) + len(q2[j]) + len(q3) + delivered_n[j]
-                if held != arrivals[j]:
-                    raise NumericalFailure("packet conservation broken",
-                                           {"receiver": j + 1, "slot": slot + 1,
-                                            "held": held, "arrivals": arrivals[j]})
-            checkpoints.append((slot + 1, state.backlog(), delivered_n[0], delivered_n[1]))
+            if trace is not None and combo:
+                trace.append((slot, code, combo, z1 == 0, z2 == 0, tuple(delivered)))
+            if slot_rows is not None:
+                slot_rows.append((slot, code, z1, z2, state.backlog(),
+                                  delivered_n[0], delivered_n[1]))
+            if (slot + 1) % cp == 0 or slot + 1 == n:
+                q1, q2, q3 = state.q1, state.q2, state.q3
+                for j in (0, 1):
+                    held = len(q1[j]) + len(q2[j]) + len(q3) + delivered_n[j]
+                    if held != arrivals[j]:
+                        raise NumericalFailure("packet conservation broken",
+                                               {"receiver": j + 1, "slot": slot + 1,
+                                                "held": held, "arrivals": arrivals[j]})
+                checkpoints.append((slot + 1, state.backlog(), delivered_n[0], delivered_n[1]))
     return SimReport(scheduler=scheduler, R1=R1, R2=R2, n=n, seed=seed,
                      arrivals=tuple(arrivals), delivered=tuple(delivered_n),
                      action_counts=counts, checkpoints=checkpoints,

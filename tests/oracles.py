@@ -11,12 +11,15 @@ row-indexed filter update and prediction are the exception: they repeat
 the library's arithmetic term by term, so the column kernels must match
 them exactly. So are the one-at-a-time forms of batched code (the
 depth-first window table, the per-sample forgetting loop, the json.dumps
-trace writer): the batched code must reproduce them bit for bit.
+trace writer, the slot-at-a-time simulation): the batched code must
+reproduce them bit for bit.
 """
 
 import itertools
 import json
 import math
+import random
+from bisect import bisect_right
 
 import numpy as np
 
@@ -24,6 +27,8 @@ import xorcast as xc
 from xorcast.filtering import _step
 from xorcast.lp import LE, _Simplex, _verify
 from xorcast.region import _RATE_OF_ROW, _rate_rows, _rate_terms
+from xorcast.sim import (_COUNT_KEYS, CHECKPOINTS, SUB1, SUB2, WARMUP_FRAC, QueueState,
+                         SimReport, _apply, _maxweight, substitute_action)
 
 
 def draw_oracle(cum, u):
@@ -100,6 +105,36 @@ def random_model(rng, n_states, floor=0.02):
             out.append([v / s for v in row])
         return out
     return xc.ChannelModel(rows(n_states, n_states), rows(n_states, 4))
+
+
+def sparse_model(rng, n_states):
+    """Random model with zero transition and emission entries. The cycle
+    s -> s+1 stays positive, so the chain is irreducible, while whole
+    pattern windows can become impossible."""
+    def row(k, keep):
+        vals = [0.0 if j != keep and rng.random() < 0.4 else 0.05 + rng.random()
+                for j in range(k)]
+        total = sum(vals)
+        return [v / total for v in vals]
+    transition = [row(n_states, (s + 1) % n_states) for s in range(n_states)]
+    emission = [row(4, rng.randrange(4)) for _ in range(n_states)]
+    return xc.ChannelModel(transition, emission)
+
+
+def trajectory_oracle(model, n, seed):
+    """sample_trajectory one rng.random() call and one linear-scan draw at
+    a time."""
+    rng = random.Random(seed)
+    pi_cum = xc.channel._cumulative_rows([xc.init_belief(model)])[0]
+    t_cum = xc.channel._cumulative_rows(model.transition_rows)
+    e_cum = xc.channel._cumulative_rows(model.emission_rows)
+    states, patterns = [], []
+    s = draw_oracle(pi_cum, rng.random())
+    for _ in range(n):
+        states.append(s)
+        patterns.append(xc.PATTERNS[draw_oracle(e_cum[s], rng.random())])
+        s = draw_oracle(t_cum[s], rng.random())
+    return states, patterns
 
 
 def filter_step_oracle(model, belief, z):
@@ -315,11 +350,15 @@ def vertex_oracle(lp, tol=1e-7):
     return float((verts @ lp.objective).max()) if len(verts) else None
 
 
+VERTEX_BLOCK = 8192   # n-subsets solved at once by feasible_vertices
+
+
 def feasible_vertices(lp, tol=1e-7):
     """Every vertex of the feasible polytope, one row each, found by
     solving each n-subset of the constraint and bound hyperplanes and
     keeping the feasible solutions; the objective plays no part, so one
-    enumeration serves every objective over the same constraints."""
+    enumeration serves every objective over the same constraints. The
+    subsets are solved VERTEX_BLOCK at a time, in combinations order."""
     n = lp.num_vars
     normals = []
     offsets = []
@@ -336,14 +375,19 @@ def feasible_vertices(lp, tol=1e-7):
             offsets.append(float(hi))
     A = np.asarray(normals)
     b = np.asarray(offsets)
-    combos = np.asarray(list(itertools.combinations(range(len(normals)), n)))
-    mats = A[combos]
-    rhss = b[combos]
-    dets = np.linalg.det(mats)
-    keep = np.abs(dets) > 1e-10
-    if not keep.any():
+    combos = itertools.combinations(range(len(normals)), n)
+    found = []
+    while True:
+        block = np.asarray(list(itertools.islice(combos, VERTEX_BLOCK)), dtype=np.intp)
+        if not len(block):
+            break
+        mats = A[block]
+        keep = np.abs(np.linalg.det(mats)) > 1e-10
+        if keep.any():
+            found.append(np.linalg.solve(mats[keep], b[block][keep][..., None])[..., 0])
+    if not found:
         return np.zeros((0, n))
-    sols = np.linalg.solve(mats[keep], rhss[keep][..., None])[..., 0]
+    sols = np.concatenate(found)
     ok = np.ones(len(sols), dtype=bool)
     for coefs, rel, rhs in lp.constraints:
         lhs = sols @ np.asarray(coefs)
@@ -444,3 +488,75 @@ def gf2_decode_oracle(trace):
                 fails.append((j, pid, slot))
     receiver_ok = (not bad[0], not bad[1])
     return xc.DecodeReport(ok=all(receiver_ok), receiver_ok=receiver_ok, failures=fails)
+
+
+def simulate_oracle(model, scheduler, R1, R2, n, seed, dist=None, collect_trace=False,
+                    collect_slots=False):
+    """simulate one slot at a time: every draw is one rng.random() call
+    picked by bisection, and the max-weight belief is the sequential _step
+    chain. Assumes valid arguments."""
+    probabilistic = scheduler == "probabilistic"
+    if probabilistic:
+        cum_rows = xc.channel._cumulative_rows(dist.table)
+        mask = 4 ** dist.L - 1
+    rng = random.Random(seed)
+    belief = xc.init_belief(model)
+    pi_cum = xc.channel._cumulative_rows([belief])[0]
+    t_cum = xc.channel._cumulative_rows(model.transition_rows)
+    e_cum = xc.channel._cumulative_rows(model.emission_rows)
+    if not probabilistic:
+        _p00, p01, p10, p11 = xc.predict_pattern_probs(model, belief)
+    state = QueueState()
+    win = 0
+    counts = {v: 0 for v in _COUNT_KEYS.values()}
+    arrivals = [0, 0]
+    delivered_n = [0, 0]
+    next_id = 0
+    cp = max(1, n // CHECKPOINTS)
+    checkpoints = []
+    trace = [] if collect_trace else None
+    slot_rows = [] if collect_slots else None
+    last = len(pi_cum) - 1
+    s = bisect_right(pi_cum, rng.random(), 0, last)
+    for slot in range(n):
+        if rng.random() < R1:
+            state.q1[0].append(next_id)
+            next_id += 1
+            arrivals[0] += 1
+        if rng.random() < R2:
+            state.q1[1].append(next_id)
+            next_id += 1
+            arrivals[1] += 1
+        if probabilistic:
+            a = bisect_right(cum_rows[win], rng.random(), 0, 4)
+            action = substitute_action(a + 1, state)
+        else:
+            action = _maxweight(state, p01, p10, p11)
+        zi = bisect_right(e_cum[s], rng.random(), 0, 3)
+        z1, z2 = xc.PATTERNS[zi]
+        combo, delivered = _apply(state, action, z1, z2)
+        counts[_COUNT_KEYS[action]] += 1
+        for j, _pid in delivered:
+            delivered_n[j - 1] += 1
+        code = 3 if action in (SUB1, SUB2) else action
+        if trace is not None and combo:
+            trace.append((slot, code, combo, z1 == 0, z2 == 0, tuple(delivered)))
+        if slot_rows is not None:
+            slot_rows.append((slot, code, z1, z2, state.backlog(),
+                              delivered_n[0], delivered_n[1]))
+        if probabilistic:
+            win = ((win << 2) | zi) & mask
+        else:
+            belief, ell = _step(model, belief, zi)
+            if ell <= 0.0:
+                raise xc.ZeroLikelihood(
+                    f"pattern {xc.PATTERNS[zi]} has probability zero under the current belief")
+            _p00, p01, p10, p11 = xc.predict_pattern_probs(model, belief)
+        s = bisect_right(t_cum[s], rng.random(), 0, last)
+        if (slot + 1) % cp == 0 or slot + 1 == n:
+            checkpoints.append((slot + 1, state.backlog(), delivered_n[0], delivered_n[1]))
+    return SimReport(scheduler=scheduler, R1=R1, R2=R2, n=n, seed=seed,
+                     arrivals=tuple(arrivals), delivered=tuple(delivered_n),
+                     action_counts=counts, checkpoints=checkpoints,
+                     final_backlog=state.backlog(), warmup=int(n * WARMUP_FRAC),
+                     trace=trace, slot_rows=slot_rows)

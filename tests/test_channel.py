@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import xorcast as xc
-from xorcast.channel import BALANCE_TOL, _cumulative_rows, _draw
+from xorcast.channel import BALANCE_TOL, _cumulative_rows, _pick, _uniforms, _words
 
-from oracles import aperiodic_oracle, draw_oracle, random_model, strongly_connected_oracle
+from oracles import (aperiodic_oracle, draw_oracle, random_model, sparse_model,
+                     strongly_connected_oracle, trajectory_oracle)
 
 
 def test_model_shapes_and_readonly(ref_model):
@@ -248,16 +249,6 @@ def test_load_model_bad_json(tmp_path):
         xc.load_model(path)
 
 
-class _Uniforms:
-    """Stub generator whose random() hands out the given doubles in order."""
-
-    def __init__(self, us):
-        self._us = iter(us)
-
-    def random(self):
-        return next(self._us)
-
-
 def test_draw_matches_linear_scan():
     rng = random.Random(3)
     rows = [(0.25, 0.25, 0.25, 0.25), (1.0,), (0.0, 1.0), (1.0, 0.0, 0.0),
@@ -275,7 +266,33 @@ def test_draw_matches_linear_scan():
         for c in cum:
             us.update((c, math.nextafter(c, 0.0), math.nextafter(c, 1.0)))
         us.update(rng.random() for _ in range(20))
-        for u in sorted(v for v in us if 0.0 <= v < 1.0):
-            assert _draw(_Uniforms([u]), cum) == draw_oracle(cum, u), (cum, u)
+        us = sorted(v for v in us if 0.0 <= v < 1.0)
+        # one row against many doubles, and the row repeated once per double
+        got = _pick(np.array(cum), np.array(us))
+        tiled = _pick(np.tile(cum, (len(us), 1)), np.array(us))
+        for u, g, t in zip(us, got.tolist(), tiled.tolist()):
+            assert g == t == draw_oracle(cum, u), (cum, u)
             cases += 1
     assert cases > 3000
+
+
+def test_uniforms_match_random():
+    for seed in (0, 1, 2 ** 40 + 3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for k in (0, 1, 2, 5, 1000, 20_001):
+            assert _uniforms(_words(rng, k)).tolist() == [ref.random() for _ in range(k)]
+            assert rng.getstate() == ref.getstate()
+
+
+def test_negative_seed_rejected(ref_model):
+    # random.Random(-s) seeds as random.Random(s) does
+    with pytest.raises(xc.ContractViolation, match="negative"):
+        xc.sample_trajectory(ref_model, 10, seed=-5)
+
+
+def test_trajectory_matches_scalar_draws(ref_model):
+    rng = random.Random(8)
+    models = [ref_model, random_model(rng, 1), random_model(rng, 3), sparse_model(rng, 4)]
+    for model in models:
+        for n, seed in ((0, 2), (1, 0), (7, 5), (300, 11)):
+            assert xc.sample_trajectory(model, n, seed) == trajectory_oracle(model, n, seed)

@@ -160,6 +160,17 @@ def test_forgetting_rejects_bad_counts(capsys, model_path):
         assert "window length must be at least 1" in err
 
 
+def test_negative_seed_exits_2(capsys, model_path):
+    # a negative seed would replay its positive twin
+    for cmd in (["simulate", "--model", model_path, "--scheduler", "maxweight",
+                 "--rates", "0.2,0.2", "--slots", "100", "--seed", "-3"],
+                ["forgetting", "--model", model_path, "--L", "2", "--horizon", "10",
+                 "--samples", "8", "--seed", "-4"]):
+        code, out, err = run(capsys, cmd)
+        assert code == 2 and out == ""
+        assert "seed -" in err and "negative" in err, err
+
+
 def test_canonicalize_roundtrip(capsys, model_path, tmp_path, ref_model):
     t = xc.window_table(ref_model, 1)
     wit = xc.solve_region(t, 1.0, 1.0)

@@ -9,10 +9,10 @@ import pytest
 
 import xorcast as xc
 
-from xorcast.filtering import _filter_batch, _step, _step_batch
+from xorcast.filtering import LANE, _filter_batch, _step, _step_batch, filter_path
 
 from oracles import (brute_force_window, empirical_forgetting_loop,
-                     filter_step_oracle, predict_oracle, random_model,
+                     filter_step_oracle, predict_oracle, random_model, sparse_model,
                      window_table_dfs)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -246,20 +246,6 @@ def test_empirical_below_exhaustive(ref_model):
     assert em > 0.0
 
 
-def sparse_model(rng, n_states):
-    """Random model with zero transition and emission entries. The cycle
-    s -> s+1 stays positive, so the chain is irreducible, while whole
-    pattern windows can become impossible."""
-    def row(k, keep):
-        vals = [0.0 if j != keep and rng.random() < 0.4 else 0.05 + rng.random()
-                for j in range(k)]
-        total = sum(vals)
-        return [v / total for v in vals]
-    transition = [row(n_states, (s + 1) % n_states) for s in range(n_states)]
-    emission = [row(4, rng.randrange(4)) for _ in range(n_states)]
-    return xc.ChannelModel(transition, emission)
-
-
 def test_window_table_matches_dfs_oracle(ref_model):
     # the level-order table does the depth-first recursion's arithmetic
     # node by node, so both arrays must agree bit for bit
@@ -330,3 +316,64 @@ def test_empirical_forgetting_needs_a_sample(ref_model):
     for samples in (0, -3):
         with pytest.raises(xc.ContractViolation):
             xc.empirical_forgetting(ref_model, 2, 12, seed=1, samples=samples)
+
+
+def test_empirical_forgetting_rejects_negative_seed(ref_model):
+    # seeds -128..127 would draw each history of seeds 1..127 twice
+    with pytest.raises(xc.ContractViolation, match="negative"):
+        xc.empirical_forgetting(ref_model, 2, 12, -128, 256)
+
+
+def _step_chain(model, belief, codes):
+    """Beliefs before each slot of codes and after the last, by _step."""
+    out = [belief]
+    for z in codes:
+        belief, ell = _step(model, belief, int(z))
+        assert ell > 0.0
+        out.append(belief)
+    return out
+
+
+def test_filter_path_matches_step_chain(ref_model):
+    # a slow-mixing chain forgets a wrong lane start slowly, so the lanes
+    # after the first need fix-up passes before they match; with nearly
+    # equal emission rows no lane forgets it within PASSES passes, and the
+    # rest of the path runs one slot at a time
+    slow = xc.ChannelModel([[0.999, 0.001], [0.002, 0.998]], ref_model.emission)
+    weak = xc.ChannelModel(slow.transition, [[0.5, 0.2, 0.2, 0.1], [0.49, 0.21, 0.2, 0.1]])
+    rng = random.Random(5)
+    models = [slow, weak, ref_model, random_model(rng, 3), sparse_model(rng, 3)]
+    for model in models:
+        for n in (0, 1, LANE - 1, LANE, LANE + 1, 3 * LANE + 7, 5000):
+            _, patterns = xc.sample_trajectory(model, n, seed=n)
+            codes = np.array([xc.PATTERN_INDEX[p] for p in patterns], dtype=np.intp)
+            start = xc.init_belief(model)
+            got = filter_path(model, start, codes)
+            assert all(len(v) == n + 1 for v in got)
+            assert list(zip(*(v.tolist() for v in got))) == _step_chain(model, start, codes)
+
+
+def test_filter_path_raises_where_filter_step_does():
+    # pattern 3 is emitted by no state: the path raises at its first slot
+    model = xc.ChannelModel([[0.7, 0.3], [0.4, 0.6]],
+                            [[0.6, 0.2, 0.2, 0.0], [0.1, 0.5, 0.4, 0.0]])
+    rng = random.Random(9)
+    k = 2 * LANE + 9
+    codes = np.array([rng.randrange(3) for _ in range(k)] + [3, 0, 1], dtype=np.intp)
+    start = xc.init_belief(model)
+    assert (list(zip(*(v.tolist() for v in filter_path(model, start, codes[:k]))))
+            == _step_chain(model, start, codes[:k]))
+    with pytest.raises(xc.ZeroLikelihood) as want:
+        run_filter(model, [xc.PATTERNS[z] for z in codes])
+    with pytest.raises(xc.ZeroLikelihood) as got:
+        filter_path(model, start, codes)
+    assert str(got.value) == str(want.value)
+    # states alternate, and the first pattern names the state: at slot LANE
+    # the state is 0, which never emits pattern 1, while a lane started
+    # from the even belief would take it
+    model = xc.ChannelModel([[0.0, 1.0], [1.0, 0.0]],
+                            [[0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0]])
+    codes = np.array([(0, 1)[t % 2] for t in range(LANE)] + [1, 2], dtype=np.intp)
+    filter_path(model, (0.5, 0.5), codes[:LANE])
+    with pytest.raises(xc.ZeroLikelihood, match=r"\(0, 1\)"):
+        filter_path(model, (0.5, 0.5), codes)

@@ -11,11 +11,13 @@ from hypothesis import strategies as hs
 
 import xorcast as xc
 from xorcast.cli import main as cli_main
-from xorcast.sim import (FRESH1, FRESH2, IDLE, MIX_FRESH, REMEDY, SUB1, SUB2,
+from xorcast.filtering import LANE
+from xorcast.sim import (BLOCK, FRESH1, FRESH2, IDLE, MIX_FRESH, REMEDY, SUB1, SUB2,
                          XOR_BACKLOG, QueueState, _apply, _maxweight, _well_formed,
                          maxweight_action, substitute_action)
 
-from oracles import gf2_decode_oracle, save_trace_json
+from oracles import (gf2_decode_oracle, random_model, save_trace_json, simulate_oracle,
+                     sparse_model)
 
 
 def filled(q1_1=(), q1_2=(), q2_1=(), q2_2=(), q3=()):
@@ -234,6 +236,53 @@ def test_simulate_validation(ref_model):
         xc.simulate(ref_model, "maxweight", 0.1, 0.1, 0, 0)
     with pytest.raises(xc.ContractViolation):
         xc.simulate(ref_model, "probabilistic", 0.1, 0.1, 100, 0)
+
+
+def test_simulate_rejects_negative_seed(ref_model):
+    # random.Random(-3) seeds as random.Random(3) does, so -3 would replay 3
+    with pytest.raises(xc.ContractViolation, match="negative"):
+        xc.simulate(ref_model, "maxweight", 0.1, 0.1, 100, -3)
+
+
+def _random_dist(rng, L):
+    """Action distribution with random rows, about a third of them zeros."""
+    rows = []
+    for _ in range(4 ** L):
+        w = [0.0 if rng.random() < 0.3 else rng.random() for _ in range(5)]
+        w[rng.randrange(5)] += 0.1
+        rows.append([v / sum(w) for v in w])
+    return xc.ActionDistribution(L, np.array(rows))
+
+
+def test_simulate_matches_slot_oracle(ref_model):
+    # the block-drawn channel and the lane filter against the one-slot-at-a-
+    # time loop: every report field, at lengths around a lane and a block
+    rng = random.Random(21)
+    models = [ref_model, random_model(rng, 1), random_model(rng, 2), random_model(rng, 3),
+              sparse_model(rng, 2), sparse_model(rng, 3)]
+    lengths = (1, LANE - 1, LANE + 1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 333)
+    for k, model in enumerate(models):
+        for sched in ("probabilistic", "maxweight"):
+            dist = _random_dist(rng, 1 + k % 2) if sched == "probabilistic" else None
+            for n in lengths:
+                seed = rng.randrange(1000)
+                R1, R2 = rng.uniform(0.05, 0.6), rng.uniform(0.05, 0.6)
+                kw = dict(dist=dist, collect_trace=True, collect_slots=True)
+                got = xc.simulate(model, sched, R1, R2, n, seed, **kw)
+                assert got == simulate_oracle(model, sched, R1, R2, n, seed, **kw), \
+                    (k, sched, n)
+
+
+def test_simulate_zero_likelihood_matches_oracle():
+    # emission rows summing to 0.9 leave u >= 0.9 to pattern (1, 1), which
+    # no state emits: the filter raises as the one-slot loop does
+    model = xc.ChannelModel([[0.9, 0.1], [0.2, 0.8]],
+                            [[0.6, 0.15, 0.15, 0.0], [0.1, 0.4, 0.4, 0.0]])
+    with pytest.raises(xc.ZeroLikelihood) as want:
+        simulate_oracle(model, "maxweight", 0.2, 0.2, 500, 1)
+    with pytest.raises(xc.ZeroLikelihood) as got:
+        xc.simulate(model, "maxweight", 0.2, 0.2, 500, 1)
+    assert str(got.value) == str(want.value)
 
 
 def test_simulate_deterministic(ref_model):
