@@ -77,7 +77,9 @@ class ActionDistribution:
         if np.any(np.abs(sums - 1.0) > 1e-9):
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise ContractViolation(f"row {bad} sums to {sums[bad]:.17g}")
-        self.table = t
+        # the tolerated round-off below zero is zero, so every cumulative
+        # row sampled from (channel._pick) is nondecreasing
+        self.table = np.where(t < 0.0, 0.0, t)
 
 
 @dataclass

@@ -16,6 +16,8 @@ opposite receiver, which keeps XOR coding decodable.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import random
 from collections import deque
@@ -23,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (PATTERNS, ChannelModel, _check_seed, _cumulative_rows, _path_cums,
-                      _pick, _uniforms, _walk, _words)
+from .channel import (ChannelModel, _check_seed, _cumulative_rows, _path_cums, _pick,
+                      _uniforms, _walk, _words)
 from .errors import ContractViolation, NumericalFailure, TraceFormatError
 # the traced benchmark wraps filter_step and predict_stats by name in this module
 from .filtering import (ErasureStats, filter_path, filter_step, init_belief,  # noqa: F401
@@ -49,6 +51,27 @@ BLOCK = 2048            # slots whose channel side simulate computes at once
 
 _COUNT_KEYS = {IDLE: "idle", FRESH1: "fresh1", FRESH2: "fresh2", XOR_BACKLOG: "xor",
                MIX_FRESH: "mix", REMEDY: "remedy", SUB1: "sub1", SUB2: "sub2"}
+
+
+def _gc_paused(fn):
+    """Run fn with the cyclic garbage collector paused, then restore the
+    collector's state on entry, also when fn raises.
+
+    Only for functions that build many long-lived containers and never a
+    reference cycle: the collector would walk them again and again (a
+    trace row reaches the oldest generation still tracked) and free
+    nothing, while reference counting frees all they drop.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 class QueueState:
@@ -77,44 +100,47 @@ class QueueState:
 def _apply(state: QueueState, action, z1: int, z2: int):
     """Execute a feasible action under erasure pattern (z1, z2), in place.
 
-    Returns (combo, delivered): the ids on air and a list of (receiver,
+    Returns (combo, delivered): the ids on air and a tuple of (receiver,
     account_id) deliveries. Every branch moves each queue entry at most one
     hop, so every queue length changes by at most one per slot.
     """
     q1, q2, q3 = state.q1, state.q2, state.q3
-    delivered = []
     if action == IDLE:
-        return (), delivered
+        return (), ()
     if action == FRESH1 or action == FRESH2:
         j = 0 if action == FRESH1 else 1
         zj, zo = (z1, z2) if j == 0 else (z2, z1)
         p = q1[j][0]
         if zj == 0:
             q1[j].popleft()
-            delivered.append((j + 1, p))
-        elif zo == 0:
+            return (p,), ((j + 1, p),)
+        if zo == 0:
             q1[j].popleft()
             q2[j].append((p, p))
-        return (p,), delivered
+        return (p,), ()
     if action == SUB1 or action == SUB2:
         j = 0 if action == SUB1 else 1
         zj = z1 if j == 0 else z2
         acct, tid = q2[j][0]
         if zj == 0:
             q2[j].popleft()
-            delivered.append((j + 1, acct))
+            return (tid,), ((j + 1, acct),)
         # heard only by the other receiver: it already knows tid, no move
-        return (tid,), delivered
+        return (tid,), ()
     if action == XOR_BACKLOG:
         a1, t1 = q2[0][0]
         a2, t2 = q2[1][0]
+        combo = tuple(sorted((t1, t2)))
         if z1 == 0:
             q2[0].popleft()
-            delivered.append((1, a1))
+            if z2 == 0:
+                q2[1].popleft()
+                return combo, ((1, a1), (2, a2))
+            return combo, ((1, a1),)
         if z2 == 0:
             q2[1].popleft()
-            delivered.append((2, a2))
-        return tuple(sorted((t1, t2))), delivered
+            return combo, ((2, a2),)
+        return combo, ()
     if action == MIX_FRESH:
         p1 = q1[0][0]
         p2 = q1[1][0]
@@ -122,22 +148,21 @@ def _apply(state: QueueState, action, z1: int, z2: int):
             q1[0].popleft()
             q1[1].popleft()
             q3.append((p1, p2, p2 if z2 else p1))
-        return tuple(sorted((p1, p2))), delivered
+        return tuple(sorted((p1, p2))), ()
     if action == REMEDY:
         p1, p2, remedy = q3[0]
         if z1 == 0 and z2 == 0:
             q3.popleft()
-            delivered.append((1, p1))
-            delivered.append((2, p2))
-        elif z1 == 0:
+            return (remedy,), ((1, p1), (2, p2))
+        if z1 == 0:
             q3.popleft()
-            delivered.append((1, p1))
             q2[1].append((p2, remedy))
-        elif z2 == 0:
+            return (remedy,), ((1, p1),)
+        if z2 == 0:
             q3.popleft()
-            delivered.append((2, p2))
             q2[0].append((p1, remedy))
-        return (remedy,), delivered
+            return (remedy,), ((2, p2),)
+        return (remedy,), ()
     raise ContractViolation(f"unknown action {action!r}")
 
 
@@ -240,6 +265,7 @@ class SimReport:
         return ((self.delivered[0] - base1) / span, (self.delivered[1] - base2) / span)
 
 
+@_gc_paused
 def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
              seed: int, dist: ActionDistribution | None = None,
              collect_trace: bool = False, collect_slots: bool = False) -> SimReport:
@@ -264,6 +290,10 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     loop runs only the actions, the queues, the counts and the records. A
     pattern of zero likelihood raises ZeroLikelihood before its block's
     slots run.
+
+    A run builds no reference cycle, so the cyclic garbage collector is
+    paused while it runs (_gc_paused): otherwise its full collections walk
+    every trace row again and free nothing.
     """
     if scheduler not in ("maxweight", "probabilistic"):
         raise ContractViolation(f"unknown scheduler {scheduler!r}")
@@ -283,14 +313,18 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     cums = _path_cums(model, belief)
     width = 5 if probabilistic else 4    # doubles per slot
     state = QueueState()
-    counts = {v: 0 for v in _COUNT_KEYS.values()}
+    q1, q2, q3 = state.q1, state.q2, state.q3
+    push1, push2 = q1[0].append, q1[1].append
+    counts = dict.fromkeys(_COUNT_KEYS, 0)
     arrivals = [0, 0]
     delivered_n = [0, 0]
     next_id = 0
     cp = max(1, n // CHECKPOINTS)
+    next_cp = min(cp, n)      # checkpoints follow slots cp, 2 cp, ... and n
     warmup = int(n * WARMUP_FRAC)
     checkpoints = []
     trace = [] if collect_trace else None
+    record = trace.append if collect_trace else None
     slot_rows = [] if collect_slots else None
 
     s = int(_pick(cums[0], _uniforms(_words(rng, 1)))[0])
@@ -313,33 +347,32 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
             choices = zip(p01.tolist(), p10.tolist(), p11.tolist())
         new1 = (u[:, 0] < R1).tolist()
         new2 = (u[:, 1] < R2).tolist()
-        for slot, zi, a1, a2, choice in zip(range(base, base + m), codes.tolist(),
-                                            new1, new2, choices):
+        # PATTERNS[code] is (code >> 1, code & 1)
+        for slot, z1, z2, a1, a2, choice in zip(range(base, base + m), (codes >> 1).tolist(),
+                                                (codes & 1).tolist(), new1, new2, choices):
             if a1:
-                state.q1[0].append(next_id)
+                push1(next_id)
                 next_id += 1
                 arrivals[0] += 1
             if a2:
-                state.q1[1].append(next_id)
+                push2(next_id)
                 next_id += 1
                 arrivals[1] += 1
             if probabilistic:
                 action = substitute_action(choice, state)
             else:
                 action = _maxweight(state, *choice)
-            z1, z2 = PATTERNS[zi]
             combo, delivered = _apply(state, action, z1, z2)
-            counts[_COUNT_KEYS[action]] += 1
+            counts[action] += 1
             for j, _pid in delivered:
                 delivered_n[j - 1] += 1
             code = 3 if action in (SUB1, SUB2) else action
-            if trace is not None and combo:
-                trace.append((slot, code, combo, z1 == 0, z2 == 0, tuple(delivered)))
+            if record is not None and combo:
+                record((slot, code, combo, z1 == 0, z2 == 0, delivered))
             if slot_rows is not None:
                 slot_rows.append((slot, code, z1, z2, state.backlog(),
                                   delivered_n[0], delivered_n[1]))
-            if (slot + 1) % cp == 0 or slot + 1 == n:
-                q1, q2, q3 = state.q1, state.q2, state.q3
+            if slot + 1 == next_cp:
                 for j in (0, 1):
                     held = len(q1[j]) + len(q2[j]) + len(q3) + delivered_n[j]
                     if held != arrivals[j]:
@@ -347,9 +380,11 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
                                                {"receiver": j + 1, "slot": slot + 1,
                                                 "held": held, "arrivals": arrivals[j]})
                 checkpoints.append((slot + 1, state.backlog(), delivered_n[0], delivered_n[1]))
+                next_cp = min(next_cp + cp, n)
     return SimReport(scheduler=scheduler, R1=R1, R2=R2, n=n, seed=seed,
                      arrivals=tuple(arrivals), delivered=tuple(delivered_n),
-                     action_counts=counts, checkpoints=checkpoints,
+                     action_counts={_COUNT_KEYS[a]: c for a, c in counts.items()},
+                     checkpoints=checkpoints,
                      final_backlog=state.backlog(), warmup=warmup, trace=trace,
                      slot_rows=slot_rows)
 
@@ -491,6 +526,7 @@ def write_trace(trace, out) -> None:
         for slot, action, combo, r1, r2, delivered in trace)
 
 
+@_gc_paused
 def load_trace(path) -> list:
     """Read a JSON-lines trace. Malformed lines, among them text that is not
     UTF-8, a combination that is not one packet id or two distinct ones, or
@@ -518,11 +554,12 @@ def load_trace(path) -> list:
                 combo = tuple(obj["combo"])
                 r1 = obj["received_rx1"]
                 r2 = obj["received_rx2"]
-                delivered = tuple((j, pid) for j, pid in obj["delivered"])
-                # json yields exact ints, and type() also rules out bools
-                if (type(slot) is not int or not isinstance(r1, bool) or
-                        not isinstance(r2, bool) or
-                        not all(type(c) is int for c in combo)):
+                delivered = tuple([(j, pid) for j, pid in obj["delivered"]])
+                # json yields exact ints, and type() also rules out bools;
+                # bool has no subclasses, so type() is isinstance() there
+                if (type(slot) is not int or type(r1) is not bool or
+                        type(r2) is not bool or
+                        not all([type(c) is int for c in combo])):
                     raise TypeError
             except (KeyError, TypeError, ValueError) as e:
                 raise TraceFormatError(f"line {i}: bad trace record", line=i) from e

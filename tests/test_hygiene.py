@@ -59,3 +59,17 @@ def test_private_names_are_used():
                 used.add(node.attr)
     unused = [f"{where} {name}" for name, where in sorted(defined.items()) if name not in used]
     assert defined and not unused, "private names nothing in src/xorcast reads: " + ", ".join(unused)
+
+
+def test_collector_paused_in_one_place():
+    # pausing the cyclic collector is one decision, made in sim._gc_paused
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in ("disable", "enable")
+                        and isinstance(node.value, ast.Name) and node.value.id == "gc"):
+                    found.add((path.name, getattr(top, "name", None)))
+                elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                    found.add((path.name, f"line {node.lineno}: from gc import"))
+    assert found == {("sim.py", "_gc_paused")}, found

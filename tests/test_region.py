@@ -7,10 +7,11 @@ import pytest
 import xorcast as xc
 from xorcast import region
 from xorcast.cli import main as cli_main
+from xorcast.channel import _cumulative_rows, _pick
 from xorcast.region import witness_residual
 
-from oracles import (feasible_vertices, highs_region, pipeline_max_flow, random_model,
-                     region_lp, robust_witness_xyt)
+from oracles import (draw_oracle, feasible_vertices, highs_region, pipeline_max_flow,
+                     random_model, region_lp, robust_witness_xyt)
 
 # frozen weighted-sum values for the two-state fixture, weights (1, 1)
 REF_SUMS = {
@@ -565,6 +566,18 @@ def test_dist_round_trip(tmp_path, ref_model):
     back = xc.load_dist(path)
     assert back.L == dist.L
     assert np.array_equal(back.table, dist.table)
+
+
+def test_loaded_dist_samples_by_the_documented_rule():
+    # an entry inside the tolerance below zero would make the cumulative
+    # row dip below 0.3, where _pick would count it and the rule would not
+    row = [0.3, -1e-13, 0.2, 0.2, 0.3 + 1e-13]
+    dist = xc.dist_from_dict({"L": 1, "actions": [row] * 4})
+    assert (dist.table >= 0.0).all()
+    cums = _cumulative_rows(dist.table)
+    u = 0.29999999999995
+    got = _pick(np.array(cums), np.full(4, u)).tolist()
+    assert got == [draw_oracle(cum, u) for cum in cums] == [0] * 4
 
 
 def test_dist_parse_errors(tmp_path):

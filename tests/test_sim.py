@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -147,6 +148,8 @@ def test_apply_conserves_and_moves_one_hop(st):
             cur = filled(*before)
             combo, delivered = _apply(cur, action, *pattern)
             assert _well_formed(combo) if action != IDLE else combo == ()
+            # the trace keeps the deliveries as they come, so they must be a tuple
+            assert type(delivered) is tuple and all(type(d) is tuple for d in delivered)
             for j in (0, 1):
                 got = Counter(pid for r, pid in delivered if r == j + 1)
                 assert held(cur, j) + got == held(st, j), (action, pattern, j)
@@ -283,6 +286,57 @@ def test_simulate_zero_likelihood_matches_oracle():
     with pytest.raises(xc.ZeroLikelihood) as got:
         xc.simulate(model, "maxweight", 0.2, 0.2, 500, 1)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_state_survives_runs_and_reads(tmp_path, ref_model, enabled):
+    # simulate and load_trace pause the cyclic collector; whatever its state
+    # on entry, it is the same on exit, also when they raise
+    late = xc.ChannelModel([[0.9, 0.1], [0.2, 0.8]],
+                           [[0.6, 0.2, 0.2 - 1e-4, 0.0], [0.1, 0.45, 0.45 - 1e-4, 0.0]])
+    path = tmp_path / "trace.jsonl"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"slot": 0, "action": 9, "combo": [1], "received_rx1": true, '
+                   '"received_rx2": false, "delivered": []}\n')
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        rep = xc.simulate(late, "maxweight", 0.2, 0.2, BLOCK, 1, collect_trace=True)
+        assert gc.isenabled() is enabled
+        # the impossible pattern comes after the first block's slots ran
+        with pytest.raises(xc.ZeroLikelihood):
+            xc.simulate(late, "maxweight", 0.2, 0.2, 10 * BLOCK, 1)
+        assert gc.isenabled() is enabled
+        xc.save_trace(rep.trace, path)
+        assert xc.load_trace(path) == rep.trace
+        assert gc.isenabled() is enabled
+        with pytest.raises(xc.TraceFormatError):
+            xc.load_trace(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_runs_and_reads_build_no_cycles(tmp_path, ref_model):
+    # what pausing the collector relies on: nothing a run or a trace read
+    # leaves behind is garbage that only the cyclic collector can free
+    _, dist, _ = xc.simulation_distribution(xc.window_table(ref_model, 2), 0.5)
+    path = tmp_path / "trace.jsonl"
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        reps = [xc.simulate(ref_model, sched, 0.3, 0.3, 3000, 5,
+                            dist=dist if sched == "probabilistic" else None,
+                            collect_trace=True, collect_slots=True)
+                for sched in ("probabilistic", "maxweight")]
+        xc.save_trace(reps[1].trace, path)
+        rows = xc.load_trace(path)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+    assert rows == reps[1].trace
 
 
 def test_simulate_deterministic(ref_model):
