@@ -130,14 +130,9 @@ def cmd_region(opts) -> int:
         if lam is None:
             raise ConfigError("--sandwich needs --lambda")
         res = sandwich(model, L, lam, 1.0 - lam)
-        if res.inner is not None:
-            rows.append((lam, res.inner.R1, res.inner.R2, "inner"))
-        rows.append((lam, res.nominal.R1, res.nominal.R2, "nominal"))
-        if res.outer is not None:
-            rows.append((lam, res.outer.R1, res.outer.R2, "outer"))
-        if res.margin is None:
-            print("forgetting rate unavailable; nominal point only", file=sys.stderr)
-        wit = res.nominal
+        rows.append((lam, res.inner.R1, res.inner.R2, "inner"))
+        rows.append((lam, res.outer.R1, res.outer.R2, "outer"))
+        wit = res.inner
     elif lam is not None:
         wit = solve_region(window_table(model, L), lam, 1.0 - lam)
         rows.append((lam, wit.R1, wit.R2, wit.status))

@@ -3,7 +3,8 @@
 The filter tracks P(state of the next slot | observed erasure patterns) and
 turns it into predicted erasure statistics. The window table enumerates the
 same computation for every pattern window of a fixed length L, seeded from
-the stationary distribution.
+the stationary distribution, or from each hidden state for the refined
+table of the region's outer bound.
 """
 
 from __future__ import annotations
@@ -225,32 +226,50 @@ class WindowTable:
 
 
 def window_table(model: ChannelModel, L: int) -> WindowTable:
-    """Enumerate all 4**L windows level by level over prefixes.
-
-    Level d holds one belief and one probability per length-d prefix, and
-    the children of prefix i are rows 4i..4i+3 of level d+1, so the last
-    level is in window-index order. Each window's probability is the product
-    of one-step likelihoods starting from the stationary belief, which is
-    exactly the stationary probability of the window; an impossible prefix
-    passes probability 0 down its whole subtree. L is capped at WINDOW_CAP
-    to bound memory.
-    """
+    """Enumerate all 4**L windows from the stationary belief (see _extend),
+    so each window's probability is exactly its stationary probability. L
+    is capped at WINDOW_CAP to bound memory."""
     if L < 1:
         raise ContractViolation("window length must be at least 1")
     if L > WINDOW_CAP:
         raise ResourceLimit(f"window length {L} exceeds the cap of {WINDOW_CAP}")
-    belief = tuple(np.full(1, v) for v in init_belief(model))
-    probs = np.ones(1)
-    for depth in range(1, L + 1):
-        child = tuple(np.empty(4 ** depth) for _ in belief)
-        child_probs = np.empty(4 ** depth)
+    return _extend(model, tuple(np.full(1, v) for v in init_belief(model)), np.ones(1), L)
+
+
+def _refined_table(model: ChannelModel, L: int) -> WindowTable:
+    """The window table refined by the hidden state of the window's oldest
+    slot: row s * 4**L + i holds (state s, window i), started from the
+    point-mass belief on s with probability pi_s. Its n * 4**L rows are
+    capped at 4**WINDOW_CAP."""
+    n = model.num_states
+    if n * 4 ** L > 4 ** WINDOW_CAP:
+        raise ResourceLimit(f"a refined table of {n} x 4**{L} rows exceeds the cap "
+                            f"of 4**{WINDOW_CAP}")
+    return _extend(model, tuple(np.eye(n)), stationary_distribution(model), L)
+
+
+def _extend(model: ChannelModel, belief, probs: np.ndarray, L: int) -> WindowTable:
+    """Extend each start row (its belief about the state of the window's
+    oldest slot, one vector per state, and its probability) by all 4**L
+    windows, level by level over prefixes.
+
+    Level d holds one belief and one probability per row and length-d
+    prefix, and the children of row i are rows 4i..4i+3 of level d+1, so
+    row r * 4**L + i of the last level holds start row r and window i. A
+    probability is the start row's times the product of one-step
+    likelihoods; an impossible prefix passes probability 0 down its whole
+    subtree, and its rows carry the prediction from a uniform state belief.
+    """
+    for _ in range(L):
+        child = tuple(np.empty(4 * len(probs)) for _ in belief)
+        child_probs = np.empty(4 * len(probs))
         for z in range(4):
             nxt, ell = _step_batch(model, belief, z)
             for dst, src in zip(child, nxt):
                 dst[z::4] = src
             np.multiply(probs, ell, out=child_probs[z::4])
         belief, probs = child, child_probs
-    pattern_probs = np.empty((4 ** L, 4))
+    pattern_probs = np.empty((len(probs), 4))
     for k, col in enumerate(model.emission_cols):
         pattern_probs[:, k] = sum(map(mul, belief, col))
     uniform = tuple(1.0 / model.num_states for _ in range(model.num_states))

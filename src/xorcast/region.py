@@ -5,9 +5,11 @@ fractions: x (share of slots spent on fresh data for receiver 1 or on
 mixtures that serve it) and y (same for receiver 2), with the two coupling
 constraints that mixture slots are shared. Each receiver's side of those
 four rate rows is a fractional knapsack, so the region is an exact polygon
-built by sorting the windows (Dantzig's greedy rule): boundary points,
-sweeps and sandwich bounds are its vertices, and a vertex's witness is the
-two greedy fills. Only the robust re-selection of a witness solves a linear
+built by sorting the windows (Dantzig's greedy rule): boundary points and
+sweeps are its vertices, and a vertex's witness is the two greedy fills.
+The same polygon over the finer contexts (hidden state of the window's
+oldest slot, window) is an outer region, so the two bracket the capacity
+region. Only the robust re-selection of a witness solves a linear
 program. Witnesses convert to distributions over the five transmit
 actions, which in turn induce link capacities on the four-node relay
 picture of one receiver's pipeline: node 1 holds fresh packets, node 2
@@ -22,9 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelModel, _parse_matrix, _read_json, forgetting_margin
+from .channel import ChannelModel, _parse_matrix, _read_json
 from .errors import ContractViolation, ModelFormatError, NumericalFailure, ResourceLimit
-from .filtering import ROBUST_WINDOW_CAP, WindowTable, window_table
+from .filtering import ROBUST_WINDOW_CAP, WindowTable, _refined_table, window_table
 from .lp import LE, LinearProgram, solve
 
 CASE_TOL = 1e-10
@@ -164,21 +166,15 @@ def _fill(side, rate: float, m: int) -> np.ndarray:
     return x
 
 
-def _polygon(table: WindowTable, slack: float):
+def _polygon(table: WindowTable):
     """The region as an exact polygon: the two greedy sides and the
-    candidate vertices of the upper boundary, or None in place of the
-    vertices when the region is empty.
+    candidate vertices of the upper boundary, sorted by R1.
 
     Given R1, the largest R2 is min(F2(full - R1), full - F1^-1(R1)): y may
     spend only the room R1 leaves it, and x must buy R1 at the least budget.
     Both pieces are concave and piecewise linear in R1, so the boundary's
     vertices lie at the breakpoints of F1, at full minus those of F2, and
-    where the two pieces cross between adjacent breakpoints. A slack s moves
-    every rate row by s, so the region at s is the one at slack 0 shifted by
-    (s, s) and cut at the axes. For s < 0 only the vertices that stay in the
-    quadrant are kept, with the boundary's crossings of R1 = -s and R2 = -s,
-    and the region is empty when (-s, -s) lies outside it. The vertices come
-    back unshifted, sorted by R1; _corner shifts them."""
+    where the two pieces cross between adjacent breakpoints."""
     g1, g2, g12, full = _rate_terms(table)
     one, two = _greedy(g1, g12), _greedy(g2, g12)
 
@@ -203,50 +199,37 @@ def _polygon(table: WindowTable, slack: float):
     gap = room - rest
     i = np.flatnonzero(gap[:-1] * gap[1:] < 0.0)
     r = np.insert(r, i + 1, r[i] + (r[i + 1] - r[i]) * (gap[i] / (gap[i] - gap[i + 1])))
-    points = np.column_stack((r, top(one, two, r)))
-    if slack < 0.0:
-        need = -slack
-        left, right = top(one, two, need), top(two, one, need)
-        if need > one[2][-1] or left < need:
-            return (one, two), None
-        points = np.vstack(([need, left], points[(points >= need).all(axis=1)], [right, need]))
-    return (one, two), points
+    return (one, two), np.column_stack((r, top(one, two, r)))
 
 
-def _corner(table: WindowTable, sides, points: np.ndarray, w1: float, w2: float,
-            slack: float) -> RegionWitness:
-    """The vertex of the shifted polygon that maximizes w1*R1 + w2*R2, ties
-    within 1e-12 going to the largest R1 + R2, with its greedy witness: x
-    and y fill the unshifted rates at the least budget."""
-    rates = np.maximum(points + slack, 0.0)
-    value = w1 * rates[:, 0] + w2 * rates[:, 1]
-    best = np.where(value >= value.max() - 1e-12, rates[:, 0] + rates[:, 1], -np.inf)
+def _corner(table: WindowTable, sides, points: np.ndarray, w1: float,
+            w2: float) -> RegionWitness:
+    """The vertex of the polygon that maximizes w1*R1 + w2*R2, ties within
+    1e-12 going to the largest R1 + R2, with its greedy witness: x and y
+    fill the vertex's rates at the least budget."""
+    value = w1 * points[:, 0] + w2 * points[:, 1]
+    best = np.where(value >= value.max() - 1e-12, points[:, 0] + points[:, 1], -np.inf)
     k = int(np.argmax(best))
     m = len(table)
-    return RegionWitness(L=table.L, w1=w1, w2=w2, slack=slack, status="Optimal",
-                         R1=float(rates[k, 0]), R2=float(rates[k, 1]),
+    return RegionWitness(L=table.L, w1=w1, w2=w2, slack=0.0, status="Optimal",
+                         R1=float(points[k, 0]), R2=float(points[k, 1]),
                          x=_fill(sides[0], points[k, 0], m),
                          y=_fill(sides[1], points[k, 1], m))
 
 
-def solve_region(table: WindowTable, w1: float, w2: float,
-                 slack: float = 0.0) -> RegionWitness:
-    """Maximize w1*R1 + w2*R2 over the region at the given slack.
+def solve_region(table: WindowTable, w1: float, w2: float) -> RegionWitness:
+    """Maximize w1*R1 + w2*R2 over the region.
 
     The answer is a vertex of the exact polygon (see _polygon); among
     vertices within 1e-12 of the best weighted value the one with the
     largest R1 + R2 wins, so a weight normal to an edge lands on its Pareto
     end rather than on a point of the face. That matters when a witness
     feeds the simulator: corners have all four constraints doing real
-    work. An empty region comes back with status "Infeasible".
+    work. The region holds the origin, so the status is always "Optimal".
     """
     if w1 + w2 <= 0.0 or w1 < 0.0 or w2 < 0.0:
         raise ContractViolation("weights must be nonnegative with a positive sum")
-    sides, points = _polygon(table, slack)
-    if points is None:
-        return RegionWitness(L=table.L, w1=w1, w2=w2, slack=slack, status="Infeasible",
-                             R1=None, R2=None, x=None, y=None)
-    return _corner(table, sides, points, w1, w2, slack)
+    return _corner(table, *_polygon(table), w1, w2)
 
 
 def robust_witness(table: WindowTable, wit: RegionWitness, backoff: float) -> RegionWitness:
@@ -305,7 +288,7 @@ def witness_residual(table: WindowTable, wit: RegionWitness) -> float:
     """Largest violation of the four rate constraints at the witness."""
     X, Y, rhs = _rate_rows(table)
     rates = np.array([wit.R1, wit.R2])[list(_RATE_OF_ROW)]
-    return float(np.max(rates + X @ wit.x + Y @ wit.y - rhs)) - wit.slack
+    return float(np.max(rates + X @ wit.x + Y @ wit.y - rhs))
 
 
 def boundary_sweep(model: ChannelModel, L: int, k: int = 33) -> list[RegionWitness]:
@@ -322,11 +305,11 @@ def sweep_table(table: WindowTable, k: int = 33) -> list[RegionWitness]:
     raises NumericalFailure."""
     if k < 2:
         raise ContractViolation("a sweep needs at least two weight points")
-    sides, points = _polygon(table, 0.0)
+    sides, points = _polygon(table)
     out = []
     for i in range(k):
         lam = i / (k - 1)
-        wit = _corner(table, sides, points, lam, 1.0 - lam, 0.0)
+        wit = _corner(table, sides, points, lam, 1.0 - lam)
         if witness_residual(table, wit) > 1e-8:
             raise NumericalFailure("witness failed re-check", {"lam": lam})
         if out and abs(out[-1].R1 - wit.R1) <= 1e-9 and abs(out[-1].R2 - wit.R2) <= 1e-9:
@@ -337,36 +320,30 @@ def sweep_table(table: WindowTable, k: int = 33) -> list[RegionWitness]:
 
 @dataclass
 class SandwichResult:
-    nominal: RegionWitness
-    inner: RegionWitness | None
-    outer: RegionWitness | None
-    margin: float | None
+    inner: RegionWitness
+    outer: RegionWitness
 
 
 def sandwich(model: ChannelModel, L: int, w1: float, w2: float) -> SandwichResult:
-    """Nominal boundary point bracketed by provable inner and outer points.
+    """The boundary point of R(L) bracketed with that of the outer region
+    R(L)-bar, R(L) <= C <= R(L)-bar in the weighted value.
 
-    The bracket width per rate constraint is the forgetting margin of the
-    model (channel.forgetting_margin), so the inner and outer regions are
-    the nominal polygon shifted by (-margin, -margin) and cut at the axes,
-    and shifted by (margin, margin). Without a margin only the nominal
-    point is returned, with margin None. An empty inner region comes back
-    as inner=None.
+    inner is the vertex of the L-th order region R(L), which the
+    probabilistic scheme achieves. outer is the vertex of the region over
+    the finer contexts (hidden state of the window's oldest slot, window):
+    refining contexts only grows the region, and given that state the
+    older past says nothing more about the next slot, so R(L)-bar contains
+    the capacity region and shrinks as L grows. The gap between the two
+    values closes exponentially fast in L. A table of more rows than
+    4**WINDOW_CAP raises ResourceLimit before it is built.
     """
-    table = window_table(model, L)
-    nominal = solve_region(table, w1, w2)
-    margin = forgetting_margin(model, L)
-    if margin is None:
-        return SandwichResult(nominal, None, None, None)
-    inner = solve_region(table, w1, w2, slack=-margin)
-    if inner.status != "Optimal":
-        inner = None
-    outer = solve_region(table, w1, w2, slack=margin)
-    vals = [v.value for v in (inner, nominal, outer) if v is not None]
-    for lo, hi in zip(vals, vals[1:]):
-        if lo > hi + 1e-8:
-            raise NumericalFailure("sandwich ordering violated", {"values": vals})
-    return SandwichResult(nominal, inner, outer, margin)
+    outer_table = _refined_table(model, L)
+    inner = solve_region(window_table(model, L), w1, w2)
+    outer = solve_region(outer_table, w1, w2)
+    if inner.value > outer.value + 1e-8:
+        raise NumericalFailure("sandwich ordering violated",
+                               {"values": [inner.value, outer.value]})
+    return SandwichResult(inner, outer)
 
 
 def xy_to_actions(wit: RegionWitness, s_param: float = 0.0) -> ActionDistribution:
@@ -515,8 +492,6 @@ def simulation_distribution(table: WindowTable, lam: float, backoff: float = 0.9
     Returns (witness at the full boundary rates, distribution, report).
     """
     wit = solve_region(table, lam, 1.0 - lam)
-    if wit.status != "Optimal":
-        raise NumericalFailure("region solve failed", {"status": wit.status})
     rob = robust_witness(table, wit, backoff)
     dist, report = canonicalize(xy_to_actions(rob), table)
     if not achievable_check(table, dist, rob.R1 - 1e-6, rob.R2 - 1e-6):

@@ -273,9 +273,11 @@ def robust_witness_xyt(table, wit, backoff):
     return out, sol
 
 
-def brute_force_window(model, L):
+def brute_force_window(model, L, state=None):
     """Window probabilities and predictive pattern distributions by summing
-    over all hidden state paths."""
+    over all hidden state paths. Given a state, only the paths whose oldest
+    slot is in it count, so the probabilities are P(state, window) and the
+    predictions condition on both."""
     n = model.num_states
     pi = xc.stationary_distribution(model)
     T = np.asarray(model.transition)
@@ -288,6 +290,8 @@ def brute_force_window(model, L):
         total = 0.0
         nxt = np.zeros(4)
         for path in itertools.product(range(n), repeat=L):
+            if state is not None and path[0] != state:
+                continue
             w = pi[path[0]]
             for k in range(L):
                 w *= E[path[k], codes[k]]
@@ -304,37 +308,35 @@ def brute_force_window(model, L):
     return probs, preds
 
 
-def region_lp(table, w1, w2, slack=0.0):
+def region_lp(table, w1, w2):
     """The L-th order region as a linear program, maximizing w1*R1 + w2*R2.
 
     Variables: [R1, R2, x per window, y per window], with the four rate rows
-    of _rate_rows loosened (positive) or tightened (negative) by the slack.
-    The rows bound both rates, so the rates need no upper bound."""
+    of _rate_rows. The rows bound both rates, so the rates need no upper
+    bound."""
     m = len(table)
     X, Y, rhs = _rate_rows(table)
     obj = np.zeros(2 + 2 * m)
     obj[0], obj[1] = w1, w2
     rows = np.hstack([np.eye(2)[list(_RATE_OF_ROW)], X, Y])
-    constraints = [(row, LE, b + slack) for row, b in zip(rows, rhs)]
+    constraints = [(row, LE, b) for row, b in zip(rows, rhs)]
     bounds = [(0.0, math.inf)] * 2 + [(0.0, 1.0)] * (2 * m)
     return xc.LinearProgram(obj, constraints, bounds)
 
 
-def highs_region(table, w1, w2, slack=0.0):
+def highs_region(table, w1, w2):
     """The optimum of region_lp by scipy's HiGHS at primal and dual
     feasibility tolerances of 1e-10 (its defaults leave it up to 2e-8
-    short): the value, or None when HiGHS finds the program infeasible.
-    Scipy is a test-only cross-check, not a dependency of the package."""
+    short). Scipy is a test-only cross-check, not a dependency of the
+    package."""
     from scipy.optimize import linprog
-    lp = region_lp(table, w1, w2, slack)
+    lp = region_lp(table, w1, w2)
     ref = linprog(-lp.objective,
                   A_ub=np.array([coefs for coefs, _rel, _rhs in lp.constraints]),
                   b_ub=np.array([rhs for _coefs, _rel, rhs in lp.constraints]),
                   bounds=lp.bounds, method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
-    if ref.status == 2:
-        return None
     assert ref.status == 0, ref.message
     return -ref.fun
 

@@ -63,10 +63,9 @@ def test_region_sandwich(capsys, tmp_path, memoryless_model):
                                 "--lambda", "0.5", "--sandwich"])
     assert code == 0
     lines = out.strip().splitlines()
-    kinds = [l.split(",")[3] for l in lines[1:]]
-    assert kinds == ["inner", "nominal", "outer"]
-    vals = [float(l.split(",")[1]) for l in lines[1:]]
-    assert max(vals) - min(vals) < 1e-9  # forgetting is immediate here
+    assert [l.split(",")[3] for l in lines[1:]] == ["inner", "outer"]
+    # one state: the refined contexts are the windows, so the rows agree
+    assert lines[1].split(",")[:3] == lines[2].split(",")[:3]
 
 
 def test_simulate_maxweight_summary(capsys, model_path, tmp_path):
@@ -215,7 +214,7 @@ def test_region_sandwich_from_config(capsys, tmp_path, model_path):
     code, out, _ = run(capsys, ["region", "--config", str(cfg)])
     assert code == 0
     kinds = [l.split(",")[3] for l in out.strip().splitlines()[1:]]
-    assert "nominal" in kinds and "Optimal" not in kinds
+    assert kinds == ["inner", "outer"]
     # a string is not a switch: "false" must not turn the sandwich on
     cfg.write_text(json.dumps({"model": model_path, "L": 1, "lambda": 0.5,
                                "sandwich": "false"}))
@@ -368,14 +367,14 @@ def test_region_witness_out_matches_rows(capsys, tmp_path, model_path):
     wit = json.loads(wit_path.read_text())
     assert wit["lambda"] == 0.3
     assert (f"{wit['R1']:.12g}", f"{wit['R2']:.12g}") == (r1, r2)
-    # with --sandwich it is the nominal point
+    # with --sandwich it is the inner point
     code, out, _ = run(capsys, ["region", "--model", model_path, "--L", "2",
                                 "--lambda", "0.3", "--sandwich",
                                 "--witness-out", str(wit_path)])
     assert code == 0
-    nominal = [l.split(",") for l in out.strip().splitlines()[1:] if l.endswith("nominal")]
+    inner = [l.split(",") for l in out.strip().splitlines()[1:] if l.endswith("inner")]
     assert json.loads(wit_path.read_text()) == wit
-    assert (nominal[0][1], nominal[0][2]) == (r1, r2)
+    assert (inner[0][1], inner[0][2]) == (r1, r2)
 
 
 SIM_ARGS = ["simulate", "--scheduler", "maxweight", "--rates", "0.2,0.2",
@@ -443,13 +442,15 @@ def test_config_keys_must_be_options(capsys, tmp_path, model_path):
 
 
 def test_sandwich_without_forgetting_rate(capsys, tmp_path):
-    # a zero emission entry in a two-state model leaves no forgetting rate:
-    # the nominal row alone, and a note on stderr
+    # a zero emission entry in a two-state model leaves no forgetting rate,
+    # and the bracket needs none: both rows, nothing on stderr
     path = tmp_path / "zero.json"
     xc.save_model(xc.ChannelModel([[0.9, 0.1], [0.2, 0.8]],
                                   [[1.0, 0.0, 0.0, 0.0], [0.5, 0.2, 0.2, 0.1]]), path)
     code, out, err = run(capsys, ["region", "--model", str(path), "--L", "1",
                                   "--lambda", "0.5", "--sandwich"])
     assert code == 0
-    assert [l.split(",")[3] for l in out.strip().splitlines()[1:]] == ["nominal"]
-    assert err == "forgetting rate unavailable; nominal point only\n"
+    lines = out.strip().splitlines()
+    assert [l.split(",")[3] for l in lines[1:]] == ["inner", "outer"]
+    assert float(lines[1].split(",")[1]) <= float(lines[2].split(",")[1])
+    assert err == ""

@@ -9,7 +9,8 @@ import pytest
 
 import xorcast as xc
 
-from xorcast.filtering import LANE, _filter_batch, _step, _step_batch, filter_path
+from xorcast.filtering import (LANE, _filter_batch, _refined_table, _step, _step_batch,
+                               filter_path)
 
 from oracles import (brute_force_window, empirical_forgetting_loop,
                      filter_step_oracle, predict_oracle, random_model, sparse_model,
@@ -156,6 +157,22 @@ def test_window_table_random_models():
         probs, preds = brute_force_window(m, 2)
         assert np.max(np.abs(np.asarray(table.probs) - probs)) < 1e-12
         assert np.max(np.abs(np.asarray(table.pattern_probs) - preds)) < 1e-12
+
+
+def test_refined_table_matches_enumeration():
+    # row s * 4**L + i of the refined table holds P(state s at the oldest
+    # slot, window i) and the prediction given both
+    rng = random.Random(31)
+    for _ in range(6):
+        m = random_model(rng, rng.randint(2, 3))
+        for L in (1, 2, 3):
+            table = _refined_table(m, L)
+            assert len(table) == m.num_states * 4 ** L
+            for s in range(m.num_states):
+                probs, preds = brute_force_window(m, L, s)
+                rows = slice(s * 4 ** L, (s + 1) * 4 ** L)
+                assert np.max(np.abs(table.probs[rows] - probs)) < 1e-12
+                assert np.max(np.abs(table.pattern_probs[rows] - preds)) < 1e-12
 
 
 def test_window_stats_identities(ref_model):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import xorcast as xc
-from xorcast import region
+from xorcast import filtering, region
 from xorcast.cli import main as cli_main
 from xorcast.channel import _cumulative_rows, _pick
 from xorcast.region import witness_residual
@@ -70,32 +70,13 @@ def test_perfect_channel_time_sharing():
 
 def test_one_deaf_receiver():
     # receiver 2 never hears: the region is the segment R2 = 0, R1 <= 0.9.
-    # Under the weights (0, 1) every point ties at 0 and the Pareto end
-    # wins; any tightening empties the region
+    # Under the weights (0, 1) every point ties at 0 and the Pareto end wins
     t = xc.window_table(xc.ChannelModel([[1.0]], [[0.0, 0.9, 0.0, 0.1]]), 1)
     wit = xc.solve_region(t, 0.0, 1.0)
     assert abs(wit.R1 - 0.9) < 1e-15 and wit.R2 == 0.0
-    assert xc.solve_region(t, 1.0, 0.0, slack=-0.1).status == "Infeasible"
-    # receiver 1 never hears: R1 = 0, and R1 cannot reach 0.1 at any R2
+    # receiver 1 never hears: R1 = 0
     t = xc.window_table(xc.ChannelModel([[1.0]], [[0.0, 0.0, 0.9, 0.1]]), 1)
     assert abs(xc.solve_region(t, 0.0, 1.0).R2 - 0.9) < 1e-15
-    assert xc.solve_region(t, 0.0, 1.0, slack=-0.1).status == "Infeasible"
-
-
-def test_tightened_polygon_matches_vertex_oracle(ref_model):
-    # a negative slack keeps the polygon's vertices that stay in the
-    # quadrant and adds the boundary's crossings of R1 = -s and R2 = -s;
-    # the weights (1, 0) and (0, 1) pick those crossings. One enumeration of
-    # the tightened program's vertices prices every weight, without scipy
-    t = xc.window_table(ref_model, 1)
-    slack = -0.1
-    vertices = feasible_vertices(region_lp(t, 1.0, 1.0, slack))
-    for w1, w2 in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.2, 0.8), (0.7, 0.3)):
-        expected = float((vertices[:, :2] @ [w1, w2]).max())
-        got = xc.solve_region(t, w1, w2, slack)
-        assert got.status == "Optimal" and min(got.R1, got.R2) >= 0.0
-        assert abs(got.value - expected) < 1e-7, f"w=({w1},{w2})"
-        assert witness_residual(t, got) <= 1e-12
 
 
 def test_greedy_ties_go_to_the_lowest_window():
@@ -143,28 +124,20 @@ def test_region_lp_matches_highs(ref_model, L, lam):
 
 
 def test_region_matches_highs_random_models():
-    # random 1-3-state models at L = 1..3, at slacks that loosen, tighten
-    # and empty the region: the same optimum as HiGHS, or the same verdict
-    # that there is none
+    # random 1-3-state models at L = 1..3, over windows and over the
+    # refined contexts (state, window): the same optimum as HiGHS
     pytest.importorskip("scipy.optimize")
     rng = random.Random(41)
-    empty = solved = 0
     for _ in range(40):
-        t = xc.window_table(random_model(rng, rng.randint(1, 3)), rng.randint(1, 3))
+        model, L = random_model(rng, rng.randint(1, 3)), rng.randint(1, 3)
         w1 = rng.choice((0.0, 0.5, 1.0, rng.random()))
-        for slack in (0.0, 0.05, -0.02, -0.2, -rng.uniform(0.0, 0.5)):
-            wit = xc.solve_region(t, w1, 1.0 - w1, slack)
-            ref = highs_region(t, w1, 1.0 - w1, slack)
-            if ref is None:
-                assert wit.status == "Infeasible", (w1, slack)
-                empty += 1
-                continue
-            assert wit.status == "Optimal", (w1, slack)
-            assert abs(wit.value - ref) <= 1e-12 * ref, (w1, slack)
+        for t in (xc.window_table(model, L), filtering._refined_table(model, L)):
+            wit = xc.solve_region(t, w1, 1.0 - w1)
+            ref = highs_region(t, w1, 1.0 - w1)
+            assert wit.status == "Optimal", w1
+            assert abs(wit.value - ref) <= 1e-12 * ref, w1
             assert witness_residual(t, wit) <= 1e-12
             assert min(wit.R1, wit.R2) >= 0.0
-            solved += 1
-    assert empty > 5 and solved > 100
 
 
 def test_simplex_reports_pivots(ref_model):
@@ -206,38 +179,76 @@ def test_boundary_sweep_wrapper(ref_model):
 
 
 def test_sandwich_memoryless_collapse(memoryless_model):
+    # one state: refining the contexts by it changes nothing, so the two
+    # tables and their vertices are the same floats
     res = xc.sandwich(memoryless_model, 1, 1.0, 1.0)
-    assert xc.forgetting_rate_bound(memoryless_model) == 1.0
-    assert res.margin == 0.0
-    assert abs(res.inner.value - res.nominal.value) < 1e-9
-    assert abs(res.outer.value - res.nominal.value) < 1e-9
+    assert (res.outer.R1, res.outer.R2) == (res.inner.R1, res.inner.R2)
+    assert abs(res.inner.value - MEMORYLESS_SUM) < 1e-9
 
 
 def test_sandwich_ordering(ref_model):
+    # inner is the R(L) vertex itself, outer the vertex over (state, window)
     res = xc.sandwich(ref_model, 2, 1.0, 1.0)
-    sigma = xc.forgetting_rate_bound(ref_model)
-    assert abs(res.margin - 2.0 * (1.0 - sigma) ** 2) < 1e-15
-    assert res.margin == xc.forgetting_margin(ref_model, 2)
-    # fixture forgets slowly, so the inner region at this L is empty
-    vals = [v.value for v in (res.inner, res.nominal, res.outer) if v is not None]
-    assert vals == sorted(vals)
-    assert res.outer.value >= res.nominal.value - 1e-8
+    plain = xc.solve_region(xc.window_table(ref_model, 2), 1.0, 1.0)
+    assert (res.inner.R1, res.inner.R2) == (plain.R1, plain.R2)
+    assert abs(res.inner.value - REF_SUMS[2]) < 1e-9
+    assert 0.0 < res.outer.value - res.inner.value < 1e-3
+    outer_table = filtering._refined_table(ref_model, 2)
+    assert len(outer_table) == len(res.outer.x) == 2 * 16
+    assert witness_residual(outer_table, res.outer) <= 1e-12
 
 
 def test_sandwich_degraded_without_sigma():
+    # a zero emission entry leaves no forgetting rate, and the bracket
+    # needs none
     model = xc.ChannelModel([[0.9, 0.1], [0.2, 0.8]],
                             [[0.82, 0.09, 0.09, 0.0], [0.04, 0.16, 0.16, 0.64]])
     assert xc.forgetting_rate_bound(model) is None
     res = xc.sandwich(model, 1, 1.0, 1.0)
-    assert res.margin is None
-    assert res.inner is None and res.outer is None
-    assert res.nominal.status == "Optimal"
+    assert res.inner.status == res.outer.status == "Optimal"
+    assert res.inner.value <= res.outer.value
 
 
-def test_outer_monotone_in_slack(ref_model):
-    t = xc.window_table(ref_model, 1)
-    vals = [xc.solve_region(t, 1.0, 1.0, slack=s).value for s in (0.0, 0.05, 0.1)]
-    assert vals == sorted(vals)
+def test_sandwich_caps_the_refined_table(tmp_path, monkeypatch):
+    # 4 states by 4**10 windows: refused before any table is built
+    model = random_model(random.Random(3), 4)
+    monkeypatch.setattr(filtering, "_extend", None)
+    with pytest.raises(xc.ResourceLimit):
+        xc.sandwich(model, 10, 0.5, 0.5)
+    path = tmp_path / "four.json"
+    xc.save_model(model, path)
+    assert cli_main(["region", "--model", str(path), "--L", "10", "--lambda", "0.5",
+                     "--sandwich"]) == 2
+
+
+def test_refined_region_at_zero_is_the_told_state():
+    # with no window the contexts are the states: probabilities pi and
+    # each state's emission row as its prediction
+    model = random_model(random.Random(8), 3)
+    t = filtering._refined_table(model, 0)
+    told = filtering.WindowTable(L=0, probs=xc.stationary_distribution(model),
+                                 pattern_probs=np.asarray(model.emission))
+    for lam in (0.0, 0.3, 0.5, 1.0):
+        got = xc.solve_region(t, lam, 1.0 - lam)
+        want = xc.solve_region(told, lam, 1.0 - lam)
+        assert (got.R1, got.R2) == (want.R1, want.R2), lam
+
+
+def test_bracket_on_random_models():
+    # R(L) <= C <= R(L)-bar for every L, so every inner value lies below
+    # every outer one; the inner sequence rises and the outer one falls
+    rng = random.Random(23)
+    for _ in range(30):
+        model = random_model(rng, rng.randint(2, 3))
+        lam = rng.random()
+        inner, outer = [], []
+        for L in range(1, 6):
+            res = xc.sandwich(model, L, lam, 1.0 - lam)
+            inner.append(res.inner.value)
+            outer.append(res.outer.value)
+        assert max(inner) <= min(outer) + 1e-12, (inner, outer)
+        assert all(a <= b + 1e-12 for a, b in zip(inner, inner[1:])), inner
+        assert all(a >= b - 1e-12 for a, b in zip(outer, outer[1:])), outer
 
 
 def test_xy_to_actions_hand_rows():
@@ -617,8 +628,7 @@ def test_sweep_failure_raises(ref_model, monkeypatch):
 def test_sweep_support_matches_highs(ref_model):
     # at every grid weight the best swept point has the HiGHS optimum, and
     # each vertex keeps the first weight that reaches it, so the labels
-    # increase with R1; the loosened and tightened regions are solved per
-    # grid weight
+    # increase with R1
     pytest.importorskip("scipy.optimize")
     k = 17
     for L in (1, 2, 3, 4):
@@ -631,18 +641,11 @@ def test_sweep_support_matches_highs(ref_model):
             ref = highs_region(t, lam, 1.0 - lam)
             best = max(lam * p.R1 + (1.0 - lam) * p.R2 for p in points)
             assert abs(best - ref) <= 1e-12 * ref, (L, lam)
-            for slack in (0.05, -0.02):
-                ref = highs_region(t, lam, 1.0 - lam, slack)
-                got = xc.solve_region(t, lam, 1.0 - lam, slack)
-                assert abs(got.value - ref) <= 1e-12 * ref, (L, slack, lam)
 
 
-def test_region_empty_only_when_tightened(ref_model):
-    # a tightened region can be empty, but at slack 0 the region holds the
-    # origin, so a sweep is never empty: on a channel that erases every
-    # slot at both receivers it is the origin alone
-    t = xc.window_table(ref_model, 1)
-    assert xc.solve_region(t, 0.5, 0.5, slack=-0.9).status == "Infeasible"
+def test_sweep_never_empty():
+    # the region holds the origin, so a sweep is never empty: on a channel
+    # that erases every slot at both receivers it is the origin alone
     deaf = xc.window_table(xc.ChannelModel([[1.0]], [[0.0, 0.0, 0.0, 1.0]]), 1)
     assert [(p.w1, p.R1, p.R2) for p in xc.sweep_table(deaf, 5)] == [(0.0, 0.0, 0.0)]
 
@@ -668,14 +671,18 @@ MEMORY_RATES = (0.4144740763, 0.4206484697, 0.4223154558, 0.4242650357,
 
 def test_rate_nondecreasing_in_window(ref_model):
     # a longer window conditions on more feedback, so R(L) never falls; at
-    # L = 8 (65536 windows) the region still takes two sorts, well under 0.2 s
+    # L = 8 (65536 windows) the region still takes two sorts, well under
+    # 0.2 s. The outer region over (state, window) never rises and stays
+    # above; at L = 8 the two meet to 1e-10 on the reference model and to
+    # 2e-4 on the long-memory one
     def independent(e):
         return [(1 - e) ** 2, (1 - e) * e, e * (1 - e), e * e]
 
     long_memory = xc.ChannelModel([[0.995, 0.005], [0.005, 0.995]],
                                   [independent(0.05), independent(0.5)])
-    for model, want in ((ref_model, REF_RATES), (long_memory, MEMORY_RATES)):
-        rates = []
+    for model, want, gap in ((ref_model, REF_RATES, 1e-10),
+                             (long_memory, MEMORY_RATES, 2e-4)):
+        rates, outer = [], []
         for L in range(1, 9):
             t = xc.window_table(model, L)
             t0 = time.perf_counter()
@@ -683,5 +690,9 @@ def test_rate_nondecreasing_in_window(ref_model):
             assert time.perf_counter() - t0 < 0.2, L
             assert witness_residual(t, wit) <= 1e-12, L
             rates.append(wit.R1)
+            outer.append(xc.solve_region(filtering._refined_table(model, L), 0.5, 0.5).R1)
         assert np.max(np.abs(np.array(rates) - want)) <= 1e-10, rates
         assert all(a <= b for a, b in zip(rates, rates[1:])), rates
+        assert all(a >= b for a, b in zip(outer, outer[1:])), outer
+        assert max(rates) <= min(outer), (rates, outer)
+        assert outer[-1] - rates[-1] < gap, (rates, outer)
