@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -57,16 +58,18 @@ def _step(model: ChannelModel, belief, z: int):
     """Condition on pattern index z, then advance one slot.
 
     Returns (next_belief, likelihood). A zero likelihood returns the belief
-    unchanged; callers decide how to treat that. Every sum runs over the
-    states in order from 0, so a plain-float belief and the same belief as
-    numpy scalars give the same floats.
+    unchanged; callers decide how to treat that. Every sum is a left fold
+    over the states in order from 0 (sum() compensates float sums from
+    Python 3.12 on), so plain floats, numpy scalars and _step_batch's
+    arrays give the same floats.
     """
     post = list(map(mul, belief, model.emission_cols[z]))
-    ell = sum(post)
+    ell = reduce(add, post, 0.0)
     if ell <= 0.0:
         return belief, 0.0
     inv = 1.0 / ell
-    return tuple([sum(map(mul, post, col)) * inv for col in model.transition_cols]), ell
+    return tuple([reduce(add, map(mul, post, col), 0.0) * inv
+                  for col in model.transition_cols]), ell
 
 
 def _step_batch(model: ChannelModel, belief, z):
@@ -166,8 +169,9 @@ def filter_step(model: ChannelModel, belief, pattern):
 
 
 def predict_pattern_probs(model: ChannelModel, belief):
-    """Distribution of the next slot's erasure pattern given the belief."""
-    return tuple([sum(map(mul, belief, col)) for col in model.emission_cols])
+    """Distribution of the next slot's erasure pattern given the belief,
+    each entry a left fold as in _step."""
+    return tuple([reduce(add, map(mul, belief, col), 0.0) for col in model.emission_cols])
 
 
 def predict_stats(model: ChannelModel, belief) -> ErasureStats:

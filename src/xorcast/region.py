@@ -155,14 +155,15 @@ def _greedy(g: np.ndarray, g12: np.ndarray):
 
 def _fill(side, rate: float, m: int) -> np.ndarray:
     """The least-budget x in [0, 1]^m with g @ x = rate along one side's
-    greedy order: the windows up to the last breakpoint at or below rate in
-    full, the next one in part."""
+    greedy order: the windows before the first breakpoint at or above rate
+    in full, the one that reaches it in part. So a flat run of equal
+    breakpoints, which the polygon does not pay for, is not bought."""
     order, _, A = side
     x = np.zeros(m)
-    k = int(np.count_nonzero(A <= rate)) - 1
-    x[order[:k]] = 1.0
-    if k < len(order):
-        x[order[k]] = (rate - A[k]) / (A[k + 1] - A[k])
+    j = int(np.count_nonzero(A < rate))     # A is sorted: the first index at or above rate
+    if j > 0:
+        x[order[:j - 1]] = 1.0
+        x[order[j - 1]] = (rate - A[j - 1]) / (A[j] - A[j - 1])
     return x
 
 

@@ -419,56 +419,6 @@ def _well_formed(combo) -> bool:
     return len(combo) == 1 or (len(combo) == 2 and combo[0] != combo[1])
 
 
-class _Span:
-    """GF(2) span of the combinations one receiver heard, as a union-find.
-
-    Every combination has weight 1 or 2, so the weight-2 vectors e_a + e_b
-    are the edges of a graph on packet ids, kept as a forest with union by
-    size and path halving (Tarjan 1975). A root is grounded once its
-    component holds a heard weight-1 vector. e_p lies in the span exactly
-    when p's component is grounded: a path from p to a grounded id sums
-    with that singleton to e_p, while every sum of edges has even weight on
-    a component, so without a singleton e_p is out of reach. The maps hold
-    only ints, so the cyclic garbage collector never walks them.
-    """
-
-    __slots__ = ("parent", "size", "grounded")
-
-    def __init__(self):
-        self.parent = {}     # id -> parent id, for ids that are not roots
-        self.size = {}       # root -> component size, when above 1
-        self.grounded = {}   # grounded root -> True
-
-    def root(self, p):
-        parent = self.parent
-        q = parent.get(p, p)
-        while q != p:
-            r = parent.get(q, q)
-            parent[p] = r
-            p, q = r, parent.get(r, r)
-        return p
-
-    def hear(self, combo) -> None:
-        a = self.root(combo[0])
-        if len(combo) == 1:
-            self.grounded[a] = True
-            return
-        b = self.root(combo[1])
-        if a == b:
-            return
-        size = self.size
-        sa, sb = size.pop(a, 1), size.pop(b, 1)
-        if sa < sb:
-            a, b = b, a
-        self.parent[b] = a
-        size[a] = sa + sb
-        if self.grounded.pop(b, False):
-            self.grounded[a] = True
-
-    def holds(self, p) -> bool:
-        return self.root(p) in self.grounded
-
-
 @dataclass
 class DecodeReport:
     ok: bool
@@ -484,25 +434,63 @@ def decode_verify(trace) -> DecodeReport:
     The trace contract limits every combination to one packet id or two
     distinct ones, as the simulator sends them, and every delivery claim to
     receiver 1 or 2; anything else raises ContractViolation. Under that
-    limit the span is a graph question, so each receiver keeps a union-find
-    over packet ids (see _Span) and a claim costs near-constant time.
+    limit the span is a graph question: the weight-2 vectors e_a + e_b are
+    the edges of a graph on packet ids, kept per receiver as a forest with
+    union by size and path halving (Tarjan 1975), inline in the row loop. A
+    root is grounded once its component holds a heard weight-1 vector. e_p
+    lies in the span exactly when p's component is grounded: a path from p
+    to a grounded id sums with that singleton to e_p, while every sum of
+    edges has even weight on a component. The maps hold only ints, which
+    the cyclic collector never walks.
     """
-    spans = (_Span(), _Span())
+    # per receiver: id -> parent id for ids that are not roots, root ->
+    # component size when above 1, and the grounded roots; a find repoints
+    # each id on its path to its grandparent
+    forests = (({}, {}, set()), ({}, {}, set()))
+    (parent1, _, grounded1), (parent2, _, grounded2) = forests
     fails: list = []
     bad = [False, False]
     for slot, _action, combo, r1, r2, delivered in trace:
-        if not _well_formed(combo):
+        n = len(combo)
+        if not (n == 1 or n == 2 and combo[0] != combo[1]):
             raise ContractViolation(f"slot {slot}: combination {list(combo)} is not "
                                     "one packet id or two distinct ones")
-        if r1:
-            spans[0].hear(combo)
-        if r2:
-            spans[1].hear(combo)
+        if n == 1:      # most rows: one packet, each receiver written out
+            if r1:
+                a = combo[0]
+                while a in parent1:
+                    parent1[a] = a = parent1.get(parent1[a], parent1[a])
+                grounded1.add(a)
+            if r2:
+                a = combo[0]
+                while a in parent2:
+                    parent2[a] = a = parent2.get(parent2[a], parent2[a])
+                grounded2.add(a)
+        else:           # the forests of the receivers that heard it
+            for parent, size, grounded in forests[0 if r1 else 1:2 if r2 else 1]:
+                a, b = combo
+                while a in parent:
+                    parent[a] = a = parent.get(parent[a], parent[a])
+                while b in parent:
+                    parent[b] = b = parent.get(parent[b], parent[b])
+                if a == b:
+                    continue
+                sa, sb = size.pop(a, 1), size.pop(b, 1)
+                if sa < sb:
+                    a, b = b, a
+                parent[b] = a
+                size[a] = sa + sb
+                if b in grounded:
+                    grounded.add(a)
         for j, pid in delivered:
             if j not in (1, 2):
                 raise ContractViolation(f"slot {slot}: delivery claim names receiver {j}; "
                                         "receivers are 1 and 2")
-            if not bad[j - 1] and not spans[j - 1].holds(pid):
+            parent, _size, grounded = forests[j - 1]
+            p = pid
+            while p in parent:
+                parent[p] = p = parent.get(parent[p], parent[p])
+            if p not in grounded and not bad[j - 1]:
                 bad[j - 1] = True
                 fails.append((j, pid, slot))
     receiver_ok = (not bad[0], not bad[1])
@@ -515,15 +503,30 @@ def save_trace(trace, path) -> None:
         write_trace(trace, f)
 
 
+_CHUNK = 4096            # trace lines write_trace hands to the file at once
+
+
 def write_trace(trace, out) -> None:
     """Write a JSON-lines trace to the open text file out, one record per
-    transmission, formatted as json.dumps formats the record's dict."""
-    out.writelines(
-        f'{{"slot": {slot}, "action": {action}, "combo": [{", ".join(map(str, combo))}], '
-        f'"received_rx1": {"true" if r1 else "false"}, '
-        f'"received_rx2": {"true" if r2 else "false"}, '
-        f'"delivered": [{", ".join(f"[{j}, {pid}]" for j, pid in delivered)}]}}\n'
-        for slot, action, combo, r1, r2, delivered in trace)
+    transmission, formatted as json.dumps formats the record's dict. Every
+    field goes through str(), as an f-string would format it."""
+    lines, templates = [], {}   # one %-template per combination width
+    for slot, action, combo, r1, r2, delivered in trace:
+        n = len(combo)
+        if n not in templates:
+            templates[n] = ('{"slot": %s, "action": %s, "combo": [' + ", ".join(["%s"] * n) +
+                            '], "received_rx1": %s, "received_rx2": %s, "delivered": [%s]}\n')
+        claims = ", ".join(["[%s, %s]" % (j, pid) for j, pid in delivered]) if delivered else ""
+        lines.append(templates[n] % (slot, action, *combo, "true" if r1 else "false",
+                                     "true" if r2 else "false", claims))
+        if len(lines) == _CHUNK:
+            out.write("".join(lines))
+            lines.clear()
+    out.write("".join(lines))
+
+
+_JSON_SPACE = " \t\n\r"     # what json.loads skips around a value
+_decode = json.JSONDecoder().raw_decode
 
 
 @_gc_paused
@@ -534,7 +537,10 @@ def load_trace(path) -> list:
     than 1 or 2, raise TraceFormatError with the 1-based line number, as
     does an action other than the transmit codes 1..5 that write_trace
     writes. Ids, receivers, slots and actions must be JSON integers: a
-    float, a string or a bool is rejected, not converted."""
+    float, a string or a bool is rejected, not converted. A line is parsed
+    as json.loads parses it, its rules written out (JSON whitespace around
+    the value, "Extra data" after it, no byte order mark); lines that
+    str.strip() empties are skipped."""
     rows = []
     with open(path, "rb") as f:
         for i, raw in enumerate(f, start=1):
@@ -542,26 +548,36 @@ def load_trace(path) -> list:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as e:
                 raise TraceFormatError(f"line {i}: not UTF-8 text", line=i) from e
-            if not line.strip():
-                continue
+            text = line.lstrip(_JSON_SPACE)
             try:
-                obj = json.loads(line)
+                obj, end = _decode(text)
             except json.JSONDecodeError as e:
-                raise TraceFormatError(f"line {i}: {e.msg}", line=i) from e
+                if not line.strip():
+                    continue
+                msg = ("Unexpected UTF-8 BOM (decode using utf-8-sig)"
+                       if line.startswith("\ufeff") else e.msg)
+                raise TraceFormatError(f"line {i}: {msg}", line=i) from e
+            tail = text[end:]
+            if tail != "\n" and tail.strip(_JSON_SPACE):
+                raise TraceFormatError(f"line {i}: Extra data", line=i)
+            # one pass of checks, in the order of their messages: shape and
+            # types, action, combination, each claim
             try:
                 slot = obj["slot"]
                 action = obj["action"]
                 combo = tuple(obj["combo"])
                 r1 = obj["received_rx1"]
                 r2 = obj["received_rx2"]
-                delivered = tuple([(j, pid) for j, pid in obj["delivered"]])
+                delivered = tuple(map(tuple, obj["delivered"]))
+                n = len(combo)
                 # json yields exact ints, and type() also rules out bools;
                 # bool has no subclasses, so type() is isinstance() there
-                if (type(slot) is not int or type(r1) is not bool or
-                        type(r2) is not bool or
-                        not all([type(c) is int for c in combo])):
+                if (type(slot) is not int or type(r1) is not bool or type(r2) is not bool or
+                        (type(combo[0]) is not int if n == 1 else
+                         list(map(type, combo)).count(int) != n) or
+                        delivered and list(map(len, delivered)).count(2) != len(delivered)):
                     raise TypeError
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError) as e:
                 raise TraceFormatError(f"line {i}: bad trace record", line=i) from e
             if type(action) is not int or not FRESH1 <= action <= REMEDY:
                 raise TraceFormatError(f"line {i}: action {action!r} is not a transmit "

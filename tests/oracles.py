@@ -11,8 +11,9 @@ row-indexed filter update and prediction are the exception: they repeat
 the library's arithmetic term by term, so the column kernels must match
 them exactly. So are the one-at-a-time forms of batched code (the
 depth-first window table, the per-sample forgetting loop, the json.dumps
-trace writer, the slot-at-a-time simulation): the batched code must
-reproduce them bit for bit.
+and f-string trace writers, the json.loads trace reader, the
+slot-at-a-time simulation): the batched code must reproduce them bit for
+bit.
 """
 
 import itertools
@@ -20,6 +21,8 @@ import json
 import math
 import random
 from bisect import bisect_right
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -27,8 +30,9 @@ import xorcast as xc
 from xorcast.filtering import _step
 from xorcast.lp import LE, _Simplex, _verify
 from xorcast.region import _RATE_OF_ROW, _rate_rows, _rate_terms
-from xorcast.sim import (_COUNT_KEYS, CHECKPOINTS, SUB1, SUB2, WARMUP_FRAC, QueueState,
-                         SimReport, _apply, _maxweight, substitute_action)
+from xorcast.sim import (_COUNT_KEYS, CHECKPOINTS, FRESH1, REMEDY, SUB1, SUB2, WARMUP_FRAC,
+                         QueueState, SimReport, _apply, _maxweight, _well_formed,
+                         substitute_action)
 
 
 def draw_oracle(cum, u):
@@ -138,26 +142,27 @@ def trajectory_oracle(model, n, seed):
 
 
 def filter_step_oracle(model, belief, z):
-    """One filter update indexed by state, as a generator sum over rows:
-    condition on pattern index z, then advance one slot. Returns
+    """One filter update indexed by state, as a left fold over rows from
+    0.0: condition on pattern index z, then advance one slot. Returns
     (next_belief, likelihood), the belief unchanged on zero likelihood."""
     em = model.emission_rows
     tr = model.transition_rows
     n = model.num_states
     post = [belief[s] * em[s][z] for s in range(n)]
-    ell = sum(post)
+    ell = reduce(add, post, 0.0)
     if ell <= 0.0:
         return belief, 0.0
     inv = 1.0 / ell
-    nxt = tuple(sum(post[s] * tr[s][sp] for s in range(n)) * inv for sp in range(n))
+    nxt = tuple(reduce(add, (post[s] * tr[s][sp] for s in range(n)), 0.0) * inv
+                for sp in range(n))
     return nxt, ell
 
 
 def predict_oracle(model, belief):
-    """Next-slot pattern distribution, as a generator sum over rows."""
+    """Next-slot pattern distribution, as a left fold over rows from 0.0."""
     em = model.emission_rows
     n = model.num_states
-    return tuple(sum(belief[s] * em[s][z] for s in range(n)) for z in range(4))
+    return tuple(reduce(add, (belief[s] * em[s][z] for s in range(n)), 0.0) for z in range(4))
 
 
 def window_table_dfs(model, L):
@@ -218,6 +223,62 @@ def save_trace_json(trace, path):
                 "received_rx1": bool(r1), "received_rx2": bool(r2),
                 "delivered": [[j, pid] for j, pid in delivered],
             }) + "\n")
+
+
+def write_trace_fstring(trace, out):
+    """write_trace as one f-string per record."""
+    out.writelines(
+        f'{{"slot": {slot}, "action": {action}, "combo": [{", ".join(map(str, combo))}], '
+        f'"received_rx1": {"true" if r1 else "false"}, '
+        f'"received_rx2": {"true" if r2 else "false"}, '
+        f'"delivered": [{", ".join(f"[{j}, {pid}]" for j, pid in delivered)}]}}\n'
+        for slot, action, combo, r1, r2, delivered in trace)
+
+
+def load_trace_oracle(path):
+    """load_trace through json.loads, one line at a time, with each check a
+    step of its own in the order of the error messages."""
+    rows = []
+    with open(path, "rb") as f:
+        for i, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise xc.TraceFormatError(f"line {i}: not UTF-8 text", line=i) from e
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise xc.TraceFormatError(f"line {i}: {e.msg}", line=i) from e
+            try:
+                slot = obj["slot"]
+                action = obj["action"]
+                combo = tuple(obj["combo"])
+                r1 = obj["received_rx1"]
+                r2 = obj["received_rx2"]
+                delivered = tuple([(j, pid) for j, pid in obj["delivered"]])
+                if (type(slot) is not int or type(r1) is not bool or
+                        type(r2) is not bool or
+                        not all([type(c) is int for c in combo])):
+                    raise TypeError
+            except (KeyError, TypeError, ValueError) as e:
+                raise xc.TraceFormatError(f"line {i}: bad trace record", line=i) from e
+            if type(action) is not int or not FRESH1 <= action <= REMEDY:
+                raise xc.TraceFormatError(f"line {i}: action {action!r} is not a transmit "
+                                          "action code 1..5", line=i)
+            if not _well_formed(combo):
+                raise xc.TraceFormatError(f"line {i}: combination {list(combo)} is not one "
+                                          "packet id or two distinct ones", line=i)
+            for j, pid in delivered:
+                if type(j) is not int or type(pid) is not int:
+                    raise xc.TraceFormatError(f"line {i}: delivery claim {[j, pid]!r} is "
+                                              "not two integers", line=i)
+                if j not in (1, 2):
+                    raise xc.TraceFormatError(f"line {i}: delivery claim names receiver "
+                                              f"{j}; receivers are 1 and 2", line=i)
+            rows.append((slot, action, combo, r1, r2, delivered))
+    return rows
 
 
 def feasible(lp):

@@ -1,7 +1,10 @@
 import importlib.util
 import io
 import itertools
+import math
 import random
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +100,32 @@ def test_kernel_matches_row_oracle_exactly():
                     got = _step(model, belief, z)
                     assert got == filter_step_oracle(model, belief, z)
                     assert got == _step(model, plain, z)
+
+
+def test_step_sums_are_left_folds():
+    # sum() compensates float sums from Python 3.12 on, and not array sums,
+    # so _step and predict_pattern_probs add in the plain left-to-right
+    # order of _step_batch; a compensated sum differs on some of these
+    rng = random.Random(312)
+    compensated_differs = 0
+    for n_states in (3, 4):
+        for _ in range(25):
+            model = random_model(rng, n_states)
+            belief = tuple(rng.random() * 10.0 ** rng.randint(-8, 0) for _ in range(n_states))
+            want_pp = tuple(reduce(add, [b * e for b, e in zip(belief, col)])
+                            for col in model.emission_cols)
+            assert xc.predict_pattern_probs(model, belief) == want_pp
+            for z in range(4):
+                post = [b * e for b, e in zip(belief, model.emission_cols[z])]
+                ell = reduce(add, post)
+                terms = [[p * t for p, t in zip(post, col)] for col in model.transition_cols]
+                want = tuple(reduce(add, ts) * (1.0 / ell) for ts in terms)
+                assert _step(model, belief, z) == (want, ell)
+                got, got_ell = _step_batch(model, tuple(np.array([b]) for b in belief), z)
+                assert tuple(float(v[0]) for v in got) == want and float(got_ell[0]) == ell
+                compensated_differs += any(math.fsum(ts) != reduce(add, ts)
+                                           for ts in [post] + terms)
+    assert compensated_differs > 0
 
 
 def test_kernel_matches_row_oracle_along_sampled_path():

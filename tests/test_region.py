@@ -89,6 +89,22 @@ def test_greedy_ties_go_to_the_lowest_window():
         assert np.count_nonzero((v > 0.0) & (v < 1.0)) <= 1
 
 
+def test_fill_skips_a_flat_run(tmp_path, capsys):
+    # windows whose g is too small to move the cumulative rate leave a flat
+    # run of equal breakpoints; a fill that bought the run spent budget the
+    # polygon does not count, and the witness broke a rate row by 0.016
+    model = xc.ChannelModel([[0.5813, 0.4187], [1, 0]],
+                            [[0, 0.4588, 0, 0.5412], [0.2877, 0.3107, 0.0998, 0.3018]])
+    t = xc.window_table(model, 3)
+    sides, _ = region._polygon(t)
+    assert any(np.any(np.diff(A) == 0.0) for _, _, A in sides)
+    assert witness_residual(t, xc.solve_region(t, 0.0, 1.0)) <= 1e-12
+    path = tmp_path / "flat.json"
+    xc.save_model(model, path)
+    assert cli_main(["region", "--model", str(path), "--L", "3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_max_single_user_rate_is_marginal(ref_model):
     # weight (1, 0) endpoint: all slots serve receiver 1 uncoded
     t = xc.window_table(ref_model, 1)

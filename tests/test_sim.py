@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -17,8 +18,8 @@ from xorcast.sim import (BLOCK, FRESH1, FRESH2, IDLE, MIX_FRESH, REMEDY, SUB1, S
                          XOR_BACKLOG, QueueState, _apply, _maxweight, _well_formed,
                          maxweight_action, substitute_action)
 
-from oracles import (gf2_decode_oracle, random_model, save_trace_json, simulate_oracle,
-                     sparse_model)
+from oracles import (gf2_decode_oracle, load_trace_oracle, random_model, save_trace_json,
+                     simulate_oracle, sparse_model, write_trace_fstring)
 
 
 def filled(q1_1=(), q1_2=(), q2_1=(), q2_2=(), q3=()):
@@ -682,6 +683,125 @@ def test_save_trace_matches_json_oracle(tmp_path, ref_model):
         xc.save_trace(trace, got)
         save_trace_json(trace, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_trace_matches_fstring_oracle(ref_model):
+    # the %-templates format every field with str(), as the f-strings did:
+    # bools and floats where ints belong, no combination or a wide one, ids
+    # above 2**63, any truthy heard flag; and a run longer than one chunk
+    rep = xc.simulate(ref_model, "maxweight", 0.3, 0.3, 6000, 2, collect_trace=True)
+    assert len(rep.trace) > xc.sim._CHUNK
+    odd = [(True, 1.5, (2 ** 64, 3), 1, 0.0, ((1, 2 ** 64), (2, 3))),
+           (2.0, False, (), True, False, ()),
+           (5, XOR_BACKLOG, (1, 2, 3), "", [0], [(True, 2.5)]),
+           (2 ** 70, REMEDY, (-1,), 0, 7, ((3, -1),))]
+    for trace in (rep.trace, odd, rep.trace + odd):
+        got, want = io.StringIO(), io.StringIO()
+        xc.sim.write_trace(trace, got)
+        write_trace_fstring(trace, want)
+        assert got.getvalue() == want.getvalue()
+    got, want = io.StringIO(), io.StringIO()
+    xc.sim.write_trace(iter(odd), got)      # any iterable of rows will do
+    write_trace_fstring(odd, want)
+    assert got.getvalue() == want.getvalue()
+
+
+def _record(**fields):
+    """One trace line as json.dumps writes it, with fields replaced."""
+    return json.dumps({"slot": 3, "action": MIX_FRESH, "combo": [7, 8], "received_rx1": True,
+                       "received_rx2": False, "delivered": [[1, 7]], **fields})
+
+
+GOOD = _record()
+# file text, and what load_trace makes of it: a row count or the error text
+READER_CASES = [
+    ("   " + GOOD + "\n", 1),
+    (GOOD + "\r\n" + GOOD + "\r\n", 2),
+    (GOOD + "\t\n", 1),
+    (GOOD + "\u00a0\n", "line 1: Extra data"),        # not JSON whitespace
+    (GOOD + "\n\u00a0\n" + GOOD, 2),                  # but str.strip() empties it
+    ("1, 2\n", "line 1: Extra data"),
+    ("NaN\n", "line 1: bad trace record"),
+    ("[1, 2]\n", "line 1: bad trace record"),
+    (_record(combo=[True]) + "\n", "line 1: bad trace record"),
+    (_record(delivered=[[1, True]]), "line 1: delivery claim [1, True] is not two integers"),
+    (_record(combo=[2 ** 64, 2 ** 63], delivered=[[2, 2 ** 64]]) + "\n", 1),
+    (GOOD.encode() + b"\n" + GOOD.encode()[:30] + b"\xff\xfe" + b"\n" + GOOD.encode(),
+     "line 2: not UTF-8 text"),
+    ("\ufeff" + GOOD + "\n", "line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (" \ufeff" + GOOD + "\n", "line 1: Expecting value"),
+    (GOOD + " " + GOOD + "\n", "line 1: Extra data"),
+    ('{"slot": "a\n', "line 1: Invalid control character at"),
+    ('{"slot": 1\n', "line 1: Expecting ',' delimiter"),
+    ("\n \r\n\t\x0c\n\r", 0),
+    ("\x0c" + GOOD + "\n", "line 1: Expecting value"),
+    (GOOD + "\x0c\n", "line 1: Extra data"),
+    (_record(delivered=0), "line 1: bad trace record"),
+    (_record(delivered=None), "line 1: bad trace record"),
+    (_record(delivered={}, combo={"5": 0}), "line 1: bad trace record"),
+    (_record(delivered={"12": 0}), "line 1: delivery claim ['1', '2'] is not two integers"),
+    (_record(combo=""), "line 1: combination [] is not one packet id or two distinct ones"),
+    (_record(action=99, delivered=[[1, 2, 3]]), "line 1: bad trace record"),
+    (_record(action=99, combo=[1, 1]), "line 1: action 99 is not a transmit action code 1..5"),
+    (_record(combo=[1, 1], delivered=[[3, 1]]),
+     "line 1: combination [1, 1] is not one packet id or two distinct ones"),
+    (_record(delivered=[[1, 7], [3, "x"]]), "line 1: delivery claim [3, 'x'] is not two integers"),
+    (_record(delivered=[[1, 7], [0, 5]]),
+     "line 1: delivery claim names receiver 0; receivers are 1 and 2"),
+]
+
+
+def _read(reader, path):
+    """A trace reader's rows, or the line and text of its error."""
+    try:
+        return reader(path)
+    except xc.TraceFormatError as e:
+        return (e.line, str(e))
+
+
+@pytest.mark.parametrize("text, want", READER_CASES)
+def test_load_trace_matches_json_loads_oracle(tmp_path, text, want):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    got = _read(xc.load_trace, path)
+    assert got == _read(load_trace_oracle, path)
+    assert len(got) == want if isinstance(want, int) else got[1] == want
+
+
+def test_load_trace_matches_oracle_on_mutated_lines(tmp_path):
+    # records with fields swapped for other JSON values, then text edits:
+    # every outcome, rows or (line, message), is the one json.loads and the
+    # step-by-step checks give
+    rng = random.Random(17)
+    values = {"slot": [3, True, 1.5, "x", None, -1, 2 ** 64],
+              "action": [1, 5, 0, 6, True, 2.5, "x", None],
+              "combo": [[7], [7, 8], [], [1, 1], [1, 2, 3], [True], [1.5], "ab", {}, None, 5],
+              "received_rx1": [True, False, 1, None, "true"],
+              "received_rx2": [True, False, 0, None, "false"],
+              "delivered": [[], [[1, 7]], [[2, 7], [1, 8]], [[3, 1]], [[0, 1]], [[1, 2, 3]],
+                            [[2, "x"]], [[True, 5]], [1], {}, {"12": 0}, None, 0, "ab",
+                            [[1, 2 ** 64]]]}
+    chars = list(set(GOOD)) + [" ", "\t", "\r", "\n", "\u00a0", "\ufeff", "\x0c", "NaN"]
+    checks = ("bad trace record", "transmit action", "packet id", "two integers", "receivers are")
+    outcomes = Counter()
+    path = tmp_path / "trace.jsonl"
+    for _ in range(600):
+        record = json.loads(GOOD)
+        for key in rng.sample(list(values), rng.randint(0, 2)):
+            record[key] = rng.choice(values[key])
+        if rng.random() < 0.1:
+            del record[rng.choice(list(values))]
+        line = json.dumps(record)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            k = rng.randrange(len(line) + 1)
+            line = line[:k] + rng.choice(chars + [""]) + line[k + rng.randint(0, 2):]
+        path.write_text(GOOD + "\n" + line + "\n", encoding="utf-8")
+        got = _read(xc.load_trace, path)
+        assert got == _read(load_trace_oracle, path), line
+        kinds = [k for k in checks if k in got[1]] if isinstance(got, tuple) else ["rows"]
+        outcomes[kinds[0] if kinds else "json"] += 1
+    # the edits reach good rows, the parser's errors and every record check
+    assert set(outcomes) == {"rows", "json", *checks}, outcomes
 
 
 def _verdict(n, backlog, every=1000):
