@@ -356,7 +356,8 @@ def model_from_dict(obj) -> ChannelModel:
 
 def _read_json(path):
     """The JSON value in the file at path; text that is not UTF-8 raises
-    ModelFormatError, and so does a syntax error, with its line and column."""
+    ModelFormatError, and so does a syntax error, with its line and column,
+    and a value nested deeper than the decoder's recursion limit."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
@@ -364,6 +365,8 @@ def _read_json(path):
         raise ModelFormatError(f"not UTF-8 text: {e.reason}") from e
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ModelFormatError("JSON value nested too deeply") from e
 
 
 def load_model(path) -> ChannelModel:

@@ -22,6 +22,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -47,7 +48,7 @@ WARMUP_FRAC = 0.1       # share of a run's first slots left out of throughput
 SLOPE_STABLE = 1e-4     # stability verdict thresholds, packets per slot
 SLOPE_UNSTABLE = 1e-2
 BACKLOG_BOUND = 500.0   # largest mean backlog of a Stable run, packets
-BLOCK = 2048            # slots whose channel side simulate computes at once
+BLOCK = 8192            # slots whose channel side and arrivals simulate computes at once
 
 _COUNT_KEYS = {IDLE: "idle", FRESH1: "fresh1", FRESH2: "fresh2", XOR_BACKLOG: "xor",
                MIX_FRESH: "mix", REMEDY: "remedy", SUB1: "sub1", SUB2: "sub2"}
@@ -91,90 +92,41 @@ class QueueState:
         self.q2 = (deque(), deque())
         self.q3 = deque()
 
+    def lengths(self) -> tuple:
+        """(n11, n12, n21, n22, n3): the fresh and overheard queue lengths of
+        receivers 1 and 2, then the poisoned pairs."""
+        return (len(self.q1[0]), len(self.q1[1]), len(self.q2[0]), len(self.q2[1]),
+                len(self.q3))
+
     def backlog(self) -> int:
         # a poisoned pair still owes one packet to each receiver
-        return (len(self.q1[0]) + len(self.q1[1]) + len(self.q2[0]) +
-                len(self.q2[1]) + 2 * len(self.q3))
+        n11, n12, n21, n22, n3 = self.lengths()
+        return n11 + n12 + n21 + n22 + 2 * n3
 
 
-def _apply(state: QueueState, action, z1: int, z2: int):
-    """Execute a feasible action under erasure pattern (z1, z2), in place.
-
-    Returns (combo, delivered): the ids on air and a tuple of (receiver,
-    account_id) deliveries. Every branch moves each queue entry at most one
-    hop, so every queue length changes by at most one per slot.
-    """
-    q1, q2, q3 = state.q1, state.q2, state.q3
-    if action == IDLE:
-        return (), ()
-    if action == FRESH1 or action == FRESH2:
-        j = 0 if action == FRESH1 else 1
-        zj, zo = (z1, z2) if j == 0 else (z2, z1)
-        p = q1[j][0]
-        if zj == 0:
-            q1[j].popleft()
-            return (p,), ((j + 1, p),)
-        if zo == 0:
-            q1[j].popleft()
-            q2[j].append((p, p))
-        return (p,), ()
-    if action == SUB1 or action == SUB2:
-        j = 0 if action == SUB1 else 1
-        zj = z1 if j == 0 else z2
-        acct, tid = q2[j][0]
-        if zj == 0:
-            q2[j].popleft()
-            return (tid,), ((j + 1, acct),)
-        # heard only by the other receiver: it already knows tid, no move
-        return (tid,), ()
-    if action == XOR_BACKLOG:
-        a1, t1 = q2[0][0]
-        a2, t2 = q2[1][0]
-        combo = tuple(sorted((t1, t2)))
-        if z1 == 0:
-            q2[0].popleft()
-            if z2 == 0:
-                q2[1].popleft()
-                return combo, ((1, a1), (2, a2))
-            return combo, ((1, a1),)
-        if z2 == 0:
-            q2[1].popleft()
-            return combo, ((2, a2),)
-        return combo, ()
-    if action == MIX_FRESH:
-        p1 = q1[0][0]
-        p2 = q1[1][0]
-        if z1 == 0 or z2 == 0:
-            q1[0].popleft()
-            q1[1].popleft()
-            q3.append((p1, p2, p2 if z2 else p1))
-        return tuple(sorted((p1, p2))), ()
-    if action == REMEDY:
-        p1, p2, remedy = q3[0]
-        if z1 == 0 and z2 == 0:
-            q3.popleft()
-            return (remedy,), ((1, p1), (2, p2))
-        if z1 == 0:
-            q3.popleft()
-            q2[1].append((p2, remedy))
-            return (remedy,), ((1, p1),)
-        if z2 == 0:
-            q3.popleft()
-            q2[0].append((p1, remedy))
-            return (remedy,), ((2, p2),)
-        return (remedy,), ()
-    raise ContractViolation(f"unknown action {action!r}")
+def _ladder(sampled: int, n11: int, n12: int, n21: int, n22: int, n3: int):
+    """substitute_action on the queue lengths: n1j and n2j are the fresh and
+    overheard queues of receiver j, n3 the poisoned pairs."""
+    if sampled == FRESH1:
+        return FRESH1 if n11 else IDLE
+    if sampled == FRESH2:
+        return FRESH2 if n12 else IDLE
+    if sampled == XOR_BACKLOG:
+        if n21:
+            return XOR_BACKLOG if n22 else SUB1
+        return SUB2 if n22 else IDLE
+    if sampled == MIX_FRESH:
+        return MIX_FRESH if n11 and n12 else IDLE
+    if sampled == REMEDY:
+        return REMEDY if n3 else IDLE
+    raise ContractViolation(f"unknown action {sampled!r}")
 
 
-def _maxweight(state: QueueState, p01: float, p10: float, p11: float):
-    """maxweight_action on the predicted pattern probabilities of the slot:
-    p01 = eps_n12, p10 = eps1_n2 and p11 = eps12."""
-    q1, q2 = state.q1, state.q2
-    n11 = len(q1[0])
-    n12 = len(q1[1])
-    n21 = len(q2[0])
-    n22 = len(q2[1])
-    n3 = len(state.q3)
+def _maxweight(n11: int, n12: int, n21: int, n22: int, n3: int,
+               p01: float, p10: float, p11: float):
+    """maxweight_action on the queue lengths (as _ladder's) and the predicted
+    pattern probabilities of the slot: p01 = eps_n12, p10 = eps1_n2 and
+    p11 = eps12."""
     e1, e2, e12 = p10 + p11, p01 + p11, p11
     only2, only1 = p10, p01
     best = IDLE
@@ -211,7 +163,7 @@ def maxweight_action(state: QueueState, stats: ErasureStats):
     overheard queues score together when either is nonempty: the backlog
     XOR serves both, a lone retransmission (SUB1 or SUB2) the only one.
     """
-    return _maxweight(state, stats.eps_n12, stats.eps1_n2, stats.eps12)
+    return _maxweight(*state.lengths(), stats.eps_n12, stats.eps1_n2, stats.eps12)
 
 
 def substitute_action(sampled: int, state: QueueState):
@@ -222,20 +174,7 @@ def substitute_action(sampled: int, state: QueueState):
     with exactly one nonempty queue, which degrades to an uncoded
     retransmission of that lone head packet.
     """
-    q1, q2 = state.q1, state.q2
-    if sampled == FRESH1:
-        return FRESH1 if q1[0] else IDLE
-    if sampled == FRESH2:
-        return FRESH2 if q1[1] else IDLE
-    if sampled == XOR_BACKLOG:
-        if q2[0]:
-            return XOR_BACKLOG if q2[1] else SUB1
-        return SUB2 if q2[1] else IDLE
-    if sampled == MIX_FRESH:
-        return MIX_FRESH if q1[0] and q1[1] else IDLE
-    if sampled == REMEDY:
-        return REMEDY if state.q3 else IDLE
-    raise ContractViolation(f"unknown action {sampled!r}")
+    return _ladder(sampled, *state.lengths())
 
 
 @dataclass
@@ -282,14 +221,23 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     sizes beyond the feasibility ladder. The max-weight scheduler tracks
     the exact state filter instead and needs no distribution.
 
-    Nothing on the channel side depends on the queues, so it is computed
-    BLOCK slots at a time: the doubles (channel._uniforms), the hidden-state
-    path and its patterns, the probabilistic window and its sampled action,
-    every pick by channel._pick's rule, and the max-weight belief
-    (filtering.filter_path, bit for bit the sequential filter). The slot
-    loop runs only the actions, the queues, the counts and the records. A
-    pattern of zero likelihood raises ZeroLikelihood before its block's
-    slots run.
+    Nothing on the channel side or the arrivals depends on the queues, so
+    they are computed BLOCK slots at a time: the doubles
+    (channel._uniforms), the hidden-state path and its patterns, the
+    probabilistic window and its sampled action, every pick by
+    channel._pick's rule, the max-weight belief (filtering.filter_path, bit
+    for bit the sequential filter), and the arrivals, whose ids are numbered
+    in slot order, receiver 1 before receiver 2, and put on the fresh queues
+    with one extend per block. A pattern of zero likelihood raises
+    ZeroLikelihood before its block's slots run.
+
+    The slot loop keeps the queue lengths as integers: a fresh queue's is
+    its arrivals so far less its departures, since the deque also holds the
+    block's ids yet to arrive. The action rules (_ladder, _maxweight) read
+    only these lengths, and each action's branch moves the queue heads,
+    counts the deliveries and builds the trace row in place. Each
+    checkpoint counts what the deques hold against the arrivals and against
+    the length counters, and raises NumericalFailure on a mismatch.
 
     A run builds no reference cycle, so the cyclic garbage collector is
     paused while it runs (_gc_paused): otherwise its full collections walk
@@ -313,12 +261,12 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     cums = _path_cums(model, belief)
     width = 5 if probabilistic else 4    # doubles per slot
     state = QueueState()
-    q1, q2, q3 = state.q1, state.q2, state.q3
-    push1, push2 = q1[0].append, q1[1].append
+    (fresh1, fresh2), (over1, over2), pairs = state.q1, state.q2, state.q3
+    total1 = total2 = 0     # arrivals up to the end of the block
+    gone1 = gone2 = 0       # departures from the fresh queues
+    n21 = n22 = n3 = 0      # lengths of the overheard queues and of the pairs
+    done1 = done2 = 0       # deliveries
     counts = dict.fromkeys(_COUNT_KEYS, 0)
-    arrivals = [0, 0]
-    delivered_n = [0, 0]
-    next_id = 0
     cp = max(1, n // CHECKPOINTS)
     next_cp = min(cp, n)      # checkpoints follow slots cp, 2 cp, ... and n
     warmup = int(n * WARMUP_FRAC)
@@ -339,50 +287,181 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
             for k in range(dist.L):
                 wins = (wins << 2) | ext[k:k + m]
             tail = ext[m:]
-            choices = (_pick(cum_rows[wins], u[:, 2]) + 1).tolist()
+            # the one rule column: the sampled action of each slot
+            lead = (_pick(cum_rows[wins], u[:, 2]) + 1).tolist()
+            p10s = p11s = repeat(None)
         else:
             beliefs = filter_path(model, belief, codes)
             belief = tuple(float(b[-1]) for b in beliefs)
-            _p00, p01, p10, p11 = predict_pattern_probs(model, tuple(b[:-1] for b in beliefs))
-            choices = zip(p01.tolist(), p10.tolist(), p11.tolist())
-        new1 = (u[:, 0] < R1).tolist()
-        new2 = (u[:, 1] < R2).tolist()
-        # PATTERNS[code] is (code >> 1, code & 1)
-        for slot, z1, z2, a1, a2, choice in zip(range(base, base + m), (codes >> 1).tolist(),
-                                                (codes & 1).tolist(), new1, new2, choices):
-            if a1:
-                push1(next_id)
-                next_id += 1
-                arrivals[0] += 1
-            if a2:
-                push2(next_id)
-                next_id += 1
-                arrivals[1] += 1
+            # the rule columns p01, p10 and p11 of each slot
+            _p00, *probs = predict_pattern_probs(model, tuple(b[:-1] for b in beliefs))
+            lead, p10s, p11s = (col.tolist() for col in probs)
+        new1 = u[:, 0] < R1
+        new2 = u[:, 1] < R2
+        upto1 = np.cumsum(new1)
+        upto2 = np.cumsum(new2)
+        taken = total1 + total2 + upto1 + upto2     # ids taken up to each slot
+        fresh1.extend((taken - 1 - new2)[new1].tolist())
+        fresh2.extend((taken - 1)[new2].tolist())
+        arrived1 = (total1 + upto1).tolist()
+        arrived2 = (total2 + upto2).tolist()
+        total1 += int(upto1[-1])
+        total2 += int(upto2[-1])
+        # PATTERNS[code] is (code >> 1, code & 1): receiver 1 hears codes 0
+        # and 1, receiver 2 the even codes
+        for slot, h1, h2, a1, a2, first, p10, p11 in zip(
+                range(base, base + m), (codes < 2).tolist(), ((codes & 1) == 0).tolist(),
+                arrived1, arrived2, lead, p10s, p11s):
             if probabilistic:
-                action = substitute_action(choice, state)
+                action = _ladder(first, a1 - gone1, a2 - gone2, n21, n22, n3)
             else:
-                action = _maxweight(state, *choice)
-            combo, delivered = _apply(state, action, z1, z2)
+                action = _maxweight(a1 - gone1, a2 - gone2, n21, n22, n3, first, p10, p11)
             counts[action] += 1
-            for j, _pid in delivered:
-                delivered_n[j - 1] += 1
-            code = 3 if action in (SUB1, SUB2) else action
-            if record is not None and combo:
-                record((slot, code, combo, z1 == 0, z2 == 0, delivered))
+            if action == IDLE:
+                pass
+            elif action == FRESH1:
+                p = fresh1[0]
+                if h1:
+                    fresh1.popleft()
+                    gone1 += 1
+                    done1 += 1
+                    got = ((1, p),)
+                else:
+                    if h2:
+                        fresh1.popleft()
+                        gone1 += 1
+                        over1.append((p, p))
+                        n21 += 1
+                    got = ()
+                if record is not None:
+                    record((slot, FRESH1, (p,), h1, h2, got))
+            elif action == FRESH2:
+                p = fresh2[0]
+                if h2:
+                    fresh2.popleft()
+                    gone2 += 1
+                    done2 += 1
+                    got = ((2, p),)
+                else:
+                    if h1:
+                        fresh2.popleft()
+                        gone2 += 1
+                        over2.append((p, p))
+                        n22 += 1
+                    got = ()
+                if record is not None:
+                    record((slot, FRESH2, (p,), h1, h2, got))
+            elif action == XOR_BACKLOG:
+                acct1, t1 = over1[0]
+                acct2, t2 = over2[0]
+                if h1:
+                    over1.popleft()
+                    n21 -= 1
+                    done1 += 1
+                    if h2:
+                        over2.popleft()
+                        n22 -= 1
+                        done2 += 1
+                        got = ((1, acct1), (2, acct2))
+                    else:
+                        got = ((1, acct1),)
+                elif h2:
+                    over2.popleft()
+                    n22 -= 1
+                    done2 += 1
+                    got = ((2, acct2),)
+                else:
+                    got = ()
+                if record is not None:
+                    record((slot, XOR_BACKLOG, (t1, t2) if t1 < t2 else (t2, t1), h1, h2, got))
+            elif action == MIX_FRESH:
+                p1 = fresh1[0]
+                p2 = fresh2[0]
+                if h1 or h2:
+                    fresh1.popleft()
+                    fresh2.popleft()
+                    gone1 += 1
+                    gone2 += 1
+                    # the remedy is the packet of the receiver that missed
+                    # the mixture, receiver 1's when both heard it
+                    pairs.append((p1, p2, p1 if h2 else p2))
+                    n3 += 1
+                if record is not None:
+                    record((slot, MIX_FRESH, (p1, p2) if p1 < p2 else (p2, p1), h1, h2, ()))
+            elif action == REMEDY:
+                p1, p2, remedy = pairs[0]
+                if h1:
+                    pairs.popleft()
+                    n3 -= 1
+                    done1 += 1
+                    if h2:
+                        done2 += 1
+                        got = ((1, p1), (2, p2))
+                    else:
+                        # the remedy stands in for its pair-mate, which
+                        # receiver 2 still needs
+                        over2.append((p2, remedy))
+                        n22 += 1
+                        got = ((1, p1),)
+                elif h2:
+                    pairs.popleft()
+                    n3 -= 1
+                    over1.append((p1, remedy))
+                    n21 += 1
+                    done2 += 1
+                    got = ((2, p2),)
+                else:
+                    got = ()
+                if record is not None:
+                    record((slot, REMEDY, (remedy,), h1, h2, got))
+            elif action == SUB1:
+                acct1, t1 = over1[0]
+                if h1:
+                    over1.popleft()
+                    n21 -= 1
+                    done1 += 1
+                    got = ((1, acct1),)
+                else:   # receiver 2 already knows t1: no move
+                    got = ()
+                if record is not None:
+                    record((slot, XOR_BACKLOG, (t1,), h1, h2, got))
+            else:   # SUB2
+                acct2, t2 = over2[0]
+                if h2:
+                    over2.popleft()
+                    n22 -= 1
+                    done2 += 1
+                    got = ((2, acct2),)
+                else:
+                    got = ()
+                if record is not None:
+                    record((slot, XOR_BACKLOG, (t2,), h1, h2, got))
             if slot_rows is not None:
-                slot_rows.append((slot, code, z1, z2, state.backlog(),
-                                  delivered_n[0], delivered_n[1]))
+                slot_rows.append((slot, XOR_BACKLOG if action in (SUB1, SUB2) else action,
+                                  1 - h1, 1 - h2, a1 - gone1 + a2 - gone2 + n21 + n22 + 2 * n3,
+                                  done1, done2))
             if slot + 1 == next_cp:
-                for j in (0, 1):
-                    held = len(q1[j]) + len(q2[j]) + len(q3) + delivered_n[j]
-                    if held != arrivals[j]:
+                # what the deques hold, against the arrivals and the
+                # counters: a fresh deque also holds the block's ids that
+                # have not arrived yet
+                for j, fresh, over, arrived, total, done, counted in (
+                        (1, fresh1, over1, a1, total1, done1, (a1 - gone1, n21, n3)),
+                        (2, fresh2, over2, a2, total2, done2, (a2 - gone2, n22, n3))):
+                    queued = (len(fresh) - (total - arrived), len(over), len(pairs))
+                    held = sum(queued) + done
+                    if held != arrived:
                         raise NumericalFailure("packet conservation broken",
-                                               {"receiver": j + 1, "slot": slot + 1,
-                                                "held": held, "arrivals": arrivals[j]})
-                checkpoints.append((slot + 1, state.backlog(), delivered_n[0], delivered_n[1]))
+                                               {"receiver": j, "slot": slot + 1,
+                                                "held": held, "arrivals": arrived})
+                    if queued != counted:
+                        raise NumericalFailure("queue length counter drifted from its queue",
+                                               {"receiver": j, "slot": slot + 1,
+                                                "queued": queued, "counted": counted})
+                checkpoints.append((slot + 1, a1 - gone1 + a2 - gone2 + n21 + n22 + 2 * n3,
+                                    done1, done2))
                 next_cp = min(next_cp + cp, n)
     return SimReport(scheduler=scheduler, R1=R1, R2=R2, n=n, seed=seed,
-                     arrivals=tuple(arrivals), delivered=tuple(delivered_n),
+                     arrivals=(total1, total2), delivered=(done1, done2),
                      action_counts={_COUNT_KEYS[a]: c for a, c in counts.items()},
                      checkpoints=checkpoints,
                      final_backlog=state.backlog(), warmup=warmup, trace=trace,
@@ -539,8 +618,9 @@ def load_trace(path) -> list:
     writes. Ids, receivers, slots and actions must be JSON integers: a
     float, a string or a bool is rejected, not converted. A line is parsed
     as json.loads parses it, its rules written out (JSON whitespace around
-    the value, "Extra data" after it, no byte order mark); lines that
-    str.strip() empties are skipped."""
+    the value, "Extra data" after it, no byte order mark), and a value
+    nested deeper than the decoder's recursion limit is malformed too;
+    lines that str.strip() empties are skipped."""
     rows = []
     with open(path, "rb") as f:
         for i, raw in enumerate(f, start=1):
@@ -557,6 +637,8 @@ def load_trace(path) -> list:
                 msg = ("Unexpected UTF-8 BOM (decode using utf-8-sig)"
                        if line.startswith("\ufeff") else e.msg)
                 raise TraceFormatError(f"line {i}: {msg}", line=i) from e
+            except RecursionError as e:
+                raise TraceFormatError(f"line {i}: JSON value nested too deeply", line=i) from e
             tail = text[end:]
             if tail != "\n" and tail.strip(_JSON_SPACE):
                 raise TraceFormatError(f"line {i}: Extra data", line=i)

@@ -12,8 +12,8 @@ the library's arithmetic term by term, so the column kernels must match
 them exactly. So are the one-at-a-time forms of batched code (the
 depth-first window table, the per-sample forgetting loop, the json.dumps
 and f-string trace writers, the json.loads trace reader, the
-slot-at-a-time simulation): the batched code must reproduce them bit for
-bit.
+slot-at-a-time simulation with its queue move as one function, _apply):
+the batched code must reproduce them bit for bit.
 """
 
 import itertools
@@ -30,9 +30,9 @@ import xorcast as xc
 from xorcast.filtering import _step
 from xorcast.lp import LE, _Simplex, _verify
 from xorcast.region import _RATE_OF_ROW, _rate_rows, _rate_terms
-from xorcast.sim import (_COUNT_KEYS, CHECKPOINTS, FRESH1, REMEDY, SUB1, SUB2, WARMUP_FRAC,
-                         QueueState, SimReport, _apply, _maxweight, _well_formed,
-                         substitute_action)
+from xorcast.sim import (_COUNT_KEYS, CHECKPOINTS, FRESH1, FRESH2, IDLE, MIX_FRESH, REMEDY,
+                         SUB1, SUB2, WARMUP_FRAC, XOR_BACKLOG, QueueState, SimReport,
+                         _well_formed, maxweight_action, substitute_action)
 
 
 def draw_oracle(cum, u):
@@ -553,6 +553,76 @@ def gf2_decode_oracle(trace):
     return xc.DecodeReport(ok=all(receiver_ok), receiver_ok=receiver_ok, failures=fails)
 
 
+def _apply(state, action, z1, z2):
+    """Execute a feasible action under erasure pattern (z1, z2), in place:
+    the queue move that simulate's slot loop makes in each action's branch.
+
+    Returns (combo, delivered): the ids on air and a tuple of (receiver,
+    account_id) deliveries. Every branch moves each queue entry at most one
+    hop, so every queue length changes by at most one per slot.
+    """
+    q1, q2, q3 = state.q1, state.q2, state.q3
+    if action == IDLE:
+        return (), ()
+    if action == FRESH1 or action == FRESH2:
+        j = 0 if action == FRESH1 else 1
+        zj, zo = (z1, z2) if j == 0 else (z2, z1)
+        p = q1[j][0]
+        if zj == 0:
+            q1[j].popleft()
+            return (p,), ((j + 1, p),)
+        if zo == 0:
+            q1[j].popleft()
+            q2[j].append((p, p))
+        return (p,), ()
+    if action == SUB1 or action == SUB2:
+        j = 0 if action == SUB1 else 1
+        zj = z1 if j == 0 else z2
+        acct, tid = q2[j][0]
+        if zj == 0:
+            q2[j].popleft()
+            return (tid,), ((j + 1, acct),)
+        # heard only by the other receiver: it already knows tid, no move
+        return (tid,), ()
+    if action == XOR_BACKLOG:
+        a1, t1 = q2[0][0]
+        a2, t2 = q2[1][0]
+        combo = tuple(sorted((t1, t2)))
+        if z1 == 0:
+            q2[0].popleft()
+            if z2 == 0:
+                q2[1].popleft()
+                return combo, ((1, a1), (2, a2))
+            return combo, ((1, a1),)
+        if z2 == 0:
+            q2[1].popleft()
+            return combo, ((2, a2),)
+        return combo, ()
+    if action == MIX_FRESH:
+        p1 = q1[0][0]
+        p2 = q1[1][0]
+        if z1 == 0 or z2 == 0:
+            q1[0].popleft()
+            q1[1].popleft()
+            q3.append((p1, p2, p2 if z2 else p1))
+        return tuple(sorted((p1, p2))), ()
+    if action == REMEDY:
+        p1, p2, remedy = q3[0]
+        if z1 == 0 and z2 == 0:
+            q3.popleft()
+            return (remedy,), ((1, p1), (2, p2))
+        if z1 == 0:
+            q3.popleft()
+            q2[1].append((p2, remedy))
+            return (remedy,), ((1, p1),)
+        if z2 == 0:
+            q3.popleft()
+            q2[0].append((p1, remedy))
+            return (remedy,), ((2, p2),)
+        return (remedy,), ()
+    raise xc.ContractViolation(f"unknown action {action!r}")
+
+
 def simulate_oracle(model, scheduler, R1, R2, n, seed, dist=None, collect_trace=False,
                     collect_slots=False):
     """simulate one slot at a time: every draw is one rng.random() call
@@ -568,7 +638,7 @@ def simulate_oracle(model, scheduler, R1, R2, n, seed, dist=None, collect_trace=
     t_cum = xc.channel._cumulative_rows(model.transition_rows)
     e_cum = xc.channel._cumulative_rows(model.emission_rows)
     if not probabilistic:
-        _p00, p01, p10, p11 = xc.predict_pattern_probs(model, belief)
+        stats = xc.predict_stats(model, belief)
     state = QueueState()
     win = 0
     counts = {v: 0 for v in _COUNT_KEYS.values()}
@@ -594,7 +664,7 @@ def simulate_oracle(model, scheduler, R1, R2, n, seed, dist=None, collect_trace=
             a = bisect_right(cum_rows[win], rng.random(), 0, 4)
             action = substitute_action(a + 1, state)
         else:
-            action = _maxweight(state, p01, p10, p11)
+            action = maxweight_action(state, stats)
         zi = bisect_right(e_cum[s], rng.random(), 0, 3)
         z1, z2 = xc.PATTERNS[zi]
         combo, delivered = _apply(state, action, z1, z2)
@@ -614,7 +684,7 @@ def simulate_oracle(model, scheduler, R1, R2, n, seed, dist=None, collect_trace=
             if ell <= 0.0:
                 raise xc.ZeroLikelihood(
                     f"pattern {xc.PATTERNS[zi]} has probability zero under the current belief")
-            _p00, p01, p10, p11 = xc.predict_pattern_probs(model, belief)
+            stats = xc.predict_stats(model, belief)
         s = bisect_right(t_cum[s], rng.random(), 0, last)
         if (slot + 1) % cp == 0 or slot + 1 == n:
             checkpoints.append((slot + 1, state.backlog(), delivered_n[0], delivered_n[1]))

@@ -428,6 +428,34 @@ def test_files_that_are_not_utf8_exit_with_their_code(capsys, tmp_path, model_pa
         assert err.startswith(what) and err.count("\n") == 1, err
 
 
+def test_deeply_nested_trace_line_exits_3(capsys, tmp_path):
+    # the decoder gives up on deep nesting with RecursionError, not a
+    # JSONDecodeError; it is a malformed line all the same
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text('{"slot": 0, "action": 1, "combo": [1], "received_rx1": true, '
+                    '"received_rx2": false, "delivered": []}\n' + "[" * 100_000 + "\n")
+    code, out, err = run(capsys, ["verify", "--trace", str(deep)])
+    assert code == 3 and out == ""
+    assert err == "error: line 2: JSON value nested too deeply\n"
+    with pytest.raises(xc.TraceFormatError) as e:
+        xc.load_trace(deep)
+    assert e.value.line == 2
+
+
+def test_deeply_nested_json_files_exit_with_their_code(capsys, tmp_path, model_path):
+    # models, distributions and --config share one JSON reader
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"states": ' + "[" * 100_000)
+    for argv, want, what in (
+            (["region", "--model", str(deep), "--L", "1"], 3, "error: JSON value nested"),
+            (["canonicalize", "--model", model_path, "--dist", str(deep)], 3,
+             "error: JSON value nested"),
+            (["region", "--config", str(deep)], 2, "error: config: JSON value nested")):
+        code, out, err = run(capsys, argv)
+        assert code == want and out == "", argv
+        assert err.startswith(what) and err.count("\n") == 1, err
+
+
 def test_config_keys_must_be_options(capsys, tmp_path, model_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lamda": 0.5, "L": 1, "model": model_path}))

@@ -4,7 +4,7 @@ import io
 import itertools
 import json
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -15,11 +15,11 @@ import xorcast as xc
 from xorcast.cli import main as cli_main
 from xorcast.filtering import LANE
 from xorcast.sim import (BLOCK, FRESH1, FRESH2, IDLE, MIX_FRESH, REMEDY, SUB1, SUB2,
-                         XOR_BACKLOG, QueueState, _apply, _maxweight, _well_formed,
+                         XOR_BACKLOG, QueueState, _ladder, _maxweight, _well_formed,
                          maxweight_action, substitute_action)
 
-from oracles import (gf2_decode_oracle, load_trace_oracle, random_model, save_trace_json,
-                     simulate_oracle, sparse_model, write_trace_fstring)
+from oracles import (_apply, gf2_decode_oracle, load_trace_oracle, random_model,
+                     save_trace_json, simulate_oracle, sparse_model, write_trace_fstring)
 
 
 def filled(q1_1=(), q1_2=(), q2_1=(), q2_2=(), q3=()):
@@ -43,7 +43,7 @@ def snapshot(st):
 
 
 def run_slot(st, pattern, action, after, delivered=()):
-    """One slot of sim._apply on st, checked against the queues of the state
+    """One slot of the move rule (oracles._apply) on st, checked against the queues of the state
     after and the deliveries; returns the combination on air."""
     combo, got = _apply(st, action, *pattern)
     assert snapshot(st) == snapshot(after), (action, pattern)
@@ -169,7 +169,23 @@ def test_schedulers_pick_feasible_actions(st, weights):
             assert got == sampled
     total = sum(weights)
     _p00, p01, p10, p11 = (w / total for w in weights)
-    assert feasible(st, _maxweight(st, p01, p10, p11))
+    assert feasible(st, _maxweight(*st.lengths(), p01, p10, p11))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(queue_states(),
+       hs.lists(hs.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0))
+def test_public_rules_agree_with_length_rules(st, weights):
+    # the two wrappers read a QueueState, the slot loop the lengths alone
+    lengths = (len(st.q1[0]), len(st.q1[1]), len(st.q2[0]), len(st.q2[1]), len(st.q3))
+    assert st.lengths() == lengths
+    for sampled in (FRESH1, FRESH2, XOR_BACKLOG, MIX_FRESH, REMEDY):
+        assert substitute_action(sampled, st) == _ladder(sampled, *lengths)
+    total = sum(weights)
+    probs = tuple(w / total for w in weights)
+    _p00, p01, p10, p11 = probs
+    got = maxweight_action(st, xc.ErasureStats.from_pattern_probs(probs))
+    assert got == _maxweight(*lengths, p01, p10, p11)
 
 
 def test_maxweight_hand_arithmetic():
@@ -277,6 +293,38 @@ def test_simulate_matches_slot_oracle(ref_model):
                     (k, sched, n)
 
 
+def test_simulate_matches_slot_oracle_at_block_edges(ref_model):
+    # the arrivals are numbered per block: no arrival at all, an arrival in
+    # every slot of one receiver or of both, at lengths around the block
+    dist = _random_dist(random.Random(5), 2)
+    kw = dict(dist=dist, collect_trace=True, collect_slots=True)
+    for n in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+        for R1, R2 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+            for sched in ("probabilistic", "maxweight"):
+                got = xc.simulate(ref_model, sched, R1, R2, n, 7, **kw)
+                assert got == simulate_oracle(ref_model, sched, R1, R2, n, 7, **kw), \
+                    (sched, n, R1, R2)
+                assert got.arrivals == (round(R1) * n, round(R2) * n)
+
+
+def test_conservation_check_reads_the_deques(ref_model, monkeypatch):
+    # an overheard queue that keeps each entry twice holds more than the
+    # arrivals and the length counters say: the next checkpoint raises
+    class Doubling(deque):
+        def append(self, x):
+            super().append(x)
+            super().append(x)
+
+    class Leaky(QueueState):
+        def __init__(self):
+            super().__init__()
+            self.q2 = (Doubling(), Doubling())
+
+    monkeypatch.setattr(xc.sim, "QueueState", Leaky)
+    with pytest.raises(xc.NumericalFailure, match="conservation"):
+        xc.simulate(ref_model, "maxweight", 0.3, 0.3, 5000, 1)
+
+
 def test_simulate_zero_likelihood_matches_oracle():
     # emission rows summing to 0.9 leave u >= 0.9 to pattern (1, 1), which
     # no state emits: the filter raises as the one-slot loop does
@@ -293,8 +341,16 @@ def test_simulate_zero_likelihood_matches_oracle():
 def test_collector_state_survives_runs_and_reads(tmp_path, ref_model, enabled):
     # simulate and load_trace pause the cyclic collector; whatever its state
     # on entry, it is the same on exit, also when they raise
+    # emission rows short of 1 by eps leave pattern (1, 1), which no state
+    # emits, a chance of eps in every slot: at eps = 1 / (4 BLOCK) the first
+    # impossible draw is expected near slot 4 BLOCK, and at seed 1 the
+    # one-slot loop meets it after the first block and within ten
+    eps = 1.0 / (4 * BLOCK)
     late = xc.ChannelModel([[0.9, 0.1], [0.2, 0.8]],
-                           [[0.6, 0.2, 0.2 - 1e-4, 0.0], [0.1, 0.45, 0.45 - 1e-4, 0.0]])
+                           [[0.6, 0.2, 0.2 - eps, 0.0], [0.1, 0.45, 0.45 - eps, 0.0]])
+    simulate_oracle(late, "maxweight", 0.2, 0.2, BLOCK, 1)
+    with pytest.raises(xc.ZeroLikelihood):
+        simulate_oracle(late, "maxweight", 0.2, 0.2, 10 * BLOCK, 1)
     path = tmp_path / "trace.jsonl"
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"slot": 0, "action": 9, "combo": [1], "received_rx1": true, '
