@@ -23,6 +23,6 @@ from .region import (ActionDistribution, CanonicalizationReport, CapacitySet,
                      load_dist, max_rate, robust_witness, sandwich, save_dist,
                      simulation_distribution, solve_region, sweep_table,
                      witness_residual, xy_to_actions)
-from .sim import (DecodeReport, QueueState, SimReport, decode_verify,
-                  load_trace, maxweight_action, save_trace, simulate,
-                  stability_verdict, substitute_action)
+from .sim import (DecodeReport, SimReport, decode_verify, load_trace,
+                  maxweight_action, save_trace, simulate, stability_verdict,
+                  substitute_action)

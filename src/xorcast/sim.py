@@ -30,7 +30,7 @@ from .channel import (ChannelModel, _check_seed, _cumulative_rows, _path_cums, _
                       _uniforms, _walk, _words)
 from .errors import ContractViolation, NumericalFailure, TraceFormatError
 # the traced benchmark wraps filter_step and predict_stats by name in this module
-from .filtering import (ErasureStats, filter_path, filter_step, init_belief,  # noqa: F401
+from .filtering import (filter_path, filter_step, init_belief,  # noqa: F401
                         predict_pattern_probs, predict_stats)
 from .region import ActionDistribution
 
@@ -75,38 +75,15 @@ def _gc_paused(fn):
     return paused
 
 
-class QueueState:
-    """Mutable queue contents of one run.
+def substitute_action(sampled: int, n11: int, n12: int, n21: int, n22: int, n3: int):
+    """Feasibility ladder of the probabilistic scheme, for a sampled
+    transmit action 1..5 and the queue lengths: n1j and n2j are the fresh
+    and overheard queues of receiver j, n3 the poisoned pairs.
 
-    q1: per-receiver deques of packet ids.
-    q2: per-receiver deques of (account_id, transmit_id).
-    q3: shared deque of (id_rx1, id_rx2, remedy_id): the remedy is the
-        packet of the receiver that missed the mixture, receiver 1's when
-        both heard it.
+    A sampled action with an empty source idles, except the backlog XOR
+    with exactly one nonempty queue, which degrades to an uncoded
+    retransmission of that lone head packet.
     """
-
-    __slots__ = ("q1", "q2", "q3")
-
-    def __init__(self):
-        self.q1 = (deque(), deque())
-        self.q2 = (deque(), deque())
-        self.q3 = deque()
-
-    def lengths(self) -> tuple:
-        """(n11, n12, n21, n22, n3): the fresh and overheard queue lengths of
-        receivers 1 and 2, then the poisoned pairs."""
-        return (len(self.q1[0]), len(self.q1[1]), len(self.q2[0]), len(self.q2[1]),
-                len(self.q3))
-
-    def backlog(self) -> int:
-        # a poisoned pair still owes one packet to each receiver
-        n11, n12, n21, n22, n3 = self.lengths()
-        return n11 + n12 + n21 + n22 + 2 * n3
-
-
-def _ladder(sampled: int, n11: int, n12: int, n21: int, n22: int, n3: int):
-    """substitute_action on the queue lengths: n1j and n2j are the fresh and
-    overheard queues of receiver j, n3 the poisoned pairs."""
     if sampled == FRESH1:
         return FRESH1 if n11 else IDLE
     if sampled == FRESH2:
@@ -122,11 +99,19 @@ def _ladder(sampled: int, n11: int, n12: int, n21: int, n22: int, n3: int):
     raise ContractViolation(f"unknown action {sampled!r}")
 
 
-def _maxweight(n11: int, n12: int, n21: int, n22: int, n3: int,
-               p01: float, p10: float, p11: float):
-    """maxweight_action on the queue lengths (as _ladder's) and the predicted
-    pattern probabilities of the slot: p01 = eps_n12, p10 = eps1_n2 and
-    p11 = eps12."""
+def maxweight_action(n11: int, n12: int, n21: int, n22: int, n3: int,
+                     p01: float, p10: float, p11: float):
+    """Pick the feasible action of maximal weight; ties go to the lowest
+    action index, and an empty system idles.
+
+    The queue lengths are substitute_action's; p01 = eps_n12, p10 = eps1_n2
+    and p11 = eps12 are the predicted pattern probabilities of the slot.
+    Weights trade off immediate delivery against the option value of
+    overhearing: eps1 and eps2 are taken as eps1_n2 + eps12 and
+    eps_n12 + eps12. The overheard queues score together when either is
+    nonempty: the backlog XOR serves both, a lone retransmission (SUB1 or
+    SUB2) the only one.
+    """
     e1, e2, e12 = p10 + p11, p01 + p11, p11
     only2, only1 = p10, p01
     best = IDLE
@@ -151,30 +136,6 @@ def _maxweight(n11: int, n12: int, n21: int, n22: int, n3: int,
         if best_w is None or w > best_w:
             best, best_w = REMEDY, w
     return best
-
-
-def maxweight_action(state: QueueState, stats: ErasureStats):
-    """Pick the feasible action of maximal weight; ties go to the lowest
-    action index, and an empty system idles.
-
-    Weights trade off immediate delivery against the option value of
-    overhearing, using the predicted erasure statistics for the slot.
-    eps1 and eps2 are taken as eps1_n2 + eps12 and eps_n12 + eps12. The
-    overheard queues score together when either is nonempty: the backlog
-    XOR serves both, a lone retransmission (SUB1 or SUB2) the only one.
-    """
-    return _maxweight(*state.lengths(), stats.eps_n12, stats.eps1_n2, stats.eps12)
-
-
-def substitute_action(sampled: int, state: QueueState):
-    """Feasibility ladder of the probabilistic scheme, for a sampled
-    transmit action 1..5.
-
-    A sampled action with an empty source idles, except the backlog XOR
-    with exactly one nonempty queue, which degrades to an uncoded
-    retransmission of that lone head packet.
-    """
-    return _ladder(sampled, *state.lengths())
 
 
 @dataclass
@@ -233,11 +194,14 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
 
     The slot loop keeps the queue lengths as integers: a fresh queue's is
     its arrivals so far less its departures, since the deque also holds the
-    block's ids yet to arrive. The action rules (_ladder, _maxweight) read
-    only these lengths, and each action's branch moves the queue heads,
-    counts the deliveries and builds the trace row in place. Each
-    checkpoint counts what the deques hold against the arrivals and against
-    the length counters, and raises NumericalFailure on a mismatch.
+    block's ids yet to arrive. The action rules (substitute_action,
+    maxweight_action) read only these lengths. Each action's branch moves
+    the queue heads, counts the deliveries and sets the combination on air,
+    the claims and the action code; one tail then appends the trace row
+    (none for IDLE) and the slot row. Each checkpoint counts what the deques
+    hold against the arrivals and against the length counters, and raises
+    NumericalFailure on a mismatch. Slot n is always a checkpoint, and its
+    backlog is final_backlog.
 
     A run builds no reference cycle, so the cyclic garbage collector is
     paused while it runs (_gc_paused): otherwise its full collections walk
@@ -260,8 +224,10 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     belief = init_belief(model)
     cums = _path_cums(model, belief)
     width = 5 if probabilistic else 4    # doubles per slot
-    state = QueueState()
-    (fresh1, fresh2), (over1, over2), pairs = state.q1, state.q2, state.q3
+    # fresh1, over1 and fresh2, over2: the fresh and overheard queues of
+    # receivers 1 and 2, fresh ids and (account_id, transmit_id) entries;
+    # pairs: (id_rx1, id_rx2, remedy_id) of each poisoned pair
+    fresh1, fresh2, over1, over2, pairs = deque(), deque(), deque(), deque(), deque()
     total1 = total2 = 0     # arrivals up to the end of the block
     gone1 = gone2 = 0       # departures from the fresh queues
     n21 = n22 = n3 = 0      # lengths of the overheard queues and of the pairs
@@ -279,7 +245,7 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     for base in range(0, n, BLOCK):
         m = min(BLOCK, n - base)
         u = _uniforms(_words(rng, m * width)).reshape(m, width)
-        _states, codes, s = _walk(cums, s, u[:, -2], u[:, -1])
+        codes, s = _walk(cums, s, u[:, -2], u[:, -1])[1:]   # drops the states
         if probabilistic:
             # the window of slot i is the L patterns before it, oldest first
             ext = np.concatenate((tail, codes))
@@ -313,70 +279,58 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
                 range(base, base + m), (codes < 2).tolist(), ((codes & 1) == 0).tolist(),
                 arrived1, arrived2, lead, p10s, p11s):
             if probabilistic:
-                action = _ladder(first, a1 - gone1, a2 - gone2, n21, n22, n3)
+                action = substitute_action(first, a1 - gone1, a2 - gone2, n21, n22, n3)
             else:
-                action = _maxweight(a1 - gone1, a2 - gone2, n21, n22, n3, first, p10, p11)
+                action = maxweight_action(a1 - gone1, a2 - gone2, n21, n22, n3, first, p10, p11)
             counts[action] += 1
+            code = action
+            got = ()
             if action == IDLE:
                 pass
             elif action == FRESH1:
                 p = fresh1[0]
+                combo = (p,)
                 if h1:
                     fresh1.popleft()
                     gone1 += 1
                     done1 += 1
                     got = ((1, p),)
-                else:
-                    if h2:
-                        fresh1.popleft()
-                        gone1 += 1
-                        over1.append((p, p))
-                        n21 += 1
-                    got = ()
-                if record is not None:
-                    record((slot, FRESH1, (p,), h1, h2, got))
+                elif h2:
+                    fresh1.popleft()
+                    gone1 += 1
+                    over1.append((p, p))
+                    n21 += 1
             elif action == FRESH2:
                 p = fresh2[0]
+                combo = (p,)
                 if h2:
                     fresh2.popleft()
                     gone2 += 1
                     done2 += 1
                     got = ((2, p),)
-                else:
-                    if h1:
-                        fresh2.popleft()
-                        gone2 += 1
-                        over2.append((p, p))
-                        n22 += 1
-                    got = ()
-                if record is not None:
-                    record((slot, FRESH2, (p,), h1, h2, got))
+                elif h1:
+                    fresh2.popleft()
+                    gone2 += 1
+                    over2.append((p, p))
+                    n22 += 1
             elif action == XOR_BACKLOG:
                 acct1, t1 = over1[0]
                 acct2, t2 = over2[0]
+                combo = (t1, t2) if t1 < t2 else (t2, t1)
                 if h1:
                     over1.popleft()
                     n21 -= 1
                     done1 += 1
-                    if h2:
-                        over2.popleft()
-                        n22 -= 1
-                        done2 += 1
-                        got = ((1, acct1), (2, acct2))
-                    else:
-                        got = ((1, acct1),)
-                elif h2:
+                    got = ((1, acct1),)
+                if h2:
                     over2.popleft()
                     n22 -= 1
                     done2 += 1
-                    got = ((2, acct2),)
-                else:
-                    got = ()
-                if record is not None:
-                    record((slot, XOR_BACKLOG, (t1, t2) if t1 < t2 else (t2, t1), h1, h2, got))
+                    got += ((2, acct2),)
             elif action == MIX_FRESH:
                 p1 = fresh1[0]
                 p2 = fresh2[0]
+                combo = (p1, p2) if p1 < p2 else (p2, p1)
                 if h1 or h2:
                     fresh1.popleft()
                     fresh2.popleft()
@@ -386,60 +340,50 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
                     # the mixture, receiver 1's when both heard it
                     pairs.append((p1, p2, p1 if h2 else p2))
                     n3 += 1
-                if record is not None:
-                    record((slot, MIX_FRESH, (p1, p2) if p1 < p2 else (p2, p1), h1, h2, ()))
             elif action == REMEDY:
                 p1, p2, remedy = pairs[0]
-                if h1:
+                combo = (remedy,)
+                if h1 or h2:
                     pairs.popleft()
                     n3 -= 1
-                    done1 += 1
+                    # a receiver that missed the remedy still needs its
+                    # packet, and the remedy stands in for it on air
+                    if h1:
+                        done1 += 1
+                        got = ((1, p1),)
+                    else:
+                        over1.append((p1, remedy))
+                        n21 += 1
                     if h2:
                         done2 += 1
-                        got = ((1, p1), (2, p2))
+                        got += ((2, p2),)
                     else:
-                        # the remedy stands in for its pair-mate, which
-                        # receiver 2 still needs
                         over2.append((p2, remedy))
                         n22 += 1
-                        got = ((1, p1),)
-                elif h2:
-                    pairs.popleft()
-                    n3 -= 1
-                    over1.append((p1, remedy))
-                    n21 += 1
-                    done2 += 1
-                    got = ((2, p2),)
-                else:
-                    got = ()
-                if record is not None:
-                    record((slot, REMEDY, (remedy,), h1, h2, got))
             elif action == SUB1:
                 acct1, t1 = over1[0]
+                combo = (t1,)
+                code = XOR_BACKLOG
                 if h1:
                     over1.popleft()
                     n21 -= 1
                     done1 += 1
                     got = ((1, acct1),)
-                else:   # receiver 2 already knows t1: no move
-                    got = ()
-                if record is not None:
-                    record((slot, XOR_BACKLOG, (t1,), h1, h2, got))
+                # else receiver 2 already knows t1: no move
             else:   # SUB2
                 acct2, t2 = over2[0]
+                combo = (t2,)
+                code = XOR_BACKLOG
                 if h2:
                     over2.popleft()
                     n22 -= 1
                     done2 += 1
                     got = ((2, acct2),)
-                else:
-                    got = ()
-                if record is not None:
-                    record((slot, XOR_BACKLOG, (t2,), h1, h2, got))
+            if record is not None and code:     # no trace row for IDLE
+                record((slot, code, combo, h1, h2, got))
             if slot_rows is not None:
-                slot_rows.append((slot, XOR_BACKLOG if action in (SUB1, SUB2) else action,
-                                  1 - h1, 1 - h2, a1 - gone1 + a2 - gone2 + n21 + n22 + 2 * n3,
-                                  done1, done2))
+                slot_rows.append((slot, code, 1 - h1, 1 - h2,
+                                  a1 - gone1 + a2 - gone2 + n21 + n22 + 2 * n3, done1, done2))
             if slot + 1 == next_cp:
                 # what the deques hold, against the arrivals and the
                 # counters: a fresh deque also holds the block's ids that
@@ -464,7 +408,7 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
                      arrivals=(total1, total2), delivered=(done1, done2),
                      action_counts={_COUNT_KEYS[a]: c for a, c in counts.items()},
                      checkpoints=checkpoints,
-                     final_backlog=state.backlog(), warmup=warmup, trace=trace,
+                     final_backlog=checkpoints[-1][1], warmup=warmup, trace=trace,
                      slot_rows=slot_rows)
 
 

@@ -21,6 +21,7 @@ import json
 import math
 import random
 from bisect import bisect_right
+from collections import deque
 from functools import reduce
 from operator import add
 
@@ -31,8 +32,8 @@ from xorcast.filtering import _step
 from xorcast.lp import LE, _Simplex, _verify
 from xorcast.region import _RATE_OF_ROW, _rate_rows, _rate_terms
 from xorcast.sim import (_COUNT_KEYS, CHECKPOINTS, FRESH1, FRESH2, IDLE, MIX_FRESH, REMEDY,
-                         SUB1, SUB2, WARMUP_FRAC, XOR_BACKLOG, QueueState, SimReport,
-                         _well_formed, maxweight_action, substitute_action)
+                         SUB1, SUB2, WARMUP_FRAC, XOR_BACKLOG, SimReport, _well_formed,
+                         maxweight_action, substitute_action)
 
 
 def draw_oracle(cum, u):
@@ -553,6 +554,36 @@ def gf2_decode_oracle(trace):
     return xc.DecodeReport(ok=all(receiver_ok), receiver_ok=receiver_ok, failures=fails)
 
 
+class QueueState:
+    """Queue contents of one slot-at-a-time run.
+
+    q1: per-receiver deques of packet ids.
+    q2: per-receiver deques of (account_id, transmit_id).
+    q3: shared deque of (id_rx1, id_rx2, remedy_id): the remedy is the
+        packet of the receiver that missed the mixture, receiver 1's when
+        both heard it.
+    """
+
+    __slots__ = ("q1", "q2", "q3")
+
+    def __init__(self):
+        self.q1 = (deque(), deque())
+        self.q2 = (deque(), deque())
+        self.q3 = deque()
+
+    def lengths(self) -> tuple:
+        """(n11, n12, n21, n22, n3), as the action rules take them: the
+        fresh and overheard queue lengths of receivers 1 and 2, then the
+        poisoned pairs."""
+        return (len(self.q1[0]), len(self.q1[1]), len(self.q2[0]), len(self.q2[1]),
+                len(self.q3))
+
+    def backlog(self) -> int:
+        # a poisoned pair still owes one packet to each receiver
+        n11, n12, n21, n22, n3 = self.lengths()
+        return n11 + n12 + n21 + n22 + 2 * n3
+
+
 def _apply(state, action, z1, z2):
     """Execute a feasible action under erasure pattern (z1, z2), in place:
     the queue move that simulate's slot loop makes in each action's branch.
@@ -662,9 +693,10 @@ def simulate_oracle(model, scheduler, R1, R2, n, seed, dist=None, collect_trace=
             arrivals[1] += 1
         if probabilistic:
             a = bisect_right(cum_rows[win], rng.random(), 0, 4)
-            action = substitute_action(a + 1, state)
+            action = substitute_action(a + 1, *state.lengths())
         else:
-            action = maxweight_action(state, stats)
+            action = maxweight_action(*state.lengths(), stats.eps_n12, stats.eps1_n2,
+                                      stats.eps12)
         zi = bisect_right(e_cum[s], rng.random(), 0, 3)
         z1, z2 = xc.PATTERNS[zi]
         combo, delivered = _apply(state, action, z1, z2)

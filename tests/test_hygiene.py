@@ -73,3 +73,30 @@ def test_collector_paused_in_one_place():
                 elif isinstance(node, ast.ImportFrom) and node.module == "gc":
                     found.add((path.name, f"line {node.lineno}: from gc import"))
     assert found == {("sim.py", "_gc_paused")}, found
+
+
+def test_unread_imports_are_traced_names():
+    # an imported name that its module never reads is dead, unless the
+    # traced benchmark replaces it there by name (bench/tracing.py WRAPPED)
+    # to time the calls made through it
+    tracing = SRC.parent.parent / "bench" / "tracing.py"
+    wrapped = next(ast.literal_eval(node.value)
+                   for node in ast.parse(tracing.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "WRAPPED")
+    allowed = {(module, name) for module, name, _span, _aggregate in wrapped}
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread |= {(path.stem, name) for name in imported - read}
+    assert unread <= allowed, "imported and never read: " + ", ".join(
+        f"{module}.{name}" for module, name in sorted(unread - allowed))

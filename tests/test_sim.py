@@ -15,10 +15,9 @@ import xorcast as xc
 from xorcast.cli import main as cli_main
 from xorcast.filtering import LANE
 from xorcast.sim import (BLOCK, FRESH1, FRESH2, IDLE, MIX_FRESH, REMEDY, SUB1, SUB2,
-                         XOR_BACKLOG, QueueState, _ladder, _maxweight, _well_formed,
-                         maxweight_action, substitute_action)
+                         XOR_BACKLOG, _well_formed, maxweight_action, substitute_action)
 
-from oracles import (_apply, gf2_decode_oracle, load_trace_oracle, random_model,
+from oracles import (QueueState, _apply, gf2_decode_oracle, load_trace_oracle, random_model,
                      save_trace_json, simulate_oracle, sparse_model, write_trace_fstring)
 
 
@@ -32,9 +31,9 @@ def filled(q1_1=(), q1_2=(), q2_1=(), q2_2=(), q3=()):
     return st
 
 
-def stats(e1, e2, e12):
-    return xc.ErasureStats(eps1=e1, eps2=e2, eps12=e12,
-                           eps_n12=e2 - e12, eps1_n2=e1 - e12)
+def probs(e1, e2, e12):
+    """(p01, p10, p11) of erasure probabilities eps1, eps2 and eps12."""
+    return (e2 - e12, e1 - e12, e12)
 
 
 def snapshot(st):
@@ -163,82 +162,64 @@ def test_apply_conserves_and_moves_one_hop(st):
        hs.lists(hs.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0))
 def test_schedulers_pick_feasible_actions(st, weights):
     for sampled in (FRESH1, FRESH2, XOR_BACKLOG, MIX_FRESH, REMEDY):
-        got = substitute_action(sampled, st)
+        got = substitute_action(sampled, *st.lengths())
         assert feasible(st, got)
         if feasible(st, sampled):
             assert got == sampled
     total = sum(weights)
     _p00, p01, p10, p11 = (w / total for w in weights)
-    assert feasible(st, _maxweight(*st.lengths(), p01, p10, p11))
-
-
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(queue_states(),
-       hs.lists(hs.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0))
-def test_public_rules_agree_with_length_rules(st, weights):
-    # the two wrappers read a QueueState, the slot loop the lengths alone
-    lengths = (len(st.q1[0]), len(st.q1[1]), len(st.q2[0]), len(st.q2[1]), len(st.q3))
-    assert st.lengths() == lengths
-    for sampled in (FRESH1, FRESH2, XOR_BACKLOG, MIX_FRESH, REMEDY):
-        assert substitute_action(sampled, st) == _ladder(sampled, *lengths)
-    total = sum(weights)
-    probs = tuple(w / total for w in weights)
-    _p00, p01, p10, p11 = probs
-    got = maxweight_action(st, xc.ErasureStats.from_pattern_probs(probs))
-    assert got == _maxweight(*lengths, p01, p10, p11)
+    assert feasible(st, maxweight_action(*st.lengths(), p01, p10, p11))
 
 
 def test_maxweight_hand_arithmetic():
     # symmetric 10-deep fresh queues: mixing doubles the service weight
-    st = filled(q1_1=range(10), q1_2=range(10, 20))
-    sv = stats(0.3, 0.25, 0.1)
-    assert maxweight_action(st, sv) == MIX_FRESH
+    sv = probs(0.3, 0.25, 0.1)
+    assert maxweight_action(10, 10, 0, 0, 0, *sv) == MIX_FRESH
     w1 = (1 - 0.3) * 10 + (0.3 - 0.1) * 10
     w4 = (1 - 0.1) * 20
     assert abs(w1 - 9.0) < 1e-12 and abs(w4 - 18.0) < 1e-12
 
-    assert maxweight_action(QueueState(), sv) == IDLE
-    assert maxweight_action(filled(q1_1=[5]), sv) == FRESH1
-    assert maxweight_action(filled(q1_2=[5]), sv) == FRESH2
+    assert maxweight_action(0, 0, 0, 0, 0, *sv) == IDLE
+    assert maxweight_action(1, 0, 0, 0, 0, *sv) == FRESH1
+    assert maxweight_action(0, 1, 0, 0, 0, *sv) == FRESH2
     # exact weight tie resolves to the lowest action index: symmetric
     # stats make the backlog XOR and the remedy weigh the same here
-    tie = filled(q2_1=[(1, 1)], q2_2=[(2, 2)], q3=[(5, 6, 5)])
-    tie_stats = stats(0.5, 0.5, 0.25)
+    tie = (0, 0, 1, 1, 1)
+    tie_stats = probs(0.5, 0.5, 0.25)
     w3 = (1 - 0.5) * 1 + (1 - 0.5) * 1
     w5 = 0.25 * (1 - 1) + (1 - 0.5) * 1 + 0.25 * (1 - 1) + (1 - 0.5) * 1
     assert w3 == w5
-    assert maxweight_action(tie, tie_stats) == XOR_BACKLOG
+    assert maxweight_action(*tie, *tie_stats) == XOR_BACKLOG
 
 
 def test_maxweight_prefers_remedy_backlog():
-    st = filled(q1_1=[1, 2], q2_1=[(9, 9)], q3=[(i, i + 100, i) for i in range(6)])
-    assert maxweight_action(st, stats(0.3, 0.25, 0.1)) == REMEDY
+    assert maxweight_action(2, 0, 1, 0, 6, *probs(0.3, 0.25, 0.1)) == REMEDY
 
 
 def test_maxweight_drains_one_sided_traffic(ref_model):
     # a packet overheard only by the wrong receiver waits in q2 with no
     # pair-mate under one-sided traffic; a lone retransmission must serve it
-    sv = stats(0.3, 0.25, 0.1)
-    assert maxweight_action(filled(q2_1=[(1, 1)]), sv) == SUB1
-    assert maxweight_action(filled(q2_2=[(2, 2)]), sv) == SUB2
+    sv = probs(0.3, 0.25, 0.1)
+    assert maxweight_action(0, 0, 1, 0, 0, *sv) == SUB1
+    assert maxweight_action(0, 0, 0, 1, 0, *sv) == SUB2
     for r1, r2 in ((0.3, 0.0), (0.0, 0.3), (0.3, 0.01)):
         rep = xc.simulate(ref_model, "maxweight", r1, r2, 20_000, 1)
         assert xc.stability_verdict(rep) == "Stable", (r1, r2, rep.final_backlog)
 
 
 def test_substitute_ladder():
-    both = filled(q2_1=[(1, 1)], q2_2=[(2, 2)])
-    assert substitute_action(XOR_BACKLOG, both) == XOR_BACKLOG
-    assert substitute_action(XOR_BACKLOG, filled(q2_1=[(1, 1)])) == SUB1
-    assert substitute_action(XOR_BACKLOG, filled(q2_2=[(2, 2)])) == SUB2
-    assert substitute_action(XOR_BACKLOG, QueueState()) == IDLE
+    both = (0, 0, 1, 1, 0)
+    assert substitute_action(XOR_BACKLOG, *both) == XOR_BACKLOG
+    assert substitute_action(XOR_BACKLOG, 0, 0, 1, 0, 0) == SUB1
+    assert substitute_action(XOR_BACKLOG, 0, 0, 0, 1, 0) == SUB2
+    assert substitute_action(XOR_BACKLOG, 0, 0, 0, 0, 0) == IDLE
     for a in (FRESH1, FRESH2, MIX_FRESH, REMEDY):
-        assert substitute_action(a, QueueState()) == IDLE
-    assert substitute_action(FRESH1, filled(q1_1=[3])) == FRESH1
-    assert substitute_action(MIX_FRESH, filled(q1_1=[3])) == IDLE
+        assert substitute_action(a, 0, 0, 0, 0, 0) == IDLE
+    assert substitute_action(FRESH1, 1, 0, 0, 0, 0) == FRESH1
+    assert substitute_action(MIX_FRESH, 1, 0, 0, 0, 0) == IDLE
     for unknown in (IDLE, SUB1, 6):   # not a sampled transmit action
         with pytest.raises(xc.ContractViolation):
-            substitute_action(unknown, both)
+            substitute_action(unknown, *both)
 
 
 def test_sub_transmits_stored_proxy():
@@ -315,14 +296,57 @@ def test_conservation_check_reads_the_deques(ref_model, monkeypatch):
             super().append(x)
             super().append(x)
 
-    class Leaky(QueueState):
-        def __init__(self):
-            super().__init__()
-            self.q2 = (Doubling(), Doubling())
-
-    monkeypatch.setattr(xc.sim, "QueueState", Leaky)
+    monkeypatch.setattr(xc.sim, "deque", Doubling)
     with pytest.raises(xc.NumericalFailure, match="conservation"):
         xc.simulate(ref_model, "maxweight", 0.3, 0.3, 5000, 1)
+
+
+def test_counter_drift_check_reads_the_counters(ref_model, monkeypatch):
+    # a poisoned pair that lands on receiver 1's overheard queue instead of
+    # the pairs' leaves receiver 1's total, and so its conservation check,
+    # intact, but not its length counters; with fewer than CHECKPOINTS
+    # slots every slot is a checkpoint, so the first such move raises
+    made = []
+
+    class Misrouted(deque):
+        # simulate makes its deques in the order fresh1, fresh2, over1,
+        # over2, pairs: only pairs takes 3-tuples
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+        def append(self, x):
+            deque.append(made[2] if len(x) == 3 else self, x)
+
+    monkeypatch.setattr(xc.sim, "deque", Misrouted)
+    with pytest.raises(xc.NumericalFailure, match="counter drifted") as err:
+        xc.simulate(ref_model, "maxweight", 0.3, 0.3, 2000, 1)
+    assert len(made) == 5
+    assert err.value.diagnostics["receiver"] == 1
+
+
+def test_slot_loop_calls_the_rules_through_the_module(ref_model, monkeypatch):
+    # one call of the scheduler's rule per slot, looked up in xorcast.sim as
+    # the traced benchmark replaces it, and the same report as without
+    _, dist, _ = xc.simulation_distribution(xc.window_table(ref_model, 2), 0.5)
+    n = BLOCK + 333
+    for sched, name in (("probabilistic", "substitute_action"),
+                        ("maxweight", "maxweight_action")):
+        kw = dict(dist=dist if sched == "probabilistic" else None,
+                  collect_trace=True, collect_slots=True)
+        want = xc.simulate(ref_model, sched, 0.3, 0.3, n, 4, **kw)
+        calls = []
+        rule = getattr(xc.sim, name)
+
+        def counted(*args, rule=rule):
+            calls.append(None)
+            return rule(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(xc.sim, name, counted)
+            got = xc.simulate(ref_model, sched, 0.3, 0.3, n, 4, **kw)
+        assert len(calls) == n, sched
+        assert got == want, sched
 
 
 def test_simulate_zero_likelihood_matches_oracle():
