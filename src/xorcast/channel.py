@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,10 +116,11 @@ def validate_model(model: ChannelModel) -> ValidationReport:
     """
     violations: list[str] = []
     for name, mat in (("transition", model.transition), ("emission", model.emission)):
-        if np.any(mat < 0.0) or np.any(mat > 1.0):
+        # written so that nan fails: it compares false with everything
+        if not np.all((mat >= 0.0) & (mat <= 1.0)):
             violations.append(f"{name} has entries outside [0, 1]")
         sums = mat.sum(axis=1)
-        for i in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL):
+        for i in np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL)):
             violations.append(f"{name} row {int(i)} sums to {sums[i]:.17g}")
     support = model.transition > 0.0
     reach = _closure(support)
@@ -316,7 +318,10 @@ def _parse_matrix(rows, name: str, nrows: int, ncols: int):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ModelFormatError(
                     f"{name}[{i}][{j}]: expected a number, got {type(v).__name__}")
-            vals.append(float(v))
+            try:
+                vals.append(float(v))
+            except OverflowError as e:
+                raise ModelFormatError(f"{name}[{i}][{j}]: number out of range") from e
         out.append(vals)
     return out
 
@@ -357,7 +362,8 @@ def model_from_dict(obj) -> ChannelModel:
 def _read_json(path):
     """The JSON value in the file at path; text that is not UTF-8 raises
     ModelFormatError, and so does a syntax error, with its line and column,
-    and a value nested deeper than the decoder's recursion limit."""
+    a value nested deeper than the decoder's recursion limit and an integer
+    longer than the interpreter converts."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
@@ -367,6 +373,9 @@ def _read_json(path):
         raise ModelFormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from e
     except RecursionError as e:
         raise ModelFormatError("JSON value nested too deeply") from e
+    except ValueError as e:     # the interpreter's digit limit on int()
+        raise ModelFormatError(f"integer longer than {sys.get_int_max_str_digits()} "
+                               "digits") from e
 
 
 def load_model(path) -> ChannelModel:

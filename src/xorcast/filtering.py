@@ -229,14 +229,20 @@ class WindowTable:
         return pp[:, 2] + pp[:, 3], pp[:, 1] + pp[:, 3], pp[:, 3]
 
 
+def _check_window_cap(L: int) -> None:
+    """Raise ResourceLimit for a window length above WINDOW_CAP, before
+    anything of size 4**L is formed."""
+    if L > WINDOW_CAP:
+        raise ResourceLimit(f"window length {L} exceeds the cap of {WINDOW_CAP}")
+
+
 def window_table(model: ChannelModel, L: int) -> WindowTable:
     """Enumerate all 4**L windows from the stationary belief (see _extend),
     so each window's probability is exactly its stationary probability. L
     is capped at WINDOW_CAP to bound memory."""
     if L < 1:
         raise ContractViolation("window length must be at least 1")
-    if L > WINDOW_CAP:
-        raise ResourceLimit(f"window length {L} exceeds the cap of {WINDOW_CAP}")
+    _check_window_cap(L)
     return _extend(model, tuple(np.full(1, v) for v in init_belief(model)), np.ones(1), L)
 
 

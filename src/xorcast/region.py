@@ -26,7 +26,8 @@ import numpy as np
 
 from .channel import ChannelModel, _parse_matrix, _read_json
 from .errors import ContractViolation, ModelFormatError, NumericalFailure, ResourceLimit
-from .filtering import ROBUST_WINDOW_CAP, WindowTable, _refined_table, window_table
+from .filtering import (ROBUST_WINDOW_CAP, WindowTable, _check_window_cap, _refined_table,
+                        window_table)
 from .lp import LE, LinearProgram, solve
 
 CASE_TOL = 1e-10
@@ -70,13 +71,15 @@ class ActionDistribution:
     table: np.ndarray
 
     def __post_init__(self):
+        _check_window_cap(self.L)
         t = np.asarray(self.table, dtype=float)
         if t.shape != (4 ** self.L, 5):
             raise ContractViolation(f"table must have shape ({4 ** self.L}, 5), got {t.shape}")
-        if np.any(t < -1e-12):
-            raise ContractViolation("action probabilities must be nonnegative")
+        # written so that nan fails: it compares false with everything
+        if not np.all(t >= -1e-12):
+            raise ContractViolation("action probabilities must be nonnegative numbers")
         sums = t.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
+        if not np.all(np.abs(sums - 1.0) <= 1e-9):
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise ContractViolation(f"row {bad} sums to {sums[bad]:.17g}")
         # the tolerated round-off below zero is zero, so every cumulative
@@ -518,6 +521,7 @@ def dist_from_dict(obj) -> ActionDistribution:
     L = obj["L"]
     if isinstance(L, bool) or not isinstance(L, int) or L < 1:
         raise ModelFormatError("L: expected a positive integer")
+    _check_window_cap(L)
     table = _parse_matrix(obj["actions"], "actions", 4 ** L, 5)
     try:
         return ActionDistribution(L=L, table=np.asarray(table))

@@ -20,6 +20,7 @@ import functools
 import gc
 import json
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -62,6 +63,13 @@ def _gc_paused(fn):
     reference cycle: the collector would walk them again and again (a
     trace row reaches the oldest generation still tracked) and free
     nothing, while reference counting frees all they drop.
+
+    On exit everything young moves to the oldest generation unwalked:
+    gc.freeze() and gc.unfreeze() each splice a list, and unfreeze puts the
+    frozen objects into the oldest generation, which only a full collection
+    walks. Otherwise the first young collection after fn walks all it built.
+    A caller who froze objects keeps them frozen: with a nonzero freeze
+    count nothing moves.
     """
     @functools.wraps(fn)
     def paused(*args, **kwargs):
@@ -70,6 +78,9 @@ def _gc_paused(fn):
         try:
             return fn(*args, **kwargs)
         finally:
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
             if enabled:
                 gc.enable()
     return paused
@@ -205,7 +216,8 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
 
     A run builds no reference cycle, so the cyclic garbage collector is
     paused while it runs (_gc_paused): otherwise its full collections walk
-    every trace row again and free nothing.
+    every trace row again and free nothing. On return what the run built
+    sits in the oldest generation, so no young collection walks it either.
     """
     if scheduler not in ("maxweight", "probabilistic"):
         raise ContractViolation(f"unknown scheduler {scheduler!r}")
@@ -563,8 +575,9 @@ def load_trace(path) -> list:
     float, a string or a bool is rejected, not converted. A line is parsed
     as json.loads parses it, its rules written out (JSON whitespace around
     the value, "Extra data" after it, no byte order mark), and a value
-    nested deeper than the decoder's recursion limit is malformed too;
-    lines that str.strip() empties are skipped."""
+    nested deeper than the decoder's recursion limit is malformed too, as
+    is an integer longer than the interpreter converts; lines that
+    str.strip() empties are skipped."""
     rows = []
     with open(path, "rb") as f:
         for i, raw in enumerate(f, start=1):
@@ -583,6 +596,9 @@ def load_trace(path) -> list:
                 raise TraceFormatError(f"line {i}: {msg}", line=i) from e
             except RecursionError as e:
                 raise TraceFormatError(f"line {i}: JSON value nested too deeply", line=i) from e
+            except ValueError as e:     # the interpreter's digit limit on int()
+                raise TraceFormatError(f"line {i}: integer longer than "
+                                       f"{sys.get_int_max_str_digits()} digits", line=i) from e
             tail = text[end:]
             if tail != "\n" and tail.strip(_JSON_SPACE):
                 raise TraceFormatError(f"line {i}: Extra data", line=i)

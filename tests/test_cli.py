@@ -456,6 +456,58 @@ def test_deeply_nested_json_files_exit_with_their_code(capsys, tmp_path, model_p
         assert err.startswith(what) and err.count("\n") == 1, err
 
 
+def test_non_finite_and_huge_numbers_exit_3(capsys, tmp_path, model_path):
+    # nan compares false with everything, so a range check must be written
+    # to fail on it; an integer too large for a float is out of range
+    model = xc.model_to_dict(xc.load_model(model_path))
+    model["transition"][0][0] = "@"
+    dist = {"L": 1, "actions": [["@", 0, 0, 0, 0]] + [[1, 0, 0, 0, 0]] * 3}
+    bad_model, bad_dist = tmp_path / "bad_model.json", tmp_path / "bad_dist.json"
+    for literal in ("NaN", "Infinity", "-Infinity", "1" + "0" * 399):
+        bad_model.write_text(json.dumps(model).replace('"@"', literal))
+        bad_dist.write_text(json.dumps(dist).replace('"@"', literal))
+        for argv, field in (
+                (["region", "--model", str(bad_model), "--L", "1", "--lambda", "0.5"],
+                 "transition"),
+                (["canonicalize", "--model", model_path, "--dist", str(bad_dist)], "actions")):
+            code, out, err = run(capsys, argv)
+            assert code == 3 and out == "", (literal, argv)
+            assert field in err and err.count("\n") == 1, err
+
+
+def test_integers_beyond_the_digit_limit_exit_with_their_code(capsys, tmp_path, model_path):
+    # json refuses to convert them with a ValueError, not a JSONDecodeError
+    huge = "1" + "0" * 5000
+    bad = tmp_path / "huge.json"
+    trace = tmp_path / "huge.jsonl"
+    bad.write_text('{"L": ' + huge + "}")
+    trace.write_text('{"slot": 0, "action": 1, "combo": [' + huge + '], "received_rx1": true, '
+                     '"received_rx2": false, "delivered": []}\n')
+    for argv, want, what in (
+            (["region", "--model", str(bad), "--L", "1"], 3, "error: integer longer"),
+            (["canonicalize", "--model", model_path, "--dist", str(bad)], 3,
+             "error: integer longer"),
+            (["verify", "--trace", str(trace)], 3, "error: line 1: integer longer"),
+            (["region", "--config", str(bad)], 2, "error: config: integer longer")):
+        code, out, err = run(capsys, argv)
+        assert code == want and out == "", argv
+        assert err.startswith(what) and err.count("\n") == 1, err
+
+
+def test_distribution_window_length_above_cap_exits_2(capsys, tmp_path, model_path):
+    # refused before any 4**L is formed: 4**10000 has more digits than an
+    # error message may print, and 4**(10**9) would take hours to compute
+    dist = tmp_path / "dist.json"
+    for L in (11, 10_000, 10 ** 9):
+        dist.write_text(json.dumps({"L": L, "actions": []}))
+        code, out, err = run(capsys, ["canonicalize", "--model", model_path,
+                                      "--dist", str(dist)])
+        assert code == 2 and out == ""
+        assert "cap of 10" in err and err.count("\n") == 1, err
+        with pytest.raises(xc.ResourceLimit):
+            xc.ActionDistribution(L=L, table=[])
+
+
 def test_config_keys_must_be_options(capsys, tmp_path, model_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lamda": 0.5, "L": 1, "model": model_path}))

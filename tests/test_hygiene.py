@@ -62,12 +62,14 @@ def test_private_names_are_used():
 
 
 def test_collector_paused_in_one_place():
-    # pausing the cyclic collector is one decision, made in sim._gc_paused
+    # pausing the cyclic collector and moving its generations is one
+    # decision, made in sim._gc_paused
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Attribute) and node.attr in ("disable", "enable")
+                if (isinstance(node, ast.Attribute)
+                        and node.attr in ("disable", "enable", "freeze", "unfreeze")
                         and isinstance(node.value, ast.Name) and node.value.id == "gc"):
                     found.add((path.name, getattr(top, "name", None)))
                 elif isinstance(node, ast.ImportFrom) and node.module == "gc":

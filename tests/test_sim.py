@@ -1,3 +1,4 @@
+import contextvars
 import gc
 import hashlib
 import io
@@ -418,6 +419,46 @@ def test_runs_and_reads_build_no_cycles(tmp_path, ref_model):
         if was:
             gc.enable()
     assert rows == reps[1].trace
+
+
+def test_runs_and_reads_leave_nothing_young(tmp_path, ref_model):
+    # what a run or a trace read built is handed to the oldest generation
+    # on return, so no young collection walks it afterwards
+    path = tmp_path / "trace.jsonl"
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        assert gc.get_freeze_count() == 0
+        rep = xc.simulate(ref_model, "maxweight", 0.3, 0.3, 10_000, 2, collect_trace=True)
+        assert len(gc.get_objects(generation=0)) < 1000
+        xc.save_trace(rep.trace, path)
+        rows = xc.load_trace(path)
+        assert len(gc.get_objects(generation=0)) < 1000
+    finally:
+        if not was:
+            gc.disable()
+    assert len(rows) > 5000 and rows == rep.trace
+
+
+def test_runs_and_reads_keep_frozen_objects_frozen(tmp_path, ref_model):
+    # gc.unfreeze would thaw what the caller froze, so then nothing moves.
+    # numpy sets a context variable (its error state) inside some calls, and
+    # the new mapping frees frozen nodes of the old one; in a fresh context
+    # no frozen object dies
+    path = tmp_path / "trace.jsonl"
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        rep = contextvars.Context().run(xc.simulate, ref_model, "maxweight", 0.3, 0.3, 2000, 2,
+                                        collect_trace=True)
+        assert gc.get_freeze_count() == frozen
+        xc.save_trace(rep.trace, path)
+        rows = contextvars.Context().run(xc.load_trace, path)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+    assert rows == rep.trace
 
 
 def test_simulate_deterministic(ref_model):
