@@ -7,16 +7,24 @@ ends one way: once the artificials sum to zero, each gets the bound zero. One
 left basic on a redundant row stays at zero until a pivot through that row
 moves it out, and a column whose bound is zero never enters.
 
-Pricing takes the improving column with the largest reduced cost (Dantzig's
-rule; at the upper bound the reduced cost counts negated), ties going to
-the lowest index. Largest-coefficient pricing can cycle on degenerate
-vertices, so after DEGENERATE_RUN consecutive degenerate pivots the entering
-column is the lowest improving index instead (Bland's rule), until a pivot
-moves the point or a variable flips bounds. Bland's rule cannot cycle, and
-every non-degenerate step raises the objective, so the solve terminates.
-The leaving row is the lowest basis index among rows within 1e-12 of the
-smallest step. Every choice is a pure function of the tableau, so identical
-inputs take the identical pivot path and return the identical point.
+Both phases run one loop, _Simplex._iterate, which prices, ratio-tests and
+pivots in place on the tableau. Pricing takes the improving column with the
+largest reduced cost (Dantzig's rule; at the upper bound the reduced cost
+counts negated), ties going to the lowest index. Largest-coefficient pricing
+can cycle on degenerate vertices, so after DEGENERATE_RUN consecutive
+degenerate pivots the entering column is the lowest improving index instead
+(Bland's rule), until a pivot moves the point or a variable flips bounds.
+Bland's rule cannot cycle, and every non-degenerate step raises the
+objective, so the solve terminates. The leaving row is the lowest basis
+index among rows within 1e-12 of the smallest step. Every choice is a pure
+function of the tableau, so identical inputs take the identical pivot path
+and return the identical point. A solution reports its pivots in all and
+those of phase one.
+
+A program must be finite: LinearProgram refuses a NaN or infinite
+objective entry, coefficient or right-hand side, and a NaN bound. Every
+comparison with a NaN is false, so such a program would pass each of the
+solver's checks and come back "Optimal".
 
 This is meant for the small dense programs produced elsewhere in the
 package, not as a general solver.
@@ -43,7 +51,8 @@ EQ = "="
 class LinearProgram:
     """maximize objective @ x subject to the constraints and box bounds.
 
-    constraints: list of (coefficients, "<=" or "=", rhs).
+    constraints: list of (coefficients, "<=" or "=", rhs), all finite, as
+    is the objective.
     bounds: per-variable (lo, hi); lo must be finite, hi may be math.inf.
     """
 
@@ -55,6 +64,9 @@ class LinearProgram:
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.ndim != 1 or self.objective.shape[0] < 1:
             raise ContractViolation("objective must be a nonempty vector")
+        bad = np.flatnonzero(~np.isfinite(self.objective))
+        if bad.size:
+            raise ContractViolation(f"variable {bad[0]}: objective entry must be finite")
         n = self.objective.shape[0]
         rows = []
         for k, (coefs, rel, rhs) in enumerate(self.constraints):
@@ -63,7 +75,11 @@ class LinearProgram:
                 raise ContractViolation(f"constraint {k}: expected {n} coefficients")
             if rel not in (LE, EQ):
                 raise ContractViolation(f"constraint {k}: relation must be '<=' or '='")
-            rows.append((coefs, rel, float(rhs)))
+            rhs = float(rhs)
+            if not (math.isfinite(rhs) and np.isfinite(coefs).all()):
+                raise ContractViolation(f"constraint {k}: coefficients and right-hand side "
+                                        "must be finite")
+            rows.append((coefs, rel, rhs))
         self.constraints = rows
         if len(self.bounds) != n:
             raise ContractViolation("bounds must cover every variable")
@@ -72,8 +88,8 @@ class LinearProgram:
             lo, hi = float(lo), float(hi)
             if not math.isfinite(lo):
                 raise ContractViolation(f"variable {j}: lower bound must be finite")
-            if hi < lo:
-                raise ContractViolation(f"variable {j}: upper bound below lower bound")
+            if not hi >= lo:
+                raise ContractViolation(f"variable {j}: upper bound NaN or below lower bound")
             boxed.append((lo, hi))
         self.bounds = boxed
 
@@ -88,6 +104,7 @@ class LpSolution:
     value: float | None
     point: np.ndarray | None
     pivots: int = 0                  # iterations of this solve, both phases
+    phase_one_pivots: int = 0        # of which in phase one
 
 
 class _Simplex:
@@ -103,26 +120,23 @@ class _Simplex:
         lo = np.array([b[0] for b in lp.bounds])
         hi = np.array([b[1] for b in lp.bounds])
         beta = np.array([rhs - coefs @ lo for coefs, _, rhs in lp.constraints], dtype=float)
+        le = np.array([rel == LE for _, rel, _ in lp.constraints], dtype=bool)
         # an equality row, or a row whose right-hand side is negative at the
-        # lower bounds, starts on an artificial column
-        art = [rel == EQ or r < 0.0 for (_, rel, _), r in zip(lp.constraints, beta)]
-        n_le = sum(rel == LE for _, rel, _ in lp.constraints)
-        T = np.zeros((len(beta), n + n_le + sum(art)))
-        basis = np.empty(len(beta), dtype=np.intp)
-        slack, extra = n, n + n_le
-        for i, (coefs, rel, _) in enumerate(lp.constraints):
+        # lower bounds (negated below, so that beta starts nonnegative),
+        # starts on an artificial column
+        neg = beta < 0.0
+        art = ~le | neg
+        n_le, n_art = int(le.sum()), int(art.sum())
+        T = np.zeros((len(beta), n + n_le + n_art))
+        for i, (coefs, _, _) in enumerate(lp.constraints):
             T[i, :n] = coefs
-            if rel == LE:
-                T[i, slack] = 1.0
-                basis[i] = slack
-                slack += 1
-            if beta[i] < 0.0:
-                T[i] *= -1.0
-                beta[i] = -beta[i]
-            if art[i]:
-                T[i, extra] = 1.0
-                basis[i] = extra
-                extra += 1
+        basis = np.empty(len(beta), dtype=np.intp)
+        basis[le] = n + np.arange(n_le)
+        T[le, basis[le]] = 1.0
+        T[neg] *= -1.0
+        np.negative(beta, out=beta, where=neg)
+        basis[art] = n + n_le + np.arange(n_art)
+        T[art, basis[art]] = 1.0
         self.T, self.beta, self.basis = T, beta, basis
         self.u = np.concatenate([hi - lo, np.full(T.shape[1] - n, math.inf)])
         self.is_artificial = np.arange(T.shape[1]) >= n + n_le
@@ -130,92 +144,90 @@ class _Simplex:
         self.pivots = 0
         self.cap = 1000 + 100 * sum(T.shape)   # pivots before the solve counts as stalled
 
-    def _reduced(self, c: np.ndarray) -> np.ndarray:
-        return c - c[self.basis] @ self.T
-
-    def _entering(self, red: np.ndarray, bland: bool) -> int:
-        """Improving nonbasic column with the largest gain, or with the lowest
-        index when bland is set; -1 at optimality. The gain is the reduced
-        cost at the lower bound and its negation at the upper bound. A column
-        whose bound is zero never enters."""
-        gain = np.where(self.at_upper, -red, red)
-        gain[self.basis] = 0.0
-        gain[self.u <= TOL] = 0.0
-        if bland:
-            improving = np.flatnonzero(gain > TOL)
-            return int(improving[0]) if improving.size else -1
-        e = int(np.argmax(gain))
-        return e if gain[e] > TOL else -1
-
-    def _ratio(self, e: int, direction: int):
-        """Bounded ratio test for column e moving in direction. Returns
-        (step, row, to_upper); row is -1 when no basic variable limits the
-        step. Among rows within 1e-12 of the smallest step the lowest basis
-        index leaves."""
-        col = direction * self.T[:, e]
-        beta = self.beta
-        ub = self.u[self.basis]
-        down = col > TOL
-        up = (col < -TOL) & np.isfinite(ub)
-        steps = np.full(len(beta), math.inf)
-        steps[down] = np.maximum(beta[down], 0.0) / col[down]
-        steps[up] = np.maximum(ub[up] - beta[up], 0.0) / -col[up]
-        best_t = float(steps.min(initial=math.inf))
-        if not math.isfinite(best_t):
-            return math.inf, -1, False
-        ties = np.flatnonzero(steps <= best_t + 1e-12)
-        row = int(ties[np.argmin(self.basis[ties])])
-        return float(steps[row]), row, bool(up[row])
-
-    def _pivot(self, r: int, e: int, t: float, direction: int, to_upper: bool):
-        T, beta = self.T, self.beta
-        col = T[:, e].copy()
-        beta -= direction * t * col
-        np.maximum(beta, 0.0, out=beta)
-        leaving = self.basis[r]
-        piv = col[r]
-        row = T[r] / piv
-        # rows with a zero in the pivot column are unchanged by the update
-        rows = np.flatnonzero(col)
-        T[rows] -= np.outer(col[rows], row)
-        T[r] = row
-        beta[r] = t if direction > 0 else self.u[e] - t
-        self.basis[r] = e
-        self.at_upper[e] = False
-        self.at_upper[leaving] = to_upper
-        if self.is_artificial[leaving]:
-            self.u[leaving] = 0.0
-        return row
-
     def _iterate(self, c: np.ndarray, phase: int) -> str:
-        red = self._reduced(c)
+        """Price, ratio-test and pivot (or flip a bound) until no column
+        improves c. Returns "optimal" or "unbounded"."""
+        T, beta, basis, u, at_upper = self.T, self.beta, self.basis, self.u, self.at_upper
+        red = c - c[basis] @ T
+        # pricing reads at_upper, basis and u through two arrays kept in step
+        # with them below: the gain of a column is its reduced cost times its
+        # sign (negated at the upper bound), and a blocked column (basic, or
+        # with bound zero) never enters
+        sign = np.where(at_upper, -1.0, 1.0)
+        blocked = u <= TOL
+        blocked[basis] = True
+        ub = u[basis]
+        gain = np.empty_like(red)
+        num, den, steps = np.empty((3, len(beta)))
         degenerate = 0
         while True:
-            e = self._entering(red, bland=degenerate >= DEGENERATE_RUN)
-            if e < 0:
+            np.multiply(red, sign, out=gain)
+            np.putmask(gain, blocked, 0.0)
+            e = int((gain > TOL).argmax() if degenerate >= DEGENERATE_RUN else gain.argmax())
+            if not gain[e] > TOL:
                 return "optimal"
             if self.pivots >= self.cap:
                 raise NumericalFailure(
                     "simplex stalled",
-                    {"phase": phase, "pivots": self.pivots, "entering": int(e)})
+                    {"phase": phase, "pivots": self.pivots, "entering": e})
             self.pivots += 1
-            direction = -1 if self.at_upper[e] else 1
-            best_t, best_row, to_upper = self._ratio(e, direction)
-            own = self.u[e]
-            if own <= best_t + 1e-12:
+            direction = -1 if at_upper[e] else 1
+            # bounded ratio test: a row whose basic value moves down stops at
+            # zero, one moving up at its finite bound (an infinite bound
+            # gives an infinite step)
+            col = T[:, e]
+            np.abs(col, out=den)
+            down = col < 0.0 if direction < 0 else col > 0.0
+            np.subtract(ub, beta, out=num)
+            np.copyto(num, beta, where=down)
+            np.maximum(num, 0.0, out=num)
+            steps.fill(math.inf)
+            np.divide(num, den, out=steps, where=den > TOL)
+            t = float(steps.min(initial=math.inf))
+            own = u[e]
+            # a column whose own bound comes first flips with no tie search;
+            # otherwise among rows within 1e-12 of the smallest step the
+            # lowest basis index leaves, and its step (up to 1e-12 above the
+            # smallest) is the one the flip test is repeated against
+            if own > t + 1e-12:
+                ties = (steps <= t + 1e-12).nonzero()[0]
+                r = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
+                t = float(steps[r])
+            if own <= t + 1e-12:
                 if not math.isfinite(own):
                     if phase == 1:
-                        raise NumericalFailure("phase one ray", {"entering": int(e)})
+                        raise NumericalFailure("phase one ray", {"entering": e})
                     return "unbounded"
                 # bound flip, no basis change
-                self.beta -= direction * own * self.T[:, e]
-                np.maximum(self.beta, 0.0, out=self.beta)
-                self.at_upper[e] = direction > 0
+                beta -= direction * own * col
+                np.maximum(beta, 0.0, out=beta)
+                at_upper[e] = direction > 0
+                sign[e] = -direction
                 degenerate = 0
                 continue
-            degenerate = degenerate + 1 if best_t <= TOL else 0
-            row = self._pivot(best_row, e, best_t, direction, to_upper)
-            red = red - red[e] * row
+            degenerate = degenerate + 1 if t <= TOL else 0
+            beta -= direction * t * col
+            np.maximum(beta, 0.0, out=beta)
+            row = T[r] / col[r]
+            # rows with a zero in the pivot column are unchanged by the update
+            rows = col.nonzero()[0]
+            T[rows] -= col[rows, None] * row
+            T[r] = row
+            beta[r] = t if direction > 0 else own - t
+            leaving = basis[r]
+            basis[r] = e
+            at_upper[e] = False
+            # row r has a finite step, so its entry is nonzero: it moved up
+            # unless it moved down
+            at_upper[leaving] = not down[r]
+            if self.is_artificial[leaving]:
+                u[leaving] = 0.0
+            sign[e] = 1.0
+            sign[leaving] = 1.0 if down[r] else -1.0
+            blocked[e] = True
+            blocked[leaving] = u[leaving] <= TOL
+            ub[r] = own
+            red -= red[e] * row
 
     def phase_one(self) -> bool:
         c1 = np.zeros(len(self.u))
@@ -235,30 +247,36 @@ class _Simplex:
     def solve(self) -> LpSolution:
         """Both phases from the slack-and-artificial starting basis."""
         if not self.phase_one():
-            return LpSolution("Infeasible", None, None, self.pivots)
+            return LpSolution("Infeasible", None, None, self.pivots, self.pivots)
+        first = self.pivots
         c2 = np.zeros(len(self.u))
         c2[:self.lp.num_vars] = self.lp.objective
         if self._iterate(c2, phase=2) == "unbounded":
-            return LpSolution("Unbounded", None, None, self.pivots)
+            return LpSolution("Unbounded", None, None, self.pivots, first)
         x = self.extract()
         _verify(self.lp.constraints, self.lp.bounds, x)
-        return LpSolution("Optimal", float(self.lp.objective @ x), x, self.pivots)
+        return LpSolution("Optimal", float(self.lp.objective @ x), x, self.pivots, first)
 
 
 def _verify(constraints, bounds, x: np.ndarray) -> None:
-    """Re-check x against the constraints and bounds."""
-    for k, (coefs, rel, rhs) in enumerate(constraints):
-        lhs = float(coefs @ x)
-        if rel == LE and lhs > rhs + VERIFY_TOL:
-            raise NumericalFailure("solution violates a constraint",
-                                   {"constraint": k, "lhs": lhs, "rhs": rhs})
-        if rel == EQ and abs(lhs - rhs) > VERIFY_TOL:
-            raise NumericalFailure("solution violates an equality",
-                                   {"constraint": k, "lhs": lhs, "rhs": rhs})
-    for j, (lo, hi) in enumerate(bounds):
-        if x[j] < lo - VERIFY_TOL or x[j] > hi + VERIFY_TOL:
-            raise NumericalFailure("solution violates a variable bound",
-                                   {"variable": j, "value": float(x[j])})
+    """Re-check x against the constraints and bounds. Each test states what
+    holds, so a NaN fails it; the first violation raises."""
+    lhs = np.array([coefs @ x for coefs, _, _ in constraints], dtype=float)
+    rhs = np.array([b for _, _, b in constraints], dtype=float)
+    eq = np.array([rel == EQ for _, rel, _ in constraints], dtype=bool)
+    ok = np.where(eq, np.abs(lhs - rhs) <= VERIFY_TOL, lhs <= rhs + VERIFY_TOL)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise NumericalFailure("solution violates an equality" if eq[k] else
+                               "solution violates a constraint",
+                               {"constraint": k, "lhs": float(lhs[k]), "rhs": float(rhs[k])})
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    ok = (x >= lo - VERIFY_TOL) & (x <= hi + VERIFY_TOL)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise NumericalFailure("solution violates a variable bound",
+                               {"variable": j, "value": float(x[j])})
 
 
 def solve(lp: LinearProgram) -> LpSolution:

@@ -12,8 +12,9 @@ the library's arithmetic term by term, so the column kernels must match
 them exactly. So are the one-at-a-time forms of batched code (the
 depth-first window table, the per-sample forgetting loop, the json.dumps
 and f-string trace writers, the json.loads trace reader, the
-slot-at-a-time simulation with its queue move as one function, _apply):
-the batched code must reproduce them bit for bit.
+slot-at-a-time simulation with its queue move as one function, _apply,
+the row-by-row simplex setup and its iteration as three methods): the
+batched code must reproduce them bit for bit.
 """
 
 import itertools
@@ -28,8 +29,9 @@ from operator import add
 import numpy as np
 
 import xorcast as xc
+from xorcast.errors import NumericalFailure
 from xorcast.filtering import _step
-from xorcast.lp import LE, _Simplex, _verify
+from xorcast.lp import DEGENERATE_RUN, EQ, LE, TOL, LinearProgram, _Simplex, _verify
 from xorcast.region import _RATE_OF_ROW, _rate_rows, _rate_terms
 from xorcast.sim import (_COUNT_KEYS, CHECKPOINTS, FRESH1, FRESH2, IDLE, MIX_FRESH, REMEDY,
                          SUB1, SUB2, WARMUP_FRAC, XOR_BACKLOG, SimReport, _well_formed,
@@ -290,6 +292,133 @@ def feasible(lp):
     x = sx.extract()
     _verify(lp.constraints, lp.bounds, x)
     return True, x
+
+
+class SimplexOracle(_Simplex):
+    """The simplex with one row at a time in its setup and its iteration as
+    three methods (_entering, _ratio, _pivot), each rebuilding its masks
+    from at_upper, basis and u. _Simplex must take the same pivot path and
+    return the same bits."""
+
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
+        n = lp.num_vars
+        lo = np.array([b[0] for b in lp.bounds])
+        hi = np.array([b[1] for b in lp.bounds])
+        beta = np.array([rhs - coefs @ lo for coefs, _, rhs in lp.constraints], dtype=float)
+        # an equality row, or a row whose right-hand side is negative at the
+        # lower bounds, starts on an artificial column
+        art = [rel == EQ or r < 0.0 for (_, rel, _), r in zip(lp.constraints, beta)]
+        n_le = sum(rel == LE for _, rel, _ in lp.constraints)
+        T = np.zeros((len(beta), n + n_le + sum(art)))
+        basis = np.empty(len(beta), dtype=np.intp)
+        slack, extra = n, n + n_le
+        for i, (coefs, rel, _) in enumerate(lp.constraints):
+            T[i, :n] = coefs
+            if rel == LE:
+                T[i, slack] = 1.0
+                basis[i] = slack
+                slack += 1
+            if beta[i] < 0.0:
+                T[i] *= -1.0
+                beta[i] = -beta[i]
+            if art[i]:
+                T[i, extra] = 1.0
+                basis[i] = extra
+                extra += 1
+        self.T, self.beta, self.basis = T, beta, basis
+        self.u = np.concatenate([hi - lo, np.full(T.shape[1] - n, math.inf)])
+        self.is_artificial = np.arange(T.shape[1]) >= n + n_le
+        self.at_upper = np.zeros(T.shape[1], dtype=bool)
+        self.pivots = 0
+        self.cap = 1000 + 100 * sum(T.shape)   # pivots before the solve counts as stalled
+
+    def _reduced(self, c: np.ndarray) -> np.ndarray:
+        return c - c[self.basis] @ self.T
+
+    def _entering(self, red: np.ndarray, bland: bool) -> int:
+        """Improving nonbasic column with the largest gain, or with the lowest
+        index when bland is set; -1 at optimality. The gain is the reduced
+        cost at the lower bound and its negation at the upper bound. A column
+        whose bound is zero never enters."""
+        gain = np.where(self.at_upper, -red, red)
+        gain[self.basis] = 0.0
+        gain[self.u <= TOL] = 0.0
+        if bland:
+            improving = np.flatnonzero(gain > TOL)
+            return int(improving[0]) if improving.size else -1
+        e = int(np.argmax(gain))
+        return e if gain[e] > TOL else -1
+
+    def _ratio(self, e: int, direction: int):
+        """Bounded ratio test for column e moving in direction. Returns
+        (step, row, to_upper); row is -1 when no basic variable limits the
+        step. Among rows within 1e-12 of the smallest step the lowest basis
+        index leaves."""
+        col = direction * self.T[:, e]
+        beta = self.beta
+        ub = self.u[self.basis]
+        down = col > TOL
+        up = (col < -TOL) & np.isfinite(ub)
+        steps = np.full(len(beta), math.inf)
+        steps[down] = np.maximum(beta[down], 0.0) / col[down]
+        steps[up] = np.maximum(ub[up] - beta[up], 0.0) / -col[up]
+        best_t = float(steps.min(initial=math.inf))
+        if not math.isfinite(best_t):
+            return math.inf, -1, False
+        ties = np.flatnonzero(steps <= best_t + 1e-12)
+        row = int(ties[np.argmin(self.basis[ties])])
+        return float(steps[row]), row, bool(up[row])
+
+    def _pivot(self, r: int, e: int, t: float, direction: int, to_upper: bool):
+        T, beta = self.T, self.beta
+        col = T[:, e].copy()
+        beta -= direction * t * col
+        np.maximum(beta, 0.0, out=beta)
+        leaving = self.basis[r]
+        piv = col[r]
+        row = T[r] / piv
+        # rows with a zero in the pivot column are unchanged by the update
+        rows = np.flatnonzero(col)
+        T[rows] -= np.outer(col[rows], row)
+        T[r] = row
+        beta[r] = t if direction > 0 else self.u[e] - t
+        self.basis[r] = e
+        self.at_upper[e] = False
+        self.at_upper[leaving] = to_upper
+        if self.is_artificial[leaving]:
+            self.u[leaving] = 0.0
+        return row
+
+    def _iterate(self, c: np.ndarray, phase: int) -> str:
+        red = self._reduced(c)
+        degenerate = 0
+        while True:
+            e = self._entering(red, bland=degenerate >= DEGENERATE_RUN)
+            if e < 0:
+                return "optimal"
+            if self.pivots >= self.cap:
+                raise NumericalFailure(
+                    "simplex stalled",
+                    {"phase": phase, "pivots": self.pivots, "entering": int(e)})
+            self.pivots += 1
+            direction = -1 if self.at_upper[e] else 1
+            best_t, best_row, to_upper = self._ratio(e, direction)
+            own = self.u[e]
+            if own <= best_t + 1e-12:
+                if not math.isfinite(own):
+                    if phase == 1:
+                        raise NumericalFailure("phase one ray", {"entering": int(e)})
+                    return "unbounded"
+                # bound flip, no basis change
+                self.beta -= direction * own * self.T[:, e]
+                np.maximum(self.beta, 0.0, out=self.beta)
+                self.at_upper[e] = direction > 0
+                degenerate = 0
+                continue
+            degenerate = degenerate + 1 if best_t <= TOL else 0
+            row = self._pivot(best_row, e, best_t, direction, to_upper)
+            red = red - red[e] * row
 
 
 def robust_witness_xyt(table, wit, backoff):

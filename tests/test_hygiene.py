@@ -1,8 +1,15 @@
-"""Checks on the package source itself rather than on its behaviour."""
+"""Checks on the package source itself, and on the state its objects keep,
+rather than on its behaviour."""
 
 import ast
+import random
 import sys
 from pathlib import Path
+
+import xorcast as xc
+from xorcast.lp import _Simplex
+
+from test_lp import random_program
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "xorcast"
 
@@ -102,3 +109,21 @@ def test_unread_imports_are_traced_names():
         unread |= {(path.stem, name) for name in imported - read}
     assert unread <= allowed, "imported and never read: " + ", ".join(
         f"{module}.{name}" for module, name in sorted(unread - allowed))
+
+
+def test_simplex_keeps_each_tableau_fact_once():
+    # the pricing signs, the blocked mask and the basic columns' bounds are
+    # derived from at_upper, basis and u inside the iteration loop and die
+    # with it, so a solved tableau holds no second record of them
+    kept = {"lp", "T", "beta", "basis", "u", "at_upper", "is_artificial", "pivots", "cap"}
+    rng = random.Random(99)
+    programs = [random_program(rng) for _ in range(50)]
+    programs.append(xc.LinearProgram([1, 2], [([1, 1], "<=", 1), ([2, 2], "=", 2)],
+                                     [(0, 1), (0, 1)]))
+    statuses = set()
+    for program in programs:
+        sx = _Simplex(program)
+        assert set(vars(sx)) == kept
+        statuses.add(sx.solve().status)
+        assert set(vars(sx)) == kept
+    assert statuses == {"Optimal", "Infeasible"}

@@ -2,11 +2,13 @@ import math
 import random
 
 import numpy as np
+import pytest
 
 import xorcast as xc
+from xorcast import region
 from xorcast.lp import _Simplex
 
-from oracles import feasible, vertex_oracle
+from oracles import SimplexOracle, feasible, random_model, vertex_oracle
 
 INF = math.inf
 
@@ -225,3 +227,113 @@ def test_tableau_has_one_column_per_slack_and_artificial():
         assert sx.is_artificial.sum() == n_art
         sx.solve()
         assert not sx.at_upper[sx.basis].any()
+
+
+NAN = math.nan
+
+
+BOX3 = [(0, 1)] * 3
+
+
+@pytest.mark.parametrize("objective, constraints, bounds, where", [
+    # the first five came back "Optimal": value nan, 2.0 at (1, 1), 1.0,
+    # 0.0 and 0.0
+    ([1, NAN], [([1, 1], "<=", 1)], [(0, 1), (0, 1)], "variable 1"),
+    ([1, 1], [([1, 1], "<=", NAN)], [(0, 1), (0, 1)], "constraint 0"),
+    ([1, 1], [([1, 1], "<=", 1)], [(0, NAN), (0, 1)], "variable 0"),
+    ([1, 1], [([1, NAN], "<=", 1)], [(0, 1), (0, 1)], "constraint 0"),
+    ([1, 1], [([1, INF], "<=", 1)], [(0, 1), (0, 1)], "constraint 0"),
+    ([0, 0, -INF], [], BOX3, "variable 2"),
+    ([0, 0, 0], [([1, 1, 1], "<=", 1), ([0, 1, 0], "=", INF)], BOX3, "constraint 1"),
+    ([0, 0, 0], [([1, 1, 1], "<=", 1), ([0, -INF, 0], "<=", 1)], BOX3, "constraint 1"),
+    ([0, 0, 0], [], [(0, 1), (0, NAN), (0, 1)], "variable 1"),
+], ids=["nan-objective", "nan-rhs", "nan-upper-bound", "nan-coefficient", "inf-coefficient",
+        "inf-objective", "inf-rhs", "second-row", "second-bound"])
+def test_non_finite_program_refused(objective, constraints, bounds, where):
+    with pytest.raises(xc.ContractViolation, match=where):
+        lp(objective, constraints, bounds)
+
+
+def test_nan_anywhere_refused():
+    # a NaN in any objective entry, coefficient, right-hand side or upper
+    # bound of a random program never reaches the solver
+    rng = random.Random(77)
+    for _ in range(200):
+        program = random_program(rng)
+        obj = list(program.objective)
+        cons = [(list(coefs), rel, rhs) for coefs, rel, rhs in program.constraints]
+        bounds = [list(b) for b in program.bounds]
+        spots = ([(obj, j) for j in range(len(obj))] + [(b, 1) for b in bounds]
+                 + [(row, j) for row, _, _ in cons for j in range(len(row))]
+                 + [(cons, k) for k in range(len(cons))])
+        where, j = rng.choice(spots)
+        where[j] = (where[j][0], where[j][1], NAN) if where is cons else NAN
+        with pytest.raises(xc.ContractViolation):
+            lp(obj, cons, bounds)
+
+
+def _robust_programs(monkeypatch, models, lams=(0.2, 0.5, 0.8), Ls=(1, 2, 3, 4)):
+    """The robust-witness program simulation_distribution solves, per model,
+    L and lambda."""
+    programs = []
+
+    def recorded(program):
+        programs.append(program)
+        return xc.solve(program)
+
+    monkeypatch.setattr(region, "solve", recorded)
+    for model in models:
+        for L in Ls:
+            table = xc.window_table(model, L)
+            for lam in lams:
+                xc.simulation_distribution(table, lam)
+    return programs
+
+
+def test_robust_witness_pivot_counts(ref_model, monkeypatch):
+    # 15 pivots in phase one and 464 in phase two at L=4, lambda=0.5,
+    # backoff 0.99: the counts pin the pivot path
+    (program,) = _robust_programs(monkeypatch, [ref_model], lams=(0.5,), Ls=(4,))
+    sol = xc.solve(program)
+    assert (program.num_vars, len(program.constraints)) == (768, 260)
+    assert (sol.status, sol.phase_one_pivots, sol.pivots) == ("Optimal", 15, 479)
+
+
+def test_phase_one_pivots_reported():
+    rng = random.Random(321)
+    for _ in range(200):
+        program = random_program(rng)
+        sx = _Simplex(program)
+        sol = sx.solve()
+        assert 0 <= sol.phase_one_pivots <= sol.pivots == sx.pivots
+        if sol.status == "Infeasible":
+            assert sol.phase_one_pivots == sol.pivots
+    # no artificial: phase one stops at once
+    sol = xc.solve(lp([1, 1], [([1, 1], "<=", 1)], [(0, 1), (0, 1)]))
+    assert sol.phase_one_pivots == 0 < sol.pivots
+
+
+def _same_path(program):
+    fast, slow = _Simplex(program), SimplexOracle(program)
+    got, want = fast.solve(), slow.solve()
+    assert (got.status, got.pivots, got.phase_one_pivots) == \
+        (want.status, want.pivots, want.phase_one_pivots)
+    assert fast.basis.tobytes() == slow.basis.tobytes()
+    assert fast.at_upper.tobytes() == slow.at_upper.tobytes()
+    assert (got.point is None) == (want.point is None)
+    if got.point is not None:
+        assert got.point.tobytes() == want.point.tobytes()
+
+
+def test_simplex_matches_three_method_oracle():
+    rng = random.Random(123)
+    for _ in range(200):
+        _same_path(random_program(rng))
+
+
+def test_simplex_matches_three_method_oracle_on_robust_programs(ref_model, monkeypatch):
+    models = [ref_model, random_model(random.Random(11), 2), random_model(random.Random(12), 3)]
+    programs = _robust_programs(monkeypatch, models)
+    assert len(programs) == 36
+    for program in programs:
+        _same_path(program)
