@@ -53,7 +53,7 @@ class ChannelModel:
         self.emission = e
         self.labels = labels
         self.num_states = int(t.shape[0])
-        # plain-float copies; the per-slot simulation loop avoids numpy scalars
+        # plain-float copies, as model_to_dict writes them
         self.transition_rows = tuple(tuple(float(v) for v in row) for row in t)
         self.emission_rows = tuple(tuple(float(v) for v in row) for row in e)
         # columns of the same floats: the filter kernel takes dot products with them
@@ -165,18 +165,6 @@ def stationary_distribution(model: ChannelModel) -> np.ndarray:
     return pi
 
 
-def _cumulative_rows(rows):
-    out = []
-    for row in rows:
-        acc = 0.0
-        cum = []
-        for v in row:
-            acc += v
-            cum.append(acc)
-        out.append(tuple(cum))
-    return tuple(out)
-
-
 def _words(rng: random.Random, k: int) -> bytes:
     """The generator output that k rng.random() calls consume, advancing
     rng past it: 2k 32-bit words, in order, as little-endian bytes
@@ -214,9 +202,8 @@ def _check_seed(seed: int) -> None:
 def _path_cums(model: ChannelModel, pi):
     """Cumulative rows of the start distribution pi, the transitions and the
     emissions as arrays: what drawing a channel path needs."""
-    return (np.array(_cumulative_rows([tuple(pi)])[0]),
-            np.array(_cumulative_rows(model.transition_rows)),
-            np.array(_cumulative_rows(model.emission_rows)))
+    return (np.cumsum(pi), np.cumsum(model.transition, axis=-1),
+            np.cumsum(model.emission, axis=-1))
 
 
 def _walk(cums, s: int, u_pat, u_next):

@@ -182,8 +182,6 @@ def window_index(codes) -> int:
     """Base-4 index of a pattern window, oldest slot most significant."""
     idx = 0
     for c in codes:
-        if isinstance(c, tuple):
-            c = PATTERN_INDEX[c]
         idx = idx * 4 + c
     return idx
 
@@ -216,12 +214,6 @@ class WindowTable:
 
     def __len__(self) -> int:
         return self.probs.shape[0]
-
-    def stats(self, idx: int) -> ErasureStats:
-        return ErasureStats.from_pattern_probs(self.pattern_probs[idx])
-
-    def label(self, idx: int) -> str:
-        return window_label(idx, self.L)
 
     def eps_arrays(self):
         """(eps1, eps2, eps12) as vectors over windows."""
@@ -296,11 +288,10 @@ def dump_window_table(table: WindowTable, out) -> None:
     window, prob, eps1, eps2, eps12, eps_n12, eps1_n2."""
     writer = csv.writer(out)
     writer.writerow(["window", "prob", "eps1", "eps2", "eps12", "eps_n12", "eps1_n2"])
-    for i in range(len(table)):
-        st = table.stats(i)
-        writer.writerow([table.label(i)] + [
-            f"{v:.12g}" for v in
-            (table.probs[i], st.eps1, st.eps2, st.eps12, st.eps_n12, st.eps1_n2)])
+    pp = table.pattern_probs
+    cols = (table.probs, *table.eps_arrays(), pp[:, 1], pp[:, 2])
+    for i, row in enumerate(zip(*(c.tolist() for c in cols))):
+        writer.writerow([window_label(i, table.L)] + [f"{v:.12g}" for v in row])
 
 
 def _check_horizon(L: int, horizon: int) -> int:

@@ -27,8 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import (ChannelModel, _check_seed, _cumulative_rows, _path_cums, _pick,
-                      _uniforms, _walk, _words)
+from .channel import ChannelModel, _check_seed, _path_cums, _pick, _uniforms, _walk, _words
 from .errors import ContractViolation, NumericalFailure, TraceFormatError
 # the traced benchmark wraps filter_step and predict_stats by name in this module
 from .filtering import (filter_path, filter_step, init_belief,  # noqa: F401
@@ -230,7 +229,7 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     if probabilistic:
         if dist is None:
             raise ContractViolation("the probabilistic scheduler needs an action distribution")
-        cum_rows = np.array(_cumulative_rows(dist.table))
+        cum_rows = np.cumsum(dist.table, axis=-1)
         tail = np.zeros(dist.L, dtype=np.intp)   # the window starts all-clear
     rng = random.Random(seed)
     belief = init_belief(model)

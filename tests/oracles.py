@@ -38,6 +38,20 @@ from xorcast.sim import (_COUNT_KEYS, CHECKPOINTS, FRESH1, FRESH2, IDLE, MIX_FRE
                          maxweight_action, substitute_action)
 
 
+def cumulative_rows(rows):
+    """The running sum of each row as a tuple, one left fold per row from
+    0.0: the cumulative rows the package samples from, a float at a time."""
+    out = []
+    for row in rows:
+        acc = 0.0
+        cum = []
+        for v in row:
+            acc += v
+            cum.append(acc)
+        out.append(tuple(cum))
+    return tuple(out)
+
+
 def draw_oracle(cum, u):
     """The sampling rule as a linear scan: the index of the first cumulative
     entry above u, else the last index."""
@@ -132,9 +146,9 @@ def trajectory_oracle(model, n, seed):
     """sample_trajectory one rng.random() call and one linear-scan draw at
     a time."""
     rng = random.Random(seed)
-    pi_cum = xc.channel._cumulative_rows([xc.init_belief(model)])[0]
-    t_cum = xc.channel._cumulative_rows(model.transition_rows)
-    e_cum = xc.channel._cumulative_rows(model.emission_rows)
+    pi_cum = cumulative_rows([xc.init_belief(model)])[0]
+    t_cum = cumulative_rows(model.transition_rows)
+    e_cum = cumulative_rows(model.emission_rows)
     states, patterns = [], []
     s = draw_oracle(pi_cum, rng.random())
     for _ in range(n):
@@ -790,13 +804,13 @@ def simulate_oracle(model, scheduler, R1, R2, n, seed, dist=None, collect_trace=
     chain. Assumes valid arguments."""
     probabilistic = scheduler == "probabilistic"
     if probabilistic:
-        cum_rows = xc.channel._cumulative_rows(dist.table)
+        cum_rows = cumulative_rows(dist.table)
         mask = 4 ** dist.L - 1
     rng = random.Random(seed)
     belief = xc.init_belief(model)
-    pi_cum = xc.channel._cumulative_rows([belief])[0]
-    t_cum = xc.channel._cumulative_rows(model.transition_rows)
-    e_cum = xc.channel._cumulative_rows(model.emission_rows)
+    pi_cum = cumulative_rows([belief])[0]
+    t_cum = cumulative_rows(model.transition_rows)
+    e_cum = cumulative_rows(model.emission_rows)
     if not probabilistic:
         stats = xc.predict_stats(model, belief)
     state = QueueState()

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import xorcast as xc
-from xorcast.channel import BALANCE_TOL, _cumulative_rows, _pick, _uniforms, _words
+from xorcast.channel import BALANCE_TOL, _pick, _uniforms, _words
 
-from oracles import (aperiodic_oracle, draw_oracle, random_model, sparse_model,
-                     strongly_connected_oracle, trajectory_oracle)
+from oracles import (aperiodic_oracle, cumulative_rows, draw_oracle, random_model,
+                     sparse_model, strongly_connected_oracle, trajectory_oracle)
 
 
 def test_model_shapes_and_readonly(ref_model):
@@ -260,7 +260,7 @@ def test_draw_matches_linear_scan():
             total = sum(w) or 1.0
             rows.append(tuple(v / total for v in w))
     cases = 0
-    for cum in _cumulative_rows(rows):
+    for cum in cumulative_rows(rows):
         # every cumulative entry exactly, its neighbours, and the ends
         us = {0.0, 0.5, 0.95, 1.0 - 2 ** -53, cum[-1]}
         for c in cum:

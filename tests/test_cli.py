@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -196,6 +198,19 @@ def test_canonicalize_roundtrip(capsys, model_path, tmp_path, ref_model):
     canon.write_text(json.dumps(dict(payload, note="x")))
     code, _, err = run(capsys, ["canonicalize", "--model", model_path, "--dist", str(canon)])
     assert code == 3 and "unknown key 'note'" in err
+
+
+def test_canonicalize_golden(capsys, model_path, tmp_path):
+    # sha256 of the whole file written for a fixed L=2 distribution
+    rng = random.Random(5)
+    rows = [[rng.random() for _ in range(5)] for _ in range(16)]
+    dist_path = tmp_path / "dist.json"
+    xc.save_dist(xc.ActionDistribution(2, [[v / sum(r) for v in r] for r in rows]), dist_path)
+    code, out, _ = run(capsys, ["canonicalize", "--model", model_path,
+                                "--dist", str(dist_path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "83485a43cabf8e4782b0a68fc13c1840fed25e7f604eb1948d1c2f18002ca553")
 
 
 def test_dump_window_table(capsys, model_path):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -207,7 +208,7 @@ def test_refined_table_matches_enumeration():
 def test_window_stats_identities(ref_model):
     table = xc.window_table(ref_model, 2)
     for i in range(16):
-        st = table.stats(i)
+        st = xc.ErasureStats.from_pattern_probs(table.pattern_probs[i])
         assert abs(st.eps1 - (st.eps12 + st.eps1_n2)) < 1e-12
         assert abs(st.eps2 - (st.eps12 + st.eps_n12)) < 1e-12
 
@@ -233,7 +234,7 @@ def test_filter_agrees_with_window(ref_model):
         for c in codes:
             belief = xc.filter_step(ref_model, belief, xc.PATTERNS[c])
         want = xc.predict_stats(ref_model, belief)
-        got = table.stats(xc.window_index(codes))
+        got = xc.ErasureStats.from_pattern_probs(table.pattern_probs[xc.window_index(codes)])
         for f in ("eps1", "eps2", "eps12", "eps_n12", "eps1_n2"):
             assert abs(getattr(got, f) - getattr(want, f)) < 1e-12
 
@@ -262,7 +263,20 @@ def test_dump_window_table(ref_model):
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert row["window"] == "00"
     assert abs(float(row["prob"]) - table.probs[0]) < 1e-12
-    assert abs(float(row["eps1"]) - table.stats(0).eps1) < 1e-12
+    st = xc.ErasureStats.from_pattern_probs(table.pattern_probs[0])
+    assert abs(float(row["eps1"]) - st.eps1) < 1e-12
+
+
+def test_dump_window_table_golden(ref_model):
+    # sha256 of the whole CSV, so a drift in any column's format shows
+    def digest(table):
+        buf = io.StringIO()
+        xc.dump_window_table(table, buf)
+        return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest(xc.window_table(ref_model, 3)) == (
+        "8b5b721f55767a41d782ae065f1f778923d71b95603eddf12e28548cd2e11ff7")
+    assert digest(xc.window_table(random_model(random.Random(0), 3), 2)) == (
+        "324711c94e9f21b21fca9c9ec8d141ff6cf8104e9be48d0c63baa26d2bf4f627")
 
 
 def test_exhaustive_forgetting_reference(ref_model):

@@ -7,11 +7,11 @@ import pytest
 import xorcast as xc
 from xorcast import filtering, region
 from xorcast.cli import main as cli_main
-from xorcast.channel import _cumulative_rows, _pick
+from xorcast.channel import _pick
 from xorcast.region import witness_residual
 
-from oracles import (draw_oracle, feasible_vertices, highs_region, pipeline_max_flow,
-                     random_model, region_lp, robust_witness_xyt)
+from oracles import (cumulative_rows, draw_oracle, feasible_vertices, highs_region,
+                     pipeline_max_flow, random_model, region_lp, robust_witness_xyt)
 
 # frozen weighted-sum values for the two-state fixture, weights (1, 1)
 REF_SUMS = {
@@ -601,7 +601,7 @@ def test_loaded_dist_samples_by_the_documented_rule():
     row = [0.3, -1e-13, 0.2, 0.2, 0.3 + 1e-13]
     dist = xc.dist_from_dict({"L": 1, "actions": [row] * 4})
     assert (dist.table >= 0.0).all()
-    cums = _cumulative_rows(dist.table)
+    cums = cumulative_rows(dist.table)
     u = 0.29999999999995
     got = _pick(np.array(cums), np.full(4, u)).tolist()
     assert got == [draw_oracle(cum, u) for cum in cums] == [0] * 4
