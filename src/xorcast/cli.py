@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 
 from . import __version__
 from .channel import _read_json, forgetting_margin, load_model
@@ -246,12 +247,7 @@ def cmd_canonicalize(opts) -> int:
     dist = load_dist(opts.get("dist", required=True, kind=str))
     table = window_table(model, dist.L)
     new_dist, rep = canonicalize(dist, table)
-    payload = dist_to_dict(new_dist)
-    payload["case"] = rep.case
-    payload["theta"] = rep.theta
-    payload["cuts_before"] = {k: list(getattr(rep.cuts_before, k)) for k in "abcd"}
-    payload["cuts_after"] = {k: list(getattr(rep.cuts_after, k)) for k in "abcd"}
-    _write_json(opts.get("out", kind=str), payload)
+    _write_json(opts.get("out", kind=str), {**dist_to_dict(new_dist), **asdict(rep)})
     return 0
 
 

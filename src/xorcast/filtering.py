@@ -24,7 +24,6 @@ from .errors import ContractViolation, NumericalFailure, ResourceLimit, ZeroLike
 WINDOW_CAP = 10
 LANE = 32     # slots per lane of filter_path
 PASSES = 3    # lane passes of filter_path before it steps one slot at a time
-ROBUST_WINDOW_CAP = 4 ** 6   # most windows of a robust witness: 0.94 GB of dense LP at L = 6
 
 
 @dataclass(frozen=True)

@@ -20,21 +20,19 @@ delivery.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .channel import ChannelModel, _parse_matrix, _read_json
 from .errors import ContractViolation, ModelFormatError, NumericalFailure, ResourceLimit
-from .filtering import (ROBUST_WINDOW_CAP, WindowTable, _check_window_cap, _refined_table,
-                        window_table)
+from .filtering import WindowTable, _check_window_cap, _refined_table, window_table
 from .lp import LE, LinearProgram, solve
 
 CASE_TOL = 1e-10
 CUT_TOL = 1e-8   # how far a rate may exceed its cut and still pass achievable_check
 _TINY = 1e-15
-# what `xorcast canonicalize` writes beside a distribution's own keys
-_REPORT_KEYS = frozenset({"case", "theta", "cuts_before", "cuts_after"})
+ROBUST_WINDOW_CAP = 4 ** 6   # most windows of a robust witness: 0.94 GB of dense LP at L = 6
 _RATE_OF_ROW = (0, 0, 1, 1)  # the rate each row of _rate_rows bounds: R1, R1, R2, R2
 
 
@@ -118,6 +116,10 @@ class CanonicalizationReport:
     theta: float
     cuts_before: CutValues
     cuts_after: CutValues
+
+
+# what `xorcast canonicalize` writes beside a distribution's own keys
+_REPORT_KEYS = frozenset(f.name for f in fields(CanonicalizationReport))
 
 
 def _rate_terms(table: WindowTable):
