@@ -341,11 +341,16 @@ def empirical_forgetting(model: ChannelModel, L: int, horizon: int, seed: int,
     enumerate. History k is drawn from the model itself as
     sample_trajectory(model, horizon - 1, seed + k) draws it, so all have
     positive probability, and all histories are filtered together. The seed
-    must be nonnegative, so that no two histories share a seed."""
+    must be nonnegative, so that no two histories share a seed. More than
+    4**WINDOW_CAP sampled slots in all, the exhaustive table's row budget,
+    raise ResourceLimit before anything is drawn."""
     t = _check_horizon(L, horizon)
     _check_seed(seed)
     if samples < 1:
         raise ContractViolation("sample count must be at least 1")
+    if samples * t > 4 ** WINDOW_CAP:
+        raise ResourceLimit(f"{samples} histories of {t} slots exceed the cap of "
+                            f"4**{WINDOW_CAP} sampled slots")
     pi = init_belief(model)
     codes = _draw_codes(_path_cums(model, pi), t, range(seed, seed + samples))
     a = predict_pattern_probs(model, _filter_batch(model, pi, codes))

@@ -161,6 +161,16 @@ def test_forgetting_rejects_bad_counts(capsys, model_path):
         assert "window length must be at least 1" in err
 
 
+def test_forgetting_sample_cap_exits_2(capsys, model_path, monkeypatch):
+    # 256 default histories of 10**8 slots: refused before a double is drawn
+    def no_draw(*args):
+        raise AssertionError("drew a path past the cap")
+    monkeypatch.setattr(xc.filtering, "_draw_codes", no_draw)
+    code, out, err = run(capsys, ["forgetting", "--model", model_path, "--L", "1",
+                                  "--horizon", "100000000"])
+    assert code == 2 and out == "" and "exceed the cap" in err
+
+
 def test_negative_seed_exits_2(capsys, model_path):
     # a negative seed would replay its positive twin
     for cmd in (["simulate", "--model", model_path, "--scheduler", "maxweight",

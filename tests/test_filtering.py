@@ -378,6 +378,17 @@ def test_empirical_forgetting_needs_a_sample(ref_model):
             xc.empirical_forgetting(ref_model, 2, 12, seed=1, samples=samples)
 
 
+def test_empirical_forgetting_sample_cap(ref_model, monkeypatch):
+    # one sampled slot past 4**WINDOW_CAP raises before a double is drawn
+    def no_draw(*args):
+        raise AssertionError("drew a path past the cap")
+    monkeypatch.setattr(xc.filtering, "_draw_codes", no_draw)
+    cap = 4 ** xc.filtering.WINDOW_CAP
+    for horizon, samples in ((cap + 2, 1), (2, cap + 1)):
+        with pytest.raises(xc.ResourceLimit, match="exceed the cap"):
+            xc.empirical_forgetting(ref_model, 1, horizon, seed=0, samples=samples)
+
+
 def test_empirical_forgetting_rejects_negative_seed(ref_model):
     # seeds -128..127 would draw each history of seeds 1..127 twice
     with pytest.raises(xc.ContractViolation, match="negative"):
