@@ -217,10 +217,24 @@ def test_substitute_ladder():
     for a in (FRESH1, FRESH2, MIX_FRESH, REMEDY):
         assert substitute_action(a, 0, 0, 0, 0, 0) == IDLE
     assert substitute_action(FRESH1, 1, 0, 0, 0, 0) == FRESH1
+    assert substitute_action(FRESH1, 0, 0, 1, 0, 0) == SUB1
+    assert substitute_action(FRESH2, 0, 0, 0, 1, 0) == SUB2
+    assert substitute_action(FRESH2, 0, 1, 0, 1, 0) == FRESH2
     assert substitute_action(MIX_FRESH, 1, 0, 0, 0, 0) == IDLE
     for unknown in (IDLE, SUB1, 6):   # not a sampled transmit action
         with pytest.raises(xc.ContractViolation):
             substitute_action(unknown, *both)
+
+
+def test_probabilistic_drains_overheard_queue_at_a_corner(ref_model):
+    # at the single-user corner lambda = 0.65 of the L=1 region the backlog
+    # XOR is almost never sampled, so the overheard queue of receiver j
+    # drains only through a sampled FRESHj with an empty fresh queue
+    wit, dist, _ = xc.simulation_distribution(xc.window_table(ref_model, 1), 0.65)
+    for seed in (1, 2):
+        rep = xc.simulate(ref_model, "probabilistic", 0.9 * wit.R1, 0.9 * wit.R2,
+                          200_000, seed, dist=dist)
+        assert xc.stability_verdict(rep) == "Stable", (seed, rep.final_backlog)
 
 
 def test_sub_transmits_stored_proxy():
@@ -733,15 +747,15 @@ def test_load_trace_rejects_non_integer_claim(tmp_path, capsys):
 # with the row-indexed filter that the column kernel replaced; the max-weight
 # digests since max-weight scores a lone overheard queue (SUB1 or SUB2)
 PINNED_RUNS = {
-    (0.95, "probabilistic", 1): "0aa18bc24845159def00248a526b2ac21668ca44f7e3cc98ea1ac0be73a83c18",
-    (0.95, "probabilistic", 2): "f39ae1e83d4967d2a1d712d0b9a426d4633a307af321eb3f247f7f9f8a6a4a67",
-    (0.95, "probabilistic", 4): "a5da3c07b9da1b5c6f022642b1bff1a5f3678ba46b722757fcc1e39d5960edd7",
+    (0.95, "probabilistic", 1): "148aafe8a6d4f1a603a9ebfdac87940dd66af0b85643acb64a0a8e78d2dface0",
+    (0.95, "probabilistic", 2): "07c3968bbd894cc7ff453acec8427f6d53220c3dd8792ae11343af51b577ee04",
+    (0.95, "probabilistic", 4): "e7f9334079d7dd38ec1cff4e453c13d12fd1a274aa979fd21ac1c64c3ddff867",
     (0.95, "maxweight", 1): "6ad8324f3ba0efeb708cab409c3da761c76d6fe20ecfb120d61ce149aab94176",
     (0.95, "maxweight", 2): "275c8266b24d99ba31f90d72aa7133eba0e2d22487ae13a978db7b5a6160a46d",
     (0.95, "maxweight", 4): "5aa0e281d16c506f890f23f2a403ec722ec0e26f36f5cd6442274feb8458309c",
-    (1.10, "probabilistic", 1): "378de6519f151997ca6a03b09f498614282d2ae739fec3a152290c3a70ad6cf9",
-    (1.10, "probabilistic", 2): "8c23eedb59ccadaf8e9de161989c23528f8c297451bf028185068c1a4f1a844e",
-    (1.10, "probabilistic", 4): "42e929c53f9b0dcf96d83a9a0fc4225e8b89d2ac2e5c6e03fc049cb155be542a",
+    (1.10, "probabilistic", 1): "3770ca2c0471219c8c8461991012d7962ec7058f682a294bbc2d367cb6b3c283",
+    (1.10, "probabilistic", 2): "9dcaf8261fa4e29dfd9e378995d1908450c6fdc0b45a741762cabdab06eb284c",
+    (1.10, "probabilistic", 4): "beadb553ac8cc698722c1283c739dbaa5533bb872b35a9c6d69b15a34821a566",
     (1.10, "maxweight", 1): "dc853058ae05061096a6f955ffee9cdbf575a4730dccec3bd693fd8df0cd09c9",
     (1.10, "maxweight", 2): "bc635639372a9e061fa2062273d4b81795ca759c5fd687f6963e1a5904ae1d38",
     (1.10, "maxweight", 4): "ed0048053511e8c3fc3aad9aedc96e9d1c9a803665427e65096f42d3dd2a7522",
