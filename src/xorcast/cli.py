@@ -4,8 +4,7 @@ Subcommands: region, simulate, forgetting, verify, canonicalize,
 dump-window-table. Options can come from a JSON config file (--config);
 explicit flags win over config values. Exit codes: 0 success, 1 numerical
 or verification failure, 2 configuration or file problems (a window length
-or a sampled forgetting draw above a cap among them), 3 malformed data
-files.
+or a sampled forgetting draw above a cap among them), 3 malformed data files.
 """
 
 from __future__ import annotations
@@ -212,9 +211,8 @@ def cmd_forgetting(opts) -> int:
     seed = opts.get("seed", default=0, kind=int)
     samples = opts.get("samples", default=256, kind=int)
     rows = []   # all rows first, so an error leaves no partial CSV
-    exhaustive = horizon <= 9   # at most 4**8 = 65536 histories to enumerate
     for L in range(1, l_max + 1):
-        if exhaustive:
+        if horizon <= 9:    # at most 4**8 = 65536 histories to enumerate
             tv = exhaustive_forgetting(model, L, horizon)
             method = "exhaustive"
         else:

@@ -178,7 +178,7 @@ def predict_stats(model: ChannelModel, belief) -> ErasureStats:
 
 
 def window_index(codes) -> int:
-    """Base-4 index of a pattern window, oldest slot most significant."""
+    """Base-4 index of a window of pattern indices, the oldest most significant."""
     idx = 0
     for c in codes:
         idx = idx * 4 + c
@@ -342,15 +342,14 @@ def empirical_forgetting(model: ChannelModel, L: int, horizon: int, seed: int,
     sample_trajectory(model, horizon - 1, seed + k) draws it, so all have
     positive probability, and all histories are filtered together. The seed
     must be nonnegative, so that no two histories share a seed. More than
-    4**WINDOW_CAP sampled slots in all, the exhaustive table's row budget,
-    raise ResourceLimit before anything is drawn."""
+    4**WINDOW_CAP slots in all, a window table's row cap, raise
+    ResourceLimit before anything is drawn."""
     t = _check_horizon(L, horizon)
     _check_seed(seed)
     if samples < 1:
         raise ContractViolation("sample count must be at least 1")
     if samples * t > 4 ** WINDOW_CAP:
-        raise ResourceLimit(f"{samples} histories of {t} slots exceed the cap of "
-                            f"4**{WINDOW_CAP} sampled slots")
+        raise ResourceLimit(f"{samples} x {t} sampled slots exceed the cap of 4**{WINDOW_CAP}")
     pi = init_belief(model)
     codes = _draw_codes(_path_cums(model, pi), t, range(seed, seed + samples))
     a = predict_pattern_probs(model, _filter_batch(model, pi, codes))

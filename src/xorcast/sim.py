@@ -90,11 +90,9 @@ def substitute_action(sampled: int, n11: int, n12: int, n21: int, n22: int, n3: 
     transmit action 1..5 and the queue lengths: n1j and n2j are the fresh
     and overheard queues of receiver j, n3 the poisoned pairs.
 
-    A sampled action with an empty source idles, with two exceptions that
-    send an uncoded retransmission of an overheard head packet (SUB1 or
-    SUB2) instead: the backlog XOR with exactly one nonempty overheard
-    queue sends from that queue, and a fresh send to receiver j with an
-    empty fresh queue sends from receiver j's overheard queue.
+    A sampled action with an empty source idles, except two that send the
+    head of an overheard queue uncoded (SUBj): the backlog XOR when only
+    receiver j's holds packets, and FRESHj when receiver j has none fresh.
     """
     if sampled == FRESH1:
         return FRESH1 if n11 else SUB1 if n21 else IDLE

@@ -10,7 +10,8 @@ searches instead of a boolean reachability closure. The
 row-indexed filter update and prediction are the exception: they repeat
 the library's arithmetic term by term, so the column kernels must match
 them exactly. So are the one-at-a-time forms of batched code (the
-depth-first window table, the per-sample forgetting loop, the json.dumps
+depth-first window table, the running sums of the rows drawn from, the
+per-sample forgetting loop, the json.dumps
 and f-string trace writers, the json.loads trace reader, the
 slot-at-a-time simulation with its queue move as one function, _apply,
 the row-by-row simplex setup and its iteration as three methods): the

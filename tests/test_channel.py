@@ -274,6 +274,10 @@ def test_draw_matches_linear_scan():
             assert g == t == draw_oracle(cum, u), (cum, u)
             cases += 1
     assert cases > 3000
+    # the package's rows come from np.cumsum, the same left fold
+    for n in (1, 2, 3, 4, 5, 7):
+        block = [row for row in rows if len(row) == n]
+        assert np.cumsum(block, axis=-1).tolist() == list(map(list, cumulative_rows(block)))
 
 
 def test_uniforms_match_random():
