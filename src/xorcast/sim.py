@@ -20,6 +20,7 @@ import functools
 import gc
 import json
 import random
+import re
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -543,16 +544,24 @@ _CHUNK = 4096            # trace lines write_trace hands to the file at once
 def write_trace(trace, out) -> None:
     """Write a JSON-lines trace to the open text file out, one record per
     transmission, formatted as json.dumps formats the record's dict. Every
-    field goes through str(), as an f-string would format it."""
-    lines, templates = [], {}   # one %-template per combination width
+    field goes through str(), as an f-string would format it. Each row shape
+    (combination width, the truth of each heard flag, claim count) has one
+    %-template with the flags and the claim brackets written in."""
+    lines, templates = [], {}
     for slot, action, combo, r1, r2, delivered in trace:
-        n = len(combo)
-        if n not in templates:
-            templates[n] = ('{"slot": %s, "action": %s, "combo": [' + ", ".join(["%s"] * n) +
-                            '], "received_rx1": %s, "received_rx2": %s, "delivered": [%s]}\n')
-        claims = ", ".join(["[%s, %s]" % (j, pid) for j, pid in delivered]) if delivered else ""
-        lines.append(templates[n] % (slot, action, *combo, "true" if r1 else "false",
-                                     "true" if r2 else "false", claims))
+        args = (slot, action, *combo)
+        for j, pid in delivered:    # claims may be any iterable, so count them here
+            args += (j, pid)
+        shape = (len(combo), bool(r1), bool(r2), len(args))
+        template = templates.get(shape)
+        if template is None:
+            n, h1, h2, width = shape
+            template = templates[shape] = (
+                '{"slot": %s, "action": %s, "combo": [' + ", ".join(["%s"] * n) +
+                f'], "received_rx1": {"true" if h1 else "false"}, '
+                f'"received_rx2": {"true" if h2 else "false"}, "delivered": [' +
+                ", ".join(["[%s, %s]"] * ((width - 2 - n) // 2)) + ']}\n')
+        lines.append(template % args)
         if len(lines) == _CHUNK:
             out.write("".join(lines))
             lines.clear()
@@ -561,25 +570,47 @@ def write_trace(trace, out) -> None:
 
 _JSON_SPACE = " \t\n\r"     # what json.loads skips around a value
 _decode = json.JSONDecoder().raw_decode
+_ID = rb"(0|-?[1-9][0-9]{0,17})"     # an int as str() writes it, far below the digit limit
+# A line as write_trace writes a row of simulate, and no other text: one id
+# or two distinct ones (str() gives each int one spelling, so the lookahead
+# refuses a second id whose text repeats the first), a transmit code 1..5,
+# the two heard flags, and up to two claims to receivers 1 and 2.
+_CANONICAL = re.compile(
+    rb'\{"slot": ' + _ID + rb', "action": ([1-5]), "combo": \[' + _ID +
+    rb'(?:, (?!\3\])' + _ID + rb')?\], "received_rx1": (true|false), '
+    rb'"received_rx2": (true|false), "delivered": \[(?:\[([12]), ' + _ID +
+    rb'\](?:, \[([12]), ' + _ID + rb'\])?)?\]\}\n?')
 
 
 @_gc_paused
 def load_trace(path) -> list:
-    """Read a JSON-lines trace. Malformed lines, among them text that is not
-    UTF-8, a combination that is not one packet id or two distinct ones, or
-    a delivery claim that is not two integers or names a receiver other
-    than 1 or 2, raise TraceFormatError with the 1-based line number, as
-    does an action other than the transmit codes 1..5 that write_trace
-    writes. Ids, receivers, slots and actions must be JSON integers: a
-    float, a string or a bool is rejected, not converted. A line is parsed
-    as json.loads parses it, its rules written out (JSON whitespace around
-    the value, "Extra data" after it, no byte order mark), and a value
-    nested deeper than the decoder's recursion limit is malformed too, as
-    is an integer longer than the interpreter converts; lines that
-    str.strip() empties are skipped."""
+    """Read a JSON-lines trace. A line exactly as write_trace writes a row
+    of simulate (_CANONICAL) becomes its row straight from the pattern's
+    groups. Every other line, valid or not, is parsed as json.loads parses
+    it, its rules written out (JSON whitespace around the value, "Extra
+    data" after it, no byte order mark), and its record is checked.
+    Malformed lines, among them text that is not UTF-8, a combination that
+    is not one packet id or two distinct ones, or a delivery claim that is
+    not two integers or names a receiver other than 1 or 2, raise
+    TraceFormatError with the 1-based line number, as does an action other
+    than the transmit codes 1..5 that write_trace writes. Ids, receivers,
+    slots and actions must be JSON integers: a float, a string or a bool is
+    rejected, not converted. A value nested deeper than the decoder's
+    recursion limit is malformed too, as is an integer longer than the
+    interpreter converts; lines that str.strip() empties are skipped."""
     rows = []
+    canonical = _CANONICAL.fullmatch
     with open(path, "rb") as f:
         for i, raw in enumerate(f, start=1):
+            m = canonical(raw)
+            if m is not None:
+                slot, action, c1, c2, r1, r2, j1, p1, j2, p2 = m.groups()
+                rows.append((int(slot), int(action),
+                             (int(c1),) if c2 is None else (int(c1), int(c2)),
+                             r1 == b"true", r2 == b"true",
+                             () if j1 is None else ((int(j1), int(p1)),) if j2 is None else
+                             ((int(j1), int(p1)), (int(j2), int(p2)))))
+                continue
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as e:

@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from bisect import bisect_right
 from collections import deque
 from functools import reduce
@@ -269,6 +270,9 @@ def load_trace_oracle(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise xc.TraceFormatError(f"line {i}: {e.msg}", line=i) from e
+            except ValueError as e:     # int() refuses an integer past the digit limit
+                raise xc.TraceFormatError(f"line {i}: integer longer than "
+                                          f"{sys.get_int_max_str_digits()} digits", line=i) from e
             try:
                 slot = obj["slot"]
                 action = obj["action"]

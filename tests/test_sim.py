@@ -804,6 +804,25 @@ def test_trace_round_trip(tmp_path, ref_model):
     assert xc.load_trace(blank) == []
 
 
+def test_load_trace_reads_written_lines_without_json(tmp_path, ref_model, monkeypatch):
+    # every line write_trace writes from a run, SUB, REMEDY, MIX_FRESH and
+    # two-claim rows among them, takes the compiled canonical-line path
+    def refuse(*args):
+        raise AssertionError("a written trace line went through raw_decode")
+
+    wit, dist, _ = xc.simulation_distribution(xc.window_table(ref_model, 2), 0.5)
+    monkeypatch.setattr(xc.sim, "_decode", refuse)
+    path = tmp_path / "trace.jsonl"
+    for sched in ("probabilistic", "maxweight"):
+        trace = xc.simulate(ref_model, sched, 0.95 * wit.R1, 0.95 * wit.R2, 3000, 3,
+                            dist=dist, collect_trace=True).trace
+        assert any(row[1] == XOR_BACKLOG and len(row[2]) == 1 for row in trace)
+        assert {REMEDY, MIX_FRESH} <= {row[1] for row in trace}
+        assert any(len(row[5]) == 2 for row in trace)
+        xc.save_trace(trace, path)
+        assert xc.load_trace(path) == trace
+
+
 def test_save_trace_matches_json_oracle(tmp_path, ref_model):
     wit, dist, _ = xc.simulation_distribution(xc.window_table(ref_model, 2), 0.5)
     traces = [xc.simulate(ref_model, sched, 0.95 * wit.R1, 0.95 * wit.R2, 3000, 3,
@@ -840,6 +859,19 @@ def test_write_trace_matches_fstring_oracle(ref_model):
     got, want = io.StringIO(), io.StringIO()
     xc.sim.write_trace(iter(odd), got)      # any iterable of rows will do
     write_trace_fstring(odd, want)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_write_trace_reads_claims_from_any_iterable():
+    # a row's template is chosen after its claims are read, so claims that
+    # are an iterator, a generator or lists format as the f-strings do
+    def rows():
+        return [(0, FRESH1, (7,), True, False, iter([(1, 7)])),
+                (1, XOR_BACKLOG, [7, 8], 1, "", ([1, 7], (2, 8))),
+                (2, REMEDY, (9,), False, True, (claim for claim in [(2, 9)]))]
+    got, want = io.StringIO(), io.StringIO()
+    xc.sim.write_trace(rows(), got)
+    write_trace_fstring(rows(), want)
     assert got.getvalue() == want.getvalue()
 
 
@@ -885,6 +917,25 @@ READER_CASES = [
     (_record(delivered=[[1, 7], [3, "x"]]), "line 1: delivery claim [3, 'x'] is not two integers"),
     (_record(delivered=[[1, 7], [0, 5]]),
      "line 1: delivery claim names receiver 0; receivers are 1 and 2"),
+    # text beside what write_trace writes: the lines the compiled pattern
+    # refuses go through json and the record checks
+    (GOOD.replace("[7, 8]", "[-0, 8]") + "\n", 1),
+    (GOOD.replace("[7, 8]", "[0, -0]") + "\n",
+     "line 1: combination [0, 0] is not one packet id or two distinct ones"),
+    (GOOD.replace("[7, 8]", "[07, 8]") + "\n", "line 1: Expecting ',' delimiter"),
+    (_record(combo=[-5, 10 ** 17 + 1], delivered=[[2, -5]]) + "\n", 1),     # 18 digits
+    (_record(combo=[10 ** 18], delivered=[[1, -10 ** 18]]) + "\n", 1),       # 19 digits
+    pytest.param(GOOD.replace("[7, 8]", "[" + "9" * 4301 + ", 8]") + "\n",
+                 "line 1: integer longer than 4300 digits", id="4301-digit-id"),
+    (_record(combo=[7, 7]) + "\n",
+     "line 1: combination [7, 7] is not one packet id or two distinct ones"),
+    (_record(delivered=[[1, 7], [2, 8], [1, 8]]) + "\n", 1),
+    (_record(delivered=[[3, 7]]) + "\n",
+     "line 1: delivery claim names receiver 3; receivers are 1 and 2"),
+    (_record(action=0) + "\n", "line 1: action 0 is not a transmit action code 1..5"),
+    (_record(action=6) + "\n", "line 1: action 6 is not a transmit action code 1..5"),
+    (json.dumps(dict(reversed(json.loads(GOOD).items()))) + "\n", 1),
+    (GOOD + "\n" + _record(delivered=[]), 2),
 ]
 
 
