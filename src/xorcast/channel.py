@@ -221,19 +221,17 @@ def _walk(cums, s: int, u_pat, u_next):
     return states, _pick(e_cum[states], u_pat), s
 
 
-def _draw_codes(cums, n: int, seeds):
-    """Pattern indices of n slots per seed (one column each), drawn as
-    sample_trajectory draws them from the start distribution of cums: one
-    generator reseeded per path gives its 2n + 1 doubles."""
+def _draw_codes(cums, n: int, seed: int, samples: int):
+    """Pattern indices of n slots for each of samples paths (one column
+    each) from the start distribution of cums, all from one generator seeded
+    with seed: path k takes doubles k(2n + 1) to (k + 1)(2n + 1) - 1 of its
+    stream, in the order sample_trajectory uses them. So path 0 is
+    sample_trajectory's for seed, and fewer samples draw a prefix of more."""
     pi_cum, t_cum, e_cum = cums
-    rng = random.Random()
-    raw = bytearray()
-    for seed in seeds:
-        rng.seed(seed)
-        raw += _words(rng, 2 * n + 1)
-    u = _uniforms(raw).reshape(len(seeds), 2 * n + 1).T
+    u = _uniforms(_words(random.Random(seed), samples * (2 * n + 1)))
+    u = u.reshape(samples, 2 * n + 1).T
     s = _pick(pi_cum, u[0])
-    codes = np.empty((n, len(seeds)), dtype=np.intp)
+    codes = np.empty((n, samples), dtype=np.intp)
     for i in range(n):
         codes[i] = _pick(e_cum[s], u[2 * i + 1])
         s = _pick(t_cum[s], u[2 * i + 2])

@@ -338,11 +338,13 @@ def _filter_batch(model: ChannelModel, pi, codes):
 def empirical_forgetting(model: ChannelModel, L: int, horizon: int, seed: int,
                          samples: int = 256) -> float:
     """Sampled version of exhaustive_forgetting for horizons too long to
-    enumerate. History k is drawn from the model itself as
-    sample_trajectory(model, horizon - 1, seed + k) draws it, so all have
-    positive probability, and all histories are filtered together. The seed
-    must be nonnegative, so that no two histories share a seed. More than
-    4**WINDOW_CAP slots in all, a window table's row cap, raise
+    enumerate. Every history is drawn from the model itself, so all have
+    positive probability, by one generator seeded with seed: history k takes
+    the next 2 * horizon - 1 doubles of its stream after history k - 1, in
+    the order sample_trajectory uses them, so history 0 is
+    sample_trajectory(model, horizon - 1, seed)'s. All histories are filtered
+    together. The seed must be nonnegative, since random.Random seeds -s as
+    s. More than 4**WINDOW_CAP slots in all, a window table's row cap, raise
     ResourceLimit before anything is drawn."""
     t = _check_horizon(L, horizon)
     _check_seed(seed)
@@ -351,7 +353,7 @@ def empirical_forgetting(model: ChannelModel, L: int, horizon: int, seed: int,
     if samples * t > 4 ** WINDOW_CAP:
         raise ResourceLimit(f"{samples} x {t} sampled slots exceed the cap of 4**{WINDOW_CAP}")
     pi = init_belief(model)
-    codes = _draw_codes(_path_cums(model, pi), t, range(seed, seed + samples))
+    codes = _draw_codes(_path_cums(model, pi), t, seed, samples)
     a = predict_pattern_probs(model, _filter_batch(model, pi, codes))
     b = predict_pattern_probs(model, _filter_batch(model, pi, codes[t - L:]))
     return float(sum(abs(u - v) for u, v in zip(a, b)).max())

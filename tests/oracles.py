@@ -144,10 +144,10 @@ def sparse_model(rng, n_states):
     return xc.ChannelModel(transition, emission)
 
 
-def trajectory_oracle(model, n, seed):
+def trajectory_oracle(model, n, rng):
     """sample_trajectory one rng.random() call and one linear-scan draw at
-    a time."""
-    rng = random.Random(seed)
+    a time, from the generator rng and advancing it: for a fresh
+    random.Random(seed), sample_trajectory(model, n, seed)."""
     pi_cum = cumulative_rows([xc.init_belief(model)])[0]
     t_cum = cumulative_rows(model.transition_rows)
     e_cum = cumulative_rows(model.emission_rows)
@@ -214,13 +214,15 @@ def window_table_dfs(model, L):
 
 
 def empirical_forgetting_loop(model, L, horizon, seed, samples):
-    """empirical_forgetting one sampled history at a time, through
-    sample_trajectory and filter_step."""
+    """empirical_forgetting one sampled history at a time: each drawn by
+    trajectory_oracle from where the last left one generator seeded with
+    seed, then filtered through filter_step."""
     t = horizon - 1
     worst = 0.0
     pi = xc.init_belief(model)
-    for k in range(samples):
-        _, patterns = xc.sample_trajectory(model, t, seed + k)
+    rng = random.Random(seed)
+    for _ in range(samples):
+        _, patterns = trajectory_oracle(model, t, rng)
         full = pi
         for p in patterns:
             full = xc.filter_step(model, full, p)

@@ -299,4 +299,5 @@ def test_trajectory_matches_scalar_draws(ref_model):
     models = [ref_model, random_model(rng, 1), random_model(rng, 3), sparse_model(rng, 4)]
     for model in models:
         for n, seed in ((0, 2), (1, 0), (7, 5), (300, 11)):
-            assert xc.sample_trajectory(model, n, seed) == trajectory_oracle(model, n, seed)
+            assert xc.sample_trajectory(model, n, seed) == trajectory_oracle(
+                model, n, random.Random(seed))

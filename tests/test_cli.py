@@ -4,11 +4,14 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import xorcast as xc
 from xorcast.cli import main
+
+BENCH_MODEL = Path(__file__).resolve().parents[1] / "bench" / "ref_model.json"
 
 
 @pytest.fixture()
@@ -221,6 +224,15 @@ def test_canonicalize_golden(capsys, model_path, tmp_path):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "83485a43cabf8e4782b0a68fc13c1840fed25e7f604eb1948d1c2f18002ca553")
+
+
+def test_forgetting_sampled_golden(capsys):
+    # sha256 of the CSV of a sampled run: a reordered draw changes its TVs
+    code, out, _ = run(capsys, ["forgetting", "--model", str(BENCH_MODEL), "--L", "3",
+                                "--horizon", "12", "--seed", "5", "--samples", "64"])
+    assert code == 0 and out.count("empirical") == 3
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "11850624557eec68a934ced220a3c24ddfb77ff49745a7976e9cba312066bf5d")
 
 
 def test_dump_window_table(capsys, model_path):

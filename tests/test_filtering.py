@@ -13,6 +13,7 @@ import pytest
 
 import xorcast as xc
 
+from xorcast.channel import _draw_codes, _path_cums
 from xorcast.filtering import (LANE, _filter_batch, _refined_table, _step, _step_batch,
                                filter_path)
 
@@ -364,6 +365,19 @@ def test_empirical_forgetting_matches_loop_oracle(ref_model):
                 assert got == empirical_forgetting_loop(model, L, 12, seed, samples)
 
 
+def test_sampled_histories_share_one_stream(ref_model):
+    # one generator per draw: history 0 is sample_trajectory's path for the
+    # seed, and a draw of k histories is the first k columns of a larger one
+    rng = random.Random(31)
+    for model in (ref_model, random_model(rng, 3), sparse_model(rng, 4)):
+        cums = _path_cums(model, xc.init_belief(model))
+        for t, seed, k in ((1, 0, 1), (7, 123, 9), (11, 5, 64)):
+            codes = _draw_codes(cums, t, seed, k + 7)
+            _, patterns = xc.sample_trajectory(model, t, seed)
+            assert codes[:, 0].tolist() == [xc.PATTERN_INDEX[z] for z in patterns]
+            assert np.array_equal(_draw_codes(cums, t, seed, k), codes[:, :k])
+
+
 def test_exhaustive_forgetting_frozen_horizon9(ref_model):
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
@@ -390,7 +404,8 @@ def test_empirical_forgetting_sample_cap(ref_model, monkeypatch):
 
 
 def test_empirical_forgetting_rejects_negative_seed(ref_model):
-    # seeds -128..127 would draw each history of seeds 1..127 twice
+    # random.Random(-128) seeds as random.Random(128) does, so -128 would
+    # replay seed 128's histories
     with pytest.raises(xc.ContractViolation, match="negative"):
         xc.empirical_forgetting(ref_model, 2, 12, -128, 256)
 

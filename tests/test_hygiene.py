@@ -84,6 +84,28 @@ def test_collector_paused_in_one_place():
     assert found == {("sim.py", "_gc_paused")}, found
 
 
+def test_generators_made_once_per_run():
+    # a run seeds one generator once, where it is made: reseeding costs more
+    # than the doubles a short path draws from it
+    reseeded, made = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "random":
+                    made.add((path.name, f"line {node.lineno}: from random import", None))
+                if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+                    continue
+                if node.func.attr == "seed":
+                    reseeded.append(f"{path.name}:{node.lineno}")
+                elif (node.func.attr == "Random" and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "random"):
+                    made.add((path.name, getattr(top, "name", None),
+                              len(node.args) + len(node.keywords)))
+    assert not reseeded, "seed calls in src/xorcast: " + ", ".join(reseeded)
+    assert made == {("channel.py", "_draw_codes", 1), ("channel.py", "sample_trajectory", 1),
+                    ("sim.py", "simulate", 1)}, made
+
+
 def test_unread_imports_are_traced_names():
     # an imported name that its module never reads is dead, unless the
     # traced benchmark replaces it there by name (bench/tracing.py WRAPPED)
