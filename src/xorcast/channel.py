@@ -189,8 +189,11 @@ def _pick(cum, u):
     above u, else the last index. For a nondecreasing row that is the count
     of entries at or below u among all but the last, and every row drawn
     from in the package is one: a running sum of nonnegative
-    probabilities."""
-    return (cum[..., :-1] <= u[..., None]).sum(axis=-1)
+    probabilities. It is counted one column at a time."""
+    count = np.zeros(np.broadcast_shapes(cum.shape[:-1], u.shape), dtype=np.intp)
+    for j in range(cum.shape[-1] - 1):
+        count += cum[..., j] <= u
+    return count
 
 
 def _check_seed(seed: int) -> None:
@@ -218,7 +221,7 @@ def _walk(cums, s: int, u_pat, u_next):
     for i in range(len(u_next)):
         states.append(s)
         s = nxt[s][i]
-    return states, _pick(e_cum[states], u_pat), s
+    return states, _pick(np.take(e_cum, states, axis=0), u_pat), s
 
 
 def _draw_codes(cums, n: int, seed: int, samples: int):
@@ -229,12 +232,12 @@ def _draw_codes(cums, n: int, seed: int, samples: int):
     sample_trajectory's for seed, and fewer samples draw a prefix of more."""
     pi_cum, t_cum, e_cum = cums
     u = _uniforms(_words(random.Random(seed), samples * (2 * n + 1)))
-    u = u.reshape(samples, 2 * n + 1).T
+    u = np.ascontiguousarray(u.reshape(samples, 2 * n + 1).T)   # row j: double j of each path
     s = _pick(pi_cum, u[0])
     codes = np.empty((n, samples), dtype=np.intp)
     for i in range(n):
-        codes[i] = _pick(e_cum[s], u[2 * i + 1])
-        s = _pick(t_cum[s], u[2 * i + 2])
+        codes[i] = _pick(np.take(e_cum, s, axis=0), u[2 * i + 1])
+        s = _pick(np.take(t_cum, s, axis=0), u[2 * i + 2])
     return codes
 
 

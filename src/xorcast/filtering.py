@@ -72,16 +72,17 @@ def _step(model: ChannelModel, belief, z: int):
 
 
 def _step_batch(model: ChannelModel, belief, z):
-    """_step over a batch of beliefs held as one vector per state, with z
-    one pattern index for all rows or one per row. Every row does _step's
-    floating-point operations in _step's order; a row of zero likelihood
-    keeps its belief and reports likelihood 0."""
-    post = list(map(mul, belief, model.emission[:, z]))
-    ell = sum(post)
+    """_step over a batch of beliefs held as one array per state, with z
+    one pattern index for all rows or one per row, broadcast against them.
+    Every row does _step's floating-point operations in _step's order (its
+    folds start from the first term, not 0.0, as no term is -0.0); a row of
+    zero likelihood keeps its belief and reports likelihood 0."""
+    post = list(map(mul, belief, np.take(model.emission, z, axis=1)))
+    ell = reduce(add, post)
     dead = ell <= 0.0
     masked = dead.any()
     inv = 1.0 / (np.where(dead, 1.0, ell) if masked else ell)
-    nxt = tuple([sum(map(mul, post, col)) * inv for col in model.transition_cols])
+    nxt = tuple([reduce(add, map(mul, post, col)) * inv for col in model.transition_cols])
     if masked:
         nxt = tuple([np.where(dead, b, v) for b, v in zip(belief, nxt)])
         ell = np.where(dead, 0.0, ell)
@@ -257,22 +258,18 @@ def _extend(model: ChannelModel, belief, probs: np.ndarray, L: int) -> WindowTab
     Level d holds one belief and one probability per row and length-d
     prefix, and the children of row i are rows 4i..4i+3 of level d+1, so
     row r * 4**L + i of the last level holds start row r and window i. A
-    probability is the start row's times the product of one-step
-    likelihoods; an impossible prefix passes probability 0 down its whole
-    subtree, and its rows carry the prediction from a uniform state belief.
+    level is one _step_batch call on (pattern, row) arrays, read out in
+    column order. A probability is the start row's times the product of
+    one-step likelihoods; an impossible prefix passes probability 0 down its
+    whole subtree, and its rows carry the prediction from a uniform belief.
     """
     for _ in range(L):
-        child = tuple(np.empty(4 * len(probs)) for _ in belief)
-        child_probs = np.empty(4 * len(probs))
-        for z in range(4):
-            nxt, ell = _step_batch(model, belief, z)
-            for dst, src in zip(child, nxt):
-                dst[z::4] = src
-            np.multiply(probs, ell, out=child_probs[z::4])
-        belief, probs = child, child_probs
-    pattern_probs = np.empty((len(probs), 4))
+        belief, ell = _step_batch(model, belief, np.arange(4)[:, None])
+        belief = tuple(np.ravel(b, order="F") for b in belief)
+        probs = np.ravel(probs * ell, order="F")
+    pattern_probs = np.empty((len(probs), 4), order="F")
     for k, col in enumerate(model.emission_cols):
-        pattern_probs[:, k] = sum(map(mul, belief, col))
+        pattern_probs[:, k] = reduce(add, map(mul, belief, col))
     uniform = tuple(1.0 / model.num_states for _ in range(model.num_states))
     pattern_probs[probs <= 0.0] = predict_pattern_probs(model, uniform)
     total = probs.sum()
@@ -301,6 +298,40 @@ def _check_horizon(L: int, horizon: int) -> int:
     return horizon - 1
 
 
+def _forgetting(model: ChannelModel, Ls, horizon: int, seed=None, samples=None):
+    """exhaustive_forgetting, or with a seed empirical_forgetting, for each
+    window length in Ls. What does not depend on L is done once for all: the
+    full table, or the sampled histories and their full-history filter."""
+    for L in Ls:
+        t = _check_horizon(L, horizon)     # horizon - 1 for every L
+    if seed is None:
+        full = window_table(model, t)
+        dead = full.probs <= 0.0
+        tvs = []
+        for L in Ls:
+            # history i's window is row i mod 4**L: the last axis once a
+            # column is cut into blocks of 4**L rows
+            win = window_table(model, L).pattern_probs.T
+            tv = reduce(add, (abs(f.reshape(-1, 4 ** L) - w)   # a left fold over the patterns
+                              for f, w in zip(full.pattern_probs.T, win))).reshape(-1)
+            tv[dead] = 0.0
+            tvs.append(float(tv.max()))
+        return tvs
+    _check_seed(seed)
+    if samples < 1:
+        raise ContractViolation("sample count must be at least 1")
+    if samples * t > 4 ** WINDOW_CAP:
+        raise ResourceLimit(f"{samples} x {t} sampled slots exceed the cap of 4**{WINDOW_CAP}")
+    pi = init_belief(model)
+    codes = _draw_codes(_path_cums(model, pi), t, seed, samples)
+    a = predict_pattern_probs(model, _filter_batch(model, pi, codes))
+    tvs = []
+    for L in Ls:
+        b = predict_pattern_probs(model, _filter_batch(model, pi, codes[t - L:]))
+        tvs.append(float(reduce(add, [abs(u - v) for u, v in zip(a, b)]).max()))
+    return tvs
+
+
 def exhaustive_forgetting(model: ChannelModel, L: int, horizon: int) -> float:
     """Worst-case total variation between full-history and window predictions.
 
@@ -308,18 +339,10 @@ def exhaustive_forgetting(model: ChannelModel, L: int, horizon: int) -> float:
     horizon - 1 and compares the prediction for the next slot from the full
     history against the one using only the last L observations. Because full
     histories are themselves windows of length horizon - 1, both sides come
-    from window tables; the length-L suffix of history index i is i mod 4**L,
-    the middle axis once the full table is cut into blocks of 4**L rows.
+    from window tables, and each history's four |differences| are summed as
+    a left fold.
     """
-    t = _check_horizon(L, horizon)
-    full = window_table(model, t)
-    win = window_table(model, L)
-    diffs = full.pattern_probs.reshape(-1, 4 ** L, 4)
-    np.subtract(diffs, win.pattern_probs, out=diffs)
-    np.abs(diffs, out=diffs)
-    tv = diffs.sum(axis=2).reshape(-1)
-    tv[full.probs <= 0.0] = 0.0
-    return float(tv.max())
+    return _forgetting(model, (L,), horizon)[0]
 
 
 def _filter_batch(model: ChannelModel, pi, codes):
@@ -346,14 +369,4 @@ def empirical_forgetting(model: ChannelModel, L: int, horizon: int, seed: int,
     together. The seed must be nonnegative, since random.Random seeds -s as
     s. More than 4**WINDOW_CAP slots in all, a window table's row cap, raise
     ResourceLimit before anything is drawn."""
-    t = _check_horizon(L, horizon)
-    _check_seed(seed)
-    if samples < 1:
-        raise ContractViolation("sample count must be at least 1")
-    if samples * t > 4 ** WINDOW_CAP:
-        raise ResourceLimit(f"{samples} x {t} sampled slots exceed the cap of 4**{WINDOW_CAP}")
-    pi = init_belief(model)
-    codes = _draw_codes(_path_cums(model, pi), t, seed, samples)
-    a = predict_pattern_probs(model, _filter_batch(model, pi, codes))
-    b = predict_pattern_probs(model, _filter_batch(model, pi, codes[t - L:]))
-    return float(sum(abs(u - v) for u, v in zip(a, b)).max())
+    return _forgetting(model, (L,), horizon, seed, samples)[0]

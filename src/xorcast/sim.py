@@ -266,7 +266,7 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
                 wins = (wins << 2) | ext[k:k + m]
             tail = ext[m:]
             # the one rule column: the sampled action of each slot
-            lead = (_pick(cum_rows[wins], u[:, 2]) + 1).tolist()
+            lead = (_pick(np.take(cum_rows, wins, axis=0), u[:, 2]) + 1).tolist()
             p10s = p11s = repeat(None)
         else:
             beliefs = filter_path(model, belief, codes)

@@ -273,7 +273,23 @@ def test_draw_matches_linear_scan():
         for u, g, t in zip(us, got.tolist(), tiled.tolist()):
             assert g == t == draw_oracle(cum, u), (cum, u)
             cases += 1
-    assert cases > 3000
+    # gathered rows, as _walk and _draw_codes call the rule: distinct rows of
+    # one length, a row index per double, the doubles of all rows shuffled
+    # together, so a rule that counted one row's entries for another fails
+    for n in (2, 3, 4, 5, 7):
+        table = sorted({cum for cum in cumulative_rows(rows) if len(cum) == n})
+        pairs = []
+        for i, cum in enumerate(table):
+            for c in cum:
+                pairs += [(i, c), (i, math.nextafter(c, 0.0)), (i, math.nextafter(c, 1.0))]
+            pairs += [(i, rng.random()) for _ in range(5)]
+        pairs = [(i, u) for i, u in pairs if 0.0 <= u < 1.0]
+        rng.shuffle(pairs)
+        idx, us = (np.array(col) for col in zip(*pairs))
+        got = _pick(np.take(np.array(table), idx, axis=0), us)
+        assert got.tolist() == [draw_oracle(table[i], u) for i, u in pairs], n
+        cases += len(pairs)
+    assert cases > 6000
     # the package's rows come from np.cumsum, the same left fold
     for n in (1, 2, 3, 4, 5, 7):
         block = [row for row in rows if len(row) == n]

@@ -235,6 +235,30 @@ def test_forgetting_sampled_golden(capsys):
         "11850624557eec68a934ced220a3c24ddfb77ff49745a7976e9cba312066bf5d")
 
 
+def test_forgetting_exhaustive_golden(capsys):
+    # sha256 of the CSV of an exhaustive run over all 4**8 histories
+    code, out, _ = run(capsys, ["forgetting", "--model", str(BENCH_MODEL), "--L", "4",
+                                "--horizon", "9"])
+    assert code == 0 and out.count("exhaustive") == 4
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a5574a5f06b3e9a525200cf9eec7346ebd53b151285ee4c00b3db7a4c7fed064")
+
+
+def test_forgetting_work_is_shared_across_L(capsys, monkeypatch):
+    # every L of a run reads one full table, or one draw of histories
+    built, drawn = [], []
+    table, draw = xc.filtering.window_table, xc.filtering._draw_codes
+    monkeypatch.setattr(xc.filtering, "window_table",
+                        lambda model, L: built.append(L) or table(model, L))
+    monkeypatch.setattr(xc.filtering, "_draw_codes",
+                        lambda *args: drawn.append(args[1:]) or draw(*args))
+    base = ["forgetting", "--model", str(BENCH_MODEL), "--L", "4"]
+    code, _, _ = run(capsys, base + ["--horizon", "9"])
+    assert code == 0 and sorted(built) == [1, 2, 3, 4, 8]
+    code, _, _ = run(capsys, base + ["--horizon", "12", "--samples", "64"])
+    assert code == 0 and drawn == [(11, 0, 64)]
+
+
 def test_dump_window_table(capsys, model_path):
     code, out, _ = run(capsys, ["dump-window-table", "--model", model_path,
                                 "--L", "2"])

@@ -280,6 +280,18 @@ def test_dump_window_table_golden(ref_model):
         "324711c94e9f21b21fca9c9ec8d141ff6cf8104e9be48d0c63baa26d2bf4f627")
 
 
+def test_table_and_draw_bytes_golden(ref_model):
+    # sha256 of the bytes of the refined table and of a 4096-path draw, so a
+    # reordered fold or a reordered draw shows; window_table(ref_model, 8) is
+    # pinned bit for bit by test_window_table_matches_dfs_oracle
+    table = _refined_table(ref_model, 3)
+    assert hashlib.sha256(table.probs.tobytes() + table.pattern_probs.tobytes()).hexdigest() == (
+        "1abd2c909220f3e12b021c821c3fbed08103f5804e74842e1d4f8ac691c53429")
+    codes = _draw_codes(_path_cums(ref_model, xc.init_belief(ref_model)), 11, 1, 4096)
+    assert hashlib.sha256(codes.astype("<i8").tobytes()).hexdigest() == (
+        "96af5d672b59d1abd767038ea72c54eda63fa1c388acbcede95234a2cd0b177f")
+
+
 def test_exhaustive_forgetting_reference(ref_model):
     tv1 = xc.exhaustive_forgetting(ref_model, 1, 6)
     tv2 = xc.exhaustive_forgetting(ref_model, 2, 6)
