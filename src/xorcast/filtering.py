@@ -24,6 +24,10 @@ from .errors import ContractViolation, NumericalFailure, ResourceLimit, ZeroLike
 WINDOW_CAP = 10
 LANE = 32     # slots per lane of filter_path
 PASSES = 3    # lane passes of filter_path before it steps one slot at a time
+# parents per _step_batch call of a window-table level: a temporary of 4 * 2048
+# doubles, 64 KB, stays below glibc's 128 KB mmap threshold, so a warm table
+# build reuses heap pages instead of faulting in fresh ones
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -258,25 +262,44 @@ def _extend(model: ChannelModel, belief, probs: np.ndarray, L: int) -> WindowTab
     Level d holds one belief and one probability per row and length-d
     prefix, and the children of row i are rows 4i..4i+3 of level d+1, so
     row r * 4**L + i of the last level holds start row r and window i. A
-    level is one _step_batch call on (pattern, row) arrays, read out in
-    column order. A probability is the start row's times the product of
-    one-step likelihoods; an impossible prefix passes probability 0 down its
-    whole subtree, and its rows carry the prediction from a uniform belief.
+    step is one _step_batch call on (row, pattern) arrays, belief columns of
+    shape (rows, 1) against the four emission entries, whose C-order
+    flattening, a view, is the next level. A level is stepped _CHUNK parents
+    at a time, each block carried down to the last level, which is written
+    into the table: only the table is held at full size. A probability is
+    the start row's times the product of one-step likelihoods; an impossible
+    prefix passes probability 0 down its whole subtree, and its rows carry
+    the prediction from a uniform belief.
     """
-    for _ in range(L):
-        belief, ell = _step_batch(model, belief, np.arange(4)[:, None])
-        belief = tuple(np.ravel(b, order="F") for b in belief)
-        probs = np.ravel(probs * ell, order="F")
-    pattern_probs = np.empty((len(probs), 4), order="F")
-    for k, col in enumerate(model.emission_cols):
-        pattern_probs[:, k] = reduce(add, map(mul, belief, col))
+    rows = len(probs) * 4 ** L
+    table = WindowTable(L=L, probs=np.empty(rows), pattern_probs=np.empty((rows, 4), order="F"))
+    _descend(model, belief, probs, L, table, 0)
     uniform = tuple(1.0 / model.num_states for _ in range(model.num_states))
-    pattern_probs[probs <= 0.0] = predict_pattern_probs(model, uniform)
-    total = probs.sum()
+    table.pattern_probs[table.probs <= 0.0] = predict_pattern_probs(model, uniform)
+    total = table.probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise NumericalFailure("window probabilities do not sum to one",
                                {"L": L, "total": float(total)})
-    return WindowTable(L=L, probs=probs, pattern_probs=pattern_probs)
+    return table
+
+
+def _descend(model: ChannelModel, belief, probs: np.ndarray, depth: int, table: WindowTable,
+             at: int) -> None:
+    """Write the rows of table from row at on: the start rows (belief,
+    probs) extended by all 4**depth windows, _CHUNK parents a step."""
+    for a in range(0, len(probs), _CHUNK):
+        b, p = tuple(v[a:a + _CHUNK] for v in belief), probs[a:a + _CHUNK]
+        start = at + a * 4 ** depth
+        if depth:
+            b, ell = _step_batch(model, tuple(v[:, None] for v in b), np.arange(4))
+            b, p = tuple(v.reshape(-1) for v in b), (p[:, None] * ell).reshape(-1)
+        if depth > 1:
+            _descend(model, b, p, depth - 1, table, start)
+            continue
+        rows = slice(start, start + len(p))
+        table.probs[rows] = p
+        for k, col in enumerate(model.emission_cols):
+            table.pattern_probs[rows, k] = reduce(add, map(mul, b, col))
 
 
 def dump_window_table(table: WindowTable, out) -> None:
@@ -310,10 +333,15 @@ def _forgetting(model: ChannelModel, Ls, horizon: int, seed=None, samples=None):
         tvs = []
         for L in Ls:
             # history i's window is row i mod 4**L: the last axis once a
-            # column is cut into blocks of 4**L rows
+            # column is cut into blocks of 4**L rows. The TV is a left fold
+            # over the patterns in place: each |f - w| is formed in term and
+            # added into tv, which starts at 0.0, and 0.0 + |x| is |x|.
             win = window_table(model, L).pattern_probs.T
-            tv = reduce(add, (abs(f.reshape(-1, 4 ** L) - w)   # a left fold over the patterns
-                              for f, w in zip(full.pattern_probs.T, win))).reshape(-1)
+            tv, term = np.empty((2, len(full) // 4 ** L, 4 ** L))
+            tv.fill(0.0)
+            for f, w in zip(full.pattern_probs.T, win):
+                tv += np.abs(np.subtract(f.reshape(tv.shape), w, out=term), out=term)
+            tv = tv.reshape(-1)
             tv[dead] = 0.0
             tvs.append(float(tv.max()))
         return tvs

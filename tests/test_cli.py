@@ -244,6 +244,14 @@ def test_forgetting_exhaustive_golden(capsys):
         "a5574a5f06b3e9a525200cf9eec7346ebd53b151285ee4c00b3db7a4c7fed064")
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_forgetting_exhaustive_golden_in_blocks(capsys, monkeypatch, chunk):
+    # the same digest when every level of the tables is stepped a few
+    # parents at a time
+    monkeypatch.setattr(xc.filtering, "_CHUNK", chunk)
+    test_forgetting_exhaustive_golden(capsys)
+
+
 def test_forgetting_work_is_shared_across_L(capsys, monkeypatch):
     # every L of a run reads one full table, or one draw of histories
     built, drawn = [], []

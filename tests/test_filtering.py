@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import random
+import tracemalloc
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 import xorcast as xc
 
+from xorcast import filtering
 from xorcast.channel import _draw_codes, _path_cums
 from xorcast.filtering import (LANE, _filter_batch, _refined_table, _step, _step_batch,
                                filter_path)
@@ -339,6 +341,75 @@ def test_window_table_matches_dfs_oracle(ref_model):
             assert np.array_equal(table.pattern_probs, pattern_probs), (i, L)
             dead_tables += L == 6 and n_states > 1 and bool((probs == 0.0).any())
     assert dead_tables >= 3   # impossible windows in multi-state models occurred
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_window_table_chunk_edges(ref_model, monkeypatch, chunk):
+    # a few parents per step cut every level into many blocks, so a block
+    # written at a wrong offset moves rows; on the sparse models a dead
+    # parent of the last level sits on each side of some block edge
+    monkeypatch.setattr(filtering, "_CHUNK", chunk)
+    for L in range(1, 7):
+        table = xc.window_table(ref_model, L)
+        probs, pattern_probs = window_table_dfs(ref_model, L)
+        assert np.array_equal(table.probs, probs), L
+        assert np.array_equal(table.pattern_probs, pattern_probs), L
+    rng = random.Random(57)
+    straddled = 0
+    for i in range(12):
+        model = sparse_model(rng, 2 + i % 3)
+        for L in range(2, 6):
+            table = xc.window_table(model, L)
+            probs, pattern_probs = window_table_dfs(model, L)
+            assert np.array_equal(table.probs, probs), (i, L)
+            assert np.array_equal(table.pattern_probs, pattern_probs), (i, L)
+            dead = (probs.reshape(-1, 4) == 0.0).all(axis=1)
+            edges = np.arange(chunk, len(dead), chunk)
+            straddled += bool((dead[edges - 1] & dead[edges]).any())
+    assert straddled >= 3
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_refined_table_chunk_edges(monkeypatch, chunk):
+    rng = random.Random(32)
+    models = [random_model(rng, 2), random_model(rng, 3), sparse_model(rng, 3)]
+    unchunked = [_refined_table(m, L) for m in models for L in (1, 2, 4)]
+    monkeypatch.setattr(filtering, "_CHUNK", chunk)
+    for want, got in zip(unchunked, (_refined_table(m, L) for m in models for L in (1, 2, 4))):
+        assert np.array_equal(got.probs, want.probs)
+        assert np.array_equal(got.pattern_probs, want.pattern_probs)
+    test_refined_table_matches_enumeration()
+
+
+def test_refined_table_bytes_golden(ref_model):
+    # sha256 of the bytes of the L=8 refined table, 2 x 4**8 rows, whose
+    # levels are stepped in many blocks; and the L=0 table, which is the
+    # start rows themselves: pi and each state's emission row
+    table = _refined_table(ref_model, 8)
+    assert hashlib.sha256(table.probs.tobytes() + table.pattern_probs.tobytes()).hexdigest() == (
+        "b36f131b0b4b056820dc8e4f435f97fce5a183cf5e82b8132b02bee97bf187e0")
+    model = random_model(random.Random(8), 3)
+    table = _refined_table(model, 0)
+    assert table.probs.tobytes() == xc.stationary_distribution(model).tobytes()
+    assert table.pattern_probs.tobytes() == np.asarray(model.emission).tobytes()
+    assert hashlib.sha256(table.probs.tobytes() + table.pattern_probs.tobytes()).hexdigest() == (
+        "f566411e0209c7ac0cb78e9873d34f947d408b7d3ca8b99125c4b9a8da2d54cf")
+
+
+@pytest.mark.parametrize("call", [lambda m: xc.window_table(m, 8),
+                                  lambda m: xc.exhaustive_forgetting(m, 4, 9)],
+                         ids=["window_table", "exhaustive_forgetting"])
+def test_window_table_working_memory(ref_model, call):
+    # numpy reports its buffers to tracemalloc, so the peak counts every
+    # array the call holds, whatever the allocator does with freed memory:
+    # the 4**8 table, blocks of its levels, and the TV's two buffers
+    out = 4 ** 8 * 5 * 8        # probs and four pattern columns of doubles
+    tracemalloc.start()
+    try:
+        call(ref_model)
+        assert tracemalloc.get_traced_memory()[1] <= 1.5 * out
+    finally:
+        tracemalloc.stop()
 
 
 def test_step_batch_masks_where_step_has_zero_likelihood():
