@@ -282,7 +282,13 @@ def robust_witness(table: WindowTable, wit: RegionWitness, backoff: float) -> Re
     eps = 1e-9
     constraints = [(row, LE, b - (rates[k] - eps))
                    for row, b, k in zip(np.hstack([X, Y, X + Y]), rhs, _RATE_OF_ROW)]
-    constraints += [(row, LE, 1.0) for row in np.tile(np.eye(m), 3)]
+    # one box row f1 + f2 + c <= 1 per window, each its own small array: one
+    # (m, 3m) block is large enough to be mapped afresh, and faulted in, on
+    # every call
+    for i in range(m):
+        row = np.zeros(3 * m)
+        row[i::m] = 1.0
+        constraints.append((row, LE, 1.0))
     sol = solve(LinearProgram(obj, constraints, [(0.0, 1.0)] * (3 * m)))
     if sol.status != "Optimal":
         raise NumericalFailure("robust witness solve failed", {"status": sol.status})

@@ -134,9 +134,10 @@ def test_unread_imports_are_traced_names():
 
 
 def test_simplex_keeps_each_tableau_fact_once():
-    # the pricing signs, the blocked mask and the basic columns' bounds are
-    # derived from at_upper, basis and u inside the iteration loop and die
-    # with it, so a solved tableau holds no second record of them
+    # the pricing signs (zero on blocked columns) and the basic columns'
+    # bounds are derived from at_upper, basis and u inside the iteration
+    # loop and die with it, so a solved tableau holds no second record of
+    # them
     kept = {"lp", "T", "beta", "basis", "u", "at_upper", "is_artificial", "pivots", "cap"}
     rng = random.Random(99)
     programs = [random_program(rng) for _ in range(50)]

@@ -337,3 +337,51 @@ def test_simplex_matches_three_method_oracle_on_robust_programs(ref_model, monke
     assert len(programs) == 36
     for program in programs:
         _same_path(program)
+
+
+def _count_update_branches(monkeypatch, programs):
+    """Run _same_path on each program and return (sparse row updates, basis
+    changes): the sparse update is the one np.ix_ call of a _Simplex pivot,
+    and the oracle pivots on every basis change of the same path."""
+    calls = {"ix_": 0, "pivot": 0}
+    ix_, pivot = np.ix_, SimplexOracle._pivot
+
+    def counted_ix(*args):
+        calls["ix_"] += 1
+        return ix_(*args)
+
+    def counted_pivot(self, *args):
+        calls["pivot"] += 1
+        return pivot(self, *args)
+
+    monkeypatch.setattr(np, "ix_", counted_ix)
+    monkeypatch.setattr(SimplexOracle, "_pivot", counted_pivot)
+    for program in programs:
+        _same_path(program)
+    return calls["ix_"], calls["pivot"]
+
+
+def test_pivot_update_takes_both_branches_on_oracle_programs(ref_model, monkeypatch):
+    # a pivot row with few nonzeros updates only their columns, a denser one
+    # whole rows; the programs checked against the oracle above take both
+    # (the small random ones only the second), so moving lp.SPARSE_ROW
+    # cannot leave either branch untested
+    rng = random.Random(123)
+    programs = [random_program(rng) for _ in range(200)]
+    models = [ref_model, random_model(random.Random(11), 2), random_model(random.Random(12), 3)]
+    programs += _robust_programs(monkeypatch, models)
+    sparse, pivots = _count_update_branches(monkeypatch, programs)
+    assert 0 < sparse < pivots
+
+
+def test_simplex_matches_three_method_oracle_at_L5(ref_model, monkeypatch):
+    # the largest robust program robust_witness solves in the tests: 3072
+    # variables and 1028 rows, with 47 pivots in phase one and 1761 in
+    # phase two on the path both solvers must share. Time budget: 2 s for
+    # the recording solve, the two of _same_path and the pinning one
+    # (1.4 s measured on a 2-CPU x86-64 host).
+    (program,) = _robust_programs(monkeypatch, [ref_model], lams=(0.5,), Ls=(5,))
+    assert (program.num_vars, len(program.constraints)) == (3072, 1028)
+    _same_path(program)
+    sol = xc.solve(program)
+    assert (sol.status, sol.phase_one_pivots, sol.pivots) == ("Optimal", 47, 1808)
