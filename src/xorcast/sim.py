@@ -468,21 +468,33 @@ def decode_verify(trace) -> DecodeReport:
     a delivery claim fails if the packet is outside the span at claim time.
     The trace contract limits every combination to one packet id or two
     distinct ones, as the simulator sends them, and every delivery claim to
-    receiver 1 or 2; anything else raises ContractViolation. Under that
-    limit the span is a graph question: the weight-2 vectors e_a + e_b are
-    the edges of a graph on packet ids, kept per receiver as a forest with
-    union by size and path halving (Tarjan 1975), inline in the row loop. A
-    root is grounded once its component holds a heard weight-1 vector. e_p
-    lies in the span exactly when p's component is grounded: a path from p
-    to a grounded id sums with that singleton to e_p, while every sum of
-    edges has even weight on a component. The maps hold only ints, which
-    the cyclic collector never walks.
+    receiver 1 or 2; anything else raises ContractViolation.
+
+    Under that limit the span is a graph question. The weight-2 vectors
+    e_a + e_b a receiver heard are the edges of a graph on packet ids, and
+    a component is grounded once it holds a heard weight-1 vector. e_p lies
+    in the span exactly when p's component is grounded: a path from p to a
+    grounded id sums with that singleton to e_p, while every sum of edges
+    has even weight on a component.
+
+    So each receiver keeps the set known of the ids it has decoded, and
+    pending, which maps every id it heard only inside sums to that id's
+    undecoded component, and a claim holds when its id is in known. A
+    heard singleton decodes its component; an edge with one end decoded
+    decodes the other end's component; an edge between two undecoded ids
+    joins their components, smaller into larger (weighted set merging,
+    Hopcroft & Ullman 1973), so no id moves more than log2 n times; an
+    edge inside one component or between decoded ids changes nothing.
+    Each rule keeps known the union of the grounded components, and the
+    keys of pending the ids of the other components of two or more ids, so
+    known answers every claim as the span does. A component of two ids, as every MIX_FRESH pair
+    waiting for its remedy is, keeps each id's partner in pending; a larger
+    one shares one list of its ids, told apart by type, since an id may be
+    any hashable.
     """
-    # per receiver: id -> parent id for ids that are not roots, root ->
-    # component size when above 1, and the grounded roots; a find repoints
-    # each id on its path to its grandparent
-    forests = (({}, {}, set()), ({}, {}, set()))
-    (parent1, _, grounded1), (parent2, _, grounded2) = forests
+    known = (set(), set())
+    known1, known2 = known
+    pending1, pending2 = {}, {}
     fails: list = []
     bad = [False, False]
     for slot, _action, combo, r1, r2, delivered in trace:
@@ -491,45 +503,89 @@ def decode_verify(trace) -> DecodeReport:
             raise ContractViolation(f"slot {slot}: combination {list(combo)} is not "
                                     "one packet id or two distinct ones")
         if n == 1:      # most rows: one packet, each receiver written out
+            a = combo[0]
+            if r1 and a not in known1:
+                if a in pending1:
+                    _ground(known1, pending1, a)
+                else:
+                    known1.add(a)
+            if r2 and a not in known2:
+                if a in pending2:
+                    _ground(known2, pending2, a)
+                else:
+                    known2.add(a)
+        else:
+            a, b = combo
             if r1:
-                a = combo[0]
-                while a in parent1:
-                    parent1[a] = a = parent1.get(parent1[a], parent1[a])
-                grounded1.add(a)
+                _edge(known1, pending1, a, b)
             if r2:
-                a = combo[0]
-                while a in parent2:
-                    parent2[a] = a = parent2.get(parent2[a], parent2[a])
-                grounded2.add(a)
-        else:           # the forests of the receivers that heard it
-            for parent, size, grounded in forests[0 if r1 else 1:2 if r2 else 1]:
-                a, b = combo
-                while a in parent:
-                    parent[a] = a = parent.get(parent[a], parent[a])
-                while b in parent:
-                    parent[b] = b = parent.get(parent[b], parent[b])
-                if a == b:
-                    continue
-                sa, sb = size.pop(a, 1), size.pop(b, 1)
-                if sa < sb:
-                    a, b = b, a
-                parent[b] = a
-                size[a] = sa + sb
-                if b in grounded:
-                    grounded.add(a)
+                _edge(known2, pending2, a, b)
         for j, pid in delivered:
             if j not in (1, 2):
                 raise ContractViolation(f"slot {slot}: delivery claim names receiver {j}; "
                                         "receivers are 1 and 2")
-            parent, _size, grounded = forests[j - 1]
-            p = pid
-            while p in parent:
-                parent[p] = p = parent.get(parent[p], parent[p])
-            if p not in grounded and not bad[j - 1]:
+            if pid not in known[j - 1] and not bad[j - 1]:
                 bad[j - 1] = True
                 fails.append((j, pid, slot))
     receiver_ok = (not bad[0], not bad[1])
     return DecodeReport(ok=all(receiver_ok), receiver_ok=receiver_ok, failures=fails)
+
+
+def _edge(known, pending, a, b):
+    """One receiver hears e_a + e_b (see decode_verify)."""
+    if a in known:
+        if b in known:
+            return
+        a = b       # the end to decode
+    elif b not in known:
+        if a in pending or b in pending:
+            _join(pending, a, b)
+        else:
+            pending[a] = b
+            pending[b] = a
+        return
+    if a in pending:
+        _ground(known, pending, a)
+    else:
+        known.add(a)
+
+
+def _ground(known, pending, p):
+    """Decode the component of p, an id in pending."""
+    c = pending.pop(p)
+    known.add(p)
+    if type(c) is list:
+        for q in c:
+            pending.pop(q, None)
+        known.update(c)
+    else:
+        del pending[c]
+        known.add(c)
+
+
+def _members(pending, p):
+    """The ids of p's undecoded component: its shared list, else a new
+    list of p and its partner, or of p alone."""
+    if p not in pending:
+        return [p]
+    c = pending[p]
+    return c if type(c) is list else [p, c]
+
+
+def _join(pending, a, b):
+    """Join the undecoded components of a and b, at least one of them in
+    pending, unless they are one already. The smaller one's ids go into
+    the larger one's shared list; two components of at most two ids each
+    form a new one."""
+    big, small = _members(pending, a), _members(pending, b)
+    if big is small or len(big) == 2 and big[1] == b:
+        return
+    if len(big) < len(small):
+        big, small = small, big
+    shared = len(big) > 2       # a shared list holds three or more ids
+    big += small
+    for q in small if shared else big:
+        pending[q] = big
 
 
 def save_trace(trace, path) -> None:

@@ -3,7 +3,7 @@
 Everything here recomputes results by a different method than the library:
 state-path enumeration instead of recursive filtering, vertex enumeration
 instead of simplex pivoting, augmenting paths instead of cut formulas,
-Gaussian elimination instead of union-find, the region as a linear program
+Gaussian elimination instead of merged components, the region as a linear program
 instead of a polygon built by sorting, per-window (x, y, t) fractions
 instead of action shares, a linear scan instead of bisection, graph
 searches instead of a boolean reachability closure. The

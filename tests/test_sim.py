@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import random
+import time
 from collections import Counter, deque
 
 import numpy as np
@@ -641,8 +642,29 @@ def _random_trace(rng, n_ids, n_rows):
     return trace
 
 
+def _widest_undecoded(trace):
+    """The most ids one receiver's undecoded component ever held: a naive
+    replay with one set per component."""
+    widest = 0
+    for heard in (3, 4):
+        known, comp = set(), {}
+        for row in trace:
+            if not row[heard]:
+                continue
+            left = [p for p in row[2] if p not in known]
+            if len(left) == 2:
+                joined = comp.get(left[0], {left[0]}) | comp.get(left[1], {left[1]})
+                comp.update(dict.fromkeys(joined, joined))
+                widest = max(widest, len(joined))
+            elif len(left) == 1:
+                for p in comp.get(left[0], {left[0]}):
+                    comp.pop(p, None)
+                    known.add(p)
+    return widest
+
+
 def test_decode_verify_matches_oracle(ref_model):
-    # union-find against set-based elimination: same verdicts and the same
+    # the decoder against set-based elimination: same verdicts and the same
     # first failure per receiver, on intact and corrupted traces
     rng = random.Random(7)
     t = xc.window_table(ref_model, 1)
@@ -660,6 +682,9 @@ def test_decode_verify_matches_oracle(ref_model):
             for count in (1, 3):
                 traces.append(_inject_unheard_claims(rng, rep.trace, count))
     traces += [_random_trace(rng, n_ids, 200) for n_ids in (5, 20, 60) for _ in range(20)]
+    # the simulator's traces join no more than two ids; the random ones
+    # also build components of three or more
+    assert max(map(_widest_undecoded, traces[-60:])) >= 3
     failed = [0, 0]
     for trace in traces:
         got = xc.decode_verify(trace)
@@ -667,6 +692,96 @@ def test_decode_verify_matches_oracle(ref_model):
         failed[0] += not got.receiver_ok[0]
         failed[1] += not got.receiver_ok[1]
     assert min(failed) >= 10 and max(failed) < len(traces)
+
+
+def _decoded(trace, expected):
+    rep = xc.decode_verify(trace)
+    assert rep == gf2_decode_oracle(trace)
+    assert rep.failures == expected
+    return rep
+
+
+def test_decode_verify_hand_joins():
+    # receiver 1 hears every row; claims of receiver 1 before a component is
+    # grounded fail, and the first failure is the one reported
+    pair_twice = [(0, MIX_FRESH, (0, 1), True, False, ()),
+                  (1, MIX_FRESH, (1, 0), True, False, ((1, 1),)),
+                  (2, REMEDY, (1,), True, False, ((1, 0), (1, 1)))]
+    _decoded(pair_twice, [(1, 1, 1)])
+    pair_pair = [(0, MIX_FRESH, (0, 1), True, False, ()),
+                 (1, MIX_FRESH, (2, 3), True, False, ()),
+                 (2, XOR_BACKLOG, (1, 2), True, False, ()),
+                 (3, XOR_BACKLOG, (0, 3), True, False, ()),    # inside the component
+                 (4, REMEDY, (3,), True, False, ((1, 0), (1, 1), (1, 2)))]
+    _decoded(pair_pair, [])
+    list_pair = [(0, MIX_FRESH, (0, 1), True, False, ()),
+                 (1, MIX_FRESH, (1, 2), True, False, ()),    # three ids: one list
+                 (2, MIX_FRESH, (5, 6), True, False, ()),
+                 (3, XOR_BACKLOG, (6, 2), True, False, ((1, 5),)),
+                 (4, XOR_BACKLOG, (0, 5), True, False, ()),
+                 (5, REMEDY, (6,), True, False, ((1, 0), (1, 1), (1, 2), (1, 5)))]
+    _decoded(list_pair, [(1, 5, 3)])
+    pair_list = [(0, MIX_FRESH, (0, 1), True, False, ()),
+                 (1, MIX_FRESH, (2, 3), True, False, ()),
+                 (2, MIX_FRESH, (3, 4), True, False, ()),
+                 (3, XOR_BACKLOG, (1, 2), True, False, ()),    # pair into a list
+                 (4, FRESH1, (4,), True, False, ((1, 0),))]
+    _decoded(pair_list, [])
+
+
+def test_decode_verify_hand_xor_with_decoded_id():
+    # a pending pair decodes through an XOR with a decoded id, either way
+    # round, and only at the receiver that heard it
+    for combo in ((7, 0), (0, 7)):
+        trace = [(0, FRESH1, (7,), True, True, ()),
+                 (1, MIX_FRESH, (0, 1), True, True, ()),
+                 (2, XOR_BACKLOG, combo, True, False, ((1, 1),)),
+                 (3, XOR_BACKLOG, (1, 9), False, False, ((2, 1), (1, 9)))]
+        rep = _decoded(trace, [(2, 1, 3), (1, 9, 3)])
+        assert rep.receiver_ok == (False, False)
+
+
+def test_decode_verify_hand_failures_keep_claim_order():
+    # both receivers fail in one row: failures follow the row's claims,
+    # and later failures of either receiver are not reported
+    trace = [(0, MIX_FRESH, (3, 4), True, True, ()),
+             (1, REMEDY, (3,), False, False, ((2, 4), (1, 3))),
+             (2, FRESH1, (8,), False, False, ((1, 8), (2, 8)))]
+    rep = _decoded(trace, [(2, 4, 1), (1, 3, 1)])
+    assert not rep.ok
+
+
+def test_decode_verify_join_keeps_pairs_and_lists():
+    # a pair heard again keeps its partners; an edge inside a shared list
+    # adds nothing to it
+    pending = {0: 1, 1: 0}
+    xc.sim._join(pending, 1, 0)
+    assert pending == {0: 1, 1: 0}
+    xc.sim._join(pending, 1, 2)
+    members = pending[0]
+    assert sorted(members) == [0, 1, 2] and all(pending[p] is members for p in (0, 1, 2))
+    xc.sim._join(pending, 2, 0)
+    assert sorted(members) == [0, 1, 2] and len(pending) == 3
+
+
+def test_decode_verify_large_component_in_budget():
+    # 5e4 ids joined into one component at both receivers: pairs chained
+    # pair by pair, then lone ids, each edge written with the component
+    # on alternate ends, so that merging the larger component into the
+    # smaller would take quadratic time; one singleton then decodes it all
+    n = 50_000
+    half = n // 2
+    edges = [(2 * k, 2 * k + 1) for k in range(half // 2)]
+    edges += [(2 * k - 1, 2 * k) if k % 2 else (2 * k, 2 * k - 1) for k in range(1, half // 2)]
+    edges += [(0, p) if p % 2 else (p, 0) for p in range(half, n)]
+    trace = [(slot, XOR_BACKLOG, combo, True, True, ()) for slot, combo in enumerate(edges)]
+    claims = ((2, 1),) + tuple((1, p) for p in range(n))
+    trace.append((len(edges), REMEDY, (n - 1,), True, False, claims))
+    t0 = time.perf_counter()
+    rep = xc.decode_verify(trace)
+    elapsed = time.perf_counter() - t0
+    assert rep.failures == [(2, 1, len(edges))]
+    assert elapsed < 2.0, f"{elapsed:.2f} s for {n} ids"
 
 
 def test_decode_verify_rejects_malformed_combo():
