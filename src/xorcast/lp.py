@@ -11,10 +11,13 @@ Both phases run one loop, _Simplex._iterate, which prices, ratio-tests and
 pivots in place on the tableau. Pricing takes the improving column with the
 largest reduced cost (Dantzig's rule; at the upper bound the reduced cost
 counts negated), ties going to the lowest index; it keeps one array of
-signs, zero on a blocked column (basic, or with bound zero). A pivot
-rewrites only the rows with a nonzero in the pivot column and, on a sparse
-pivot row, only that row's nonzero columns: the robust programs' pivot rows
-mostly have a handful of nonzeros in a thousand columns. Largest-coefficient
+signs, zero on a blocked column (basic, or with bound zero). A pivot reads
+and writes only the rows with a nonzero in the pivot column: the ratio test
+runs in Python floats over those rows, only their basic values move, and
+only they are rewritten, on a sparse pivot row only at that row's nonzero
+columns, through flat indices into the tableau. On the L = 4 robust
+program a pivot column has about 16 nonzeros in 260 rows on average, and
+the median pivot row 4 in 1030 columns. Largest-coefficient
 pricing can cycle on degenerate vertices, so after DEGENERATE_RUN
 consecutive degenerate pivots the entering column is the lowest improving
 index instead (Bland's rule), until a pivot moves the point or a variable
@@ -48,9 +51,10 @@ VERIFY_TOL = 1e-8
 # consecutive degenerate pivots after which pricing falls back to Bland's rule
 DEGENERATE_RUN = 50
 # a pivot row with fewer than 1 / SPARSE_ROW of its entries nonzero updates
-# only those columns; a denser one updates whole rows, which costs less than
-# gathering and scattering most of them. On the L = 2..5 robust programs any
-# value from 3 to 6 gave the same total update time within 1%.
+# only those columns, through flat indices; a denser one updates whole rows,
+# which costs less than gathering and scattering most of them. Timing both
+# updates at every basis change of the L = 2..5 robust programs, any value
+# from 2 to 5 gave each L the same total update time within 1%.
 SPARSE_ROW = 4
 LE = "<="
 EQ = "="
@@ -167,7 +171,8 @@ class _Simplex:
         sign[basis] = 0.0
         ub = u[basis]
         gain = np.empty_like(red)
-        num, den, steps = np.empty((3, len(beta)))
+        flat = T.reshape(-1)
+        width = T.shape[1]
         degenerate = 0
         while True:
             np.multiply(red, sign, out=gain)
@@ -180,53 +185,65 @@ class _Simplex:
                     {"phase": phase, "pivots": self.pivots, "entering": e})
             self.pivots += 1
             direction = -1 if at_upper[e] else 1
-            # bounded ratio test: a row whose basic value moves down stops at
-            # zero, one moving up at its finite bound (an infinite bound
-            # gives an infinite step)
-            col = T[:, e]
-            np.abs(col, out=den)
-            down = col < 0.0 if direction < 0 else col > 0.0
-            np.subtract(ub, beta, out=num)
-            np.copyto(num, beta, where=down)
-            np.maximum(num, 0.0, out=num)
-            steps.fill(math.inf)
-            np.divide(num, den, out=steps, where=den > TOL)
-            t = float(steps.min(initial=math.inf))
+            # only the rows with a nonzero in the pivot column move, so the
+            # ratio test, the basic values and the row update read just those
+            # (col and moved hold their entries and basic values); the other
+            # basic values started nonnegative and need no clamp, up to a
+            # -0.0 left on a row still on its starting slack or artificial,
+            # which no returned point includes
+            column = T[:, e]
+            rows = column.nonzero()[0]
+            col = column[rows]
+            moved = beta[rows]
+            # bounded ratio test, in Python floats over those rows: a basic
+            # value moving down stops at zero, one moving up at its finite
+            # bound (an infinite bound gives an infinite step), and a row
+            # whose entry is within TOL of zero gives no step
+            steps = []
+            for a, b, bound in zip((col if direction > 0 else -col).tolist(),
+                                   moved.tolist(), ub[rows].tolist()):
+                if a > TOL:
+                    steps.append((b if b > 0.0 else 0.0) / a)
+                elif a < -TOL:
+                    b = bound - b
+                    steps.append((b if b > 0.0 else 0.0) / -a)
+                else:
+                    steps.append(math.inf)
+            t = min(steps, default=math.inf)
             own = u[e]
             # a column whose own bound comes first flips with no tie search;
             # otherwise among rows within 1e-12 of the smallest step the
             # lowest basis index leaves, and its step (up to 1e-12 above the
             # smallest) is the one the flip test is repeated against
             if own > t + 1e-12:
-                ties = (steps <= t + 1e-12).nonzero()[0]
-                r = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
-                t = float(steps[r])
+                ties = [k for k, s in enumerate(steps) if s <= t + 1e-12]
+                k = ties[0] if len(ties) == 1 else ties[int(basis[rows[ties]].argmin())]
+                t = steps[k]
             if own <= t + 1e-12:
                 if not math.isfinite(own):
                     if phase == 1:
                         raise NumericalFailure("phase one ray", {"entering": e})
                     return "unbounded"
                 # bound flip, no basis change
-                beta -= direction * own * col
-                np.maximum(beta, 0.0, out=beta)
+                beta[rows] = np.maximum(moved - direction * own * col, 0.0)
                 at_upper[e] = direction > 0
                 sign[e] = -direction
                 degenerate = 0
                 continue
             degenerate = degenerate + 1 if t <= TOL else 0
-            beta -= direction * t * col
-            np.maximum(beta, 0.0, out=beta)
-            row = T[r] / col[r]
-            # rows with a zero in the pivot column are unchanged by the
-            # update, and so are columns with a zero in the pivot row, up to
-            # the sign of a zero, which no comparison and no returned point
-            # sees
-            rows = col.nonzero()[0]
+            beta[rows] = np.maximum(moved - direction * t * col, 0.0)
+            r = int(rows[k])
+            down = direction * col[k] > 0.0
+            row = T[r] / col[k]
+            # columns with a zero in the pivot row are unchanged by the
+            # update, up to the sign of a zero, which no comparison and no
+            # returned point sees; a sparse row updates only its nonzero
+            # columns, through flat indices into T
             nz = row.nonzero()[0]
             if SPARSE_ROW * len(nz) < len(row):
-                T[np.ix_(rows, nz)] -= col[rows, None] * row[nz]
+                flat[(rows * width)[:, None] + nz] -= col[:, None] * row[nz]
             else:
-                T[rows] -= col[rows, None] * row
+                T[rows] -= col[:, None] * row
             T[r] = row
             beta[r] = t if direction > 0 else own - t
             leaving = basis[r]
@@ -234,11 +251,11 @@ class _Simplex:
             at_upper[e] = False
             # row r has a finite step, so its entry is nonzero: it moved up
             # unless it moved down
-            at_upper[leaving] = not down[r]
+            at_upper[leaving] = not down
             if self.is_artificial[leaving]:
                 u[leaving] = 0.0
             sign[e] = 0.0
-            sign[leaving] = 0.0 if u[leaving] <= TOL else 1.0 if down[r] else -1.0
+            sign[leaving] = 0.0 if u[leaving] <= TOL else 1.0 if down else -1.0
             ub[r] = own
             red -= red[e] * row
 

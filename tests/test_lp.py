@@ -6,7 +6,7 @@ import pytest
 
 import xorcast as xc
 from xorcast import region
-from xorcast.lp import _Simplex
+from xorcast.lp import SPARSE_ROW, _Simplex
 
 from oracles import SimplexOracle, feasible, random_model, vertex_oracle
 
@@ -323,6 +323,76 @@ def _same_path(program):
     assert (got.point is None) == (want.point is None)
     if got.point is not None:
         assert got.point.tobytes() == want.point.tobytes()
+    # equal as numbers: a basic value off every pivot column so far keeps a
+    # -0.0 it started with, where the oracle's whole-array clamp makes +0.0
+    assert (fast.beta == slow.beta).all()
+    return fast, slow
+
+
+def _oracle_ratio_tests(monkeypatch):
+    """Record (entering column, step, leaving row, to_upper) of every ratio
+    test SimplexOracle runs."""
+    seen = []
+    ratio = SimplexOracle._ratio
+
+    def recorded(self, e, direction):
+        got = ratio(self, e, direction)
+        seen.append((e, *got))
+        return got
+
+    monkeypatch.setattr(SimplexOracle, "_ratio", recorded)
+    return seen
+
+
+def test_ratio_tie_goes_to_the_lower_basis_index(monkeypatch):
+    # phase one enters x0: row 0 (on its artificial, column 3) stops it at 1
+    # and row 1 (on its slack, column 2) 5e-13 later, within 1e-12, so the
+    # later row leaves, at its own step
+    seen = _oracle_ratio_tests(monkeypatch)
+    fast, _ = _same_path(lp([0, 0], [([1, 1], "=", 1), ([1, 1], "<=", 1 + 5e-13)],
+                            [(0, 2), (0, 2)]))
+    assert seen[0] == (0, 1 + 5e-13, 1, False)
+    assert list(fast.basis) == [3, 0]
+
+
+def test_tiny_column_entry_gets_no_step_but_its_value_moves(monkeypatch):
+    # x0 enters; rows 1 and 2 have x0 entries of 1e-10, within TOL of zero:
+    # row 1 would stop x0 at 0.1, but only row 0 limits it (at 1), and row
+    # 2's slack still drops by 1e-10
+    seen = _oracle_ratio_tests(monkeypatch)
+    fast, _ = _same_path(lp([1, 0], [([1, 1], "<=", 1), ([1e-10, 0], "<=", 1e-11),
+                                     ([1e-10, 1], "<=", 0.5)], [(0, 5), (0, 1)]))
+    assert seen[0] == (0, 1.0, 0, False)
+    assert list(fast.beta) == [1.0, 0.0, 0.5 - 1e-10]
+
+
+def test_entering_bound_tying_the_step_flips(monkeypatch):
+    # x0's own bound is 5e-13 past row 0's step: it flips, and the slack is
+    # clamped at zero
+    seen = _oracle_ratio_tests(monkeypatch)
+    fast, _ = _same_path(lp([1, 0], [([1, 1], "<=", 1)], [(0, 1 + 5e-13), (0, 1)]))
+    assert seen[0] == (0, 1.0, 0, False)
+    assert fast.at_upper[0] and list(fast.basis) == [2] and list(fast.beta) == [0.0]
+    # x0's bound is 1.5e-12 past the smallest step, so the tie search runs;
+    # it picks row 1's step, 8e-13 past the smallest, and against that step
+    # the bound comes first
+    seen.clear()
+    fast, _ = _same_path(lp([0, 0], [([1, 1], "=", 1), ([1, 1], "<=", 1 + 8e-13)],
+                            [(0, 1 + 1.5e-12), (0, 2)]))
+    assert seen[0] == (0, 1 + 8e-13, 1, False)
+    assert fast.at_upper[0] and fast.pivots == 2
+
+
+def test_basic_columns_moving_up(monkeypatch):
+    # x1 enters first, basic in row 0 at 1 + x0; when x0 enters, x1 moves up
+    # to its finite bound 2 after a step of 1 and leaves at that bound,
+    # while row 2's slack moves up from zero with no bound and gives no step
+    seen = _oracle_ratio_tests(monkeypatch)
+    fast, _ = _same_path(lp([1, 2], [([-1, 1], "<=", 1), ([1, 0], "<=", 5),
+                                     ([-1, 0], "<=", 0)], [(0, 10), (0, 2)]))
+    assert seen[:2] == [(1, 1.0, 0, False), (0, 1.0, 0, True)]
+    assert fast.at_upper[1] and not fast.at_upper[0]
+    assert list(fast.extract()) == [5.0, 2.0]
 
 
 def test_simplex_matches_three_method_oracle():
@@ -341,24 +411,23 @@ def test_simplex_matches_three_method_oracle_on_robust_programs(ref_model, monke
 
 def _count_update_branches(monkeypatch, programs):
     """Run _same_path on each program and return (sparse row updates, basis
-    changes): the sparse update is the one np.ix_ call of a _Simplex pivot,
-    and the oracle pivots on every basis change of the same path."""
-    calls = {"ix_": 0, "pivot": 0}
-    ix_, pivot = np.ix_, SimplexOracle._pivot
-
-    def counted_ix(*args):
-        calls["ix_"] += 1
-        return ix_(*args)
+    changes): the oracle pivots on every basis change of the shared path,
+    and _Simplex updates only the nonzero columns of a pivot row with fewer
+    than 1 / SPARSE_ROW of its entries nonzero, the row the oracle's pivot
+    returns."""
+    calls = {"sparse": 0, "pivot": 0}
+    pivot = SimplexOracle._pivot
 
     def counted_pivot(self, *args):
+        row = pivot(self, *args)
         calls["pivot"] += 1
-        return pivot(self, *args)
+        calls["sparse"] += SPARSE_ROW * np.count_nonzero(row) < len(row)
+        return row
 
-    monkeypatch.setattr(np, "ix_", counted_ix)
     monkeypatch.setattr(SimplexOracle, "_pivot", counted_pivot)
     for program in programs:
         _same_path(program)
-    return calls["ix_"], calls["pivot"]
+    return calls["sparse"], calls["pivot"]
 
 
 def test_pivot_update_takes_both_branches_on_oracle_programs(ref_model, monkeypatch):
@@ -379,7 +448,7 @@ def test_simplex_matches_three_method_oracle_at_L5(ref_model, monkeypatch):
     # variables and 1028 rows, with 47 pivots in phase one and 1761 in
     # phase two on the path both solvers must share. Time budget: 2 s for
     # the recording solve, the two of _same_path and the pinning one
-    # (1.4 s measured on a 2-CPU x86-64 host).
+    # (1.2 to 1.6 s over 5 runs on a 2-CPU x86-64 host).
     (program,) = _robust_programs(monkeypatch, [ref_model], lams=(0.5,), Ls=(5,))
     assert (program.num_vars, len(program.constraints)) == (3072, 1028)
     _same_path(program)
