@@ -155,7 +155,7 @@ class _Simplex:
         self.is_artificial = np.arange(T.shape[1]) >= n + n_le
         self.at_upper = np.zeros(T.shape[1], dtype=bool)
         self.pivots = 0
-        self.cap = 1000 + 100 * sum(T.shape)   # pivots before the solve counts as stalled
+        self.cap = 1000 + 10 * sum(T.shape)   # pivots before the solve counts as stalled
 
     def _iterate(self, c: np.ndarray, phase: int) -> str:
         """Price, ratio-test and pivot (or flip a bound) until no column

@@ -32,7 +32,9 @@ from .lp import LE, LinearProgram, solve
 CASE_TOL = 1e-10
 CUT_TOL = 1e-8   # how far a rate may exceed its cut and still pass achievable_check
 _TINY = 1e-15
-ROBUST_WINDOW_CAP = 4 ** 6   # most windows of a robust witness: 0.94 GB of dense LP at L = 6
+# most windows of a robust witness: at L = 6 (m = 4096) its dense LP is a 0.54 GB tableau,
+# (4 + m) x (3m + (4 + m) + 2) doubles, beside 0.40 GB of box rows, m x 3m doubles
+ROBUST_WINDOW_CAP = 4 ** 6
 _RATE_OF_ROW = (0, 0, 1, 1)  # the rate each row of _rate_rows bounds: R1, R1, R2, R2
 
 

@@ -199,20 +199,22 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     probabilistic window and its sampled action, every pick by
     channel._pick's rule, the max-weight belief (filtering.filter_path, bit
     for bit the sequential filter), and the arrivals, whose ids are numbered
-    in slot order, receiver 1 before receiver 2, and put on the fresh queues
-    with one extend per block. A pattern of zero likelihood raises
+    in slot order, receiver 1 before receiver 2, and appended to the fresh
+    queues once per block. A pattern of zero likelihood raises
     ZeroLikelihood before its block's slots run.
 
-    The slot loop keeps the queue lengths as integers: a fresh queue's is
-    its arrivals so far less its departures, since the deque also holds the
-    block's ids yet to arrive. The action rules (substitute_action,
-    maxweight_action) read only these lengths. Each action's branch moves
-    the queue heads, counts the deliveries and sets the combination on air,
-    the claims and the action code; one tail then appends the trace row
-    (none for IDLE) and the slot row. Each checkpoint counts what the deques
-    hold against the arrivals and against the length counters, and raises
-    NumericalFailure on a mismatch. Slot n is always a checkpoint, and its
-    backlog is final_backlog.
+    Each queue is kept once. Fresh queue j is receiver j's list of ids,
+    trimmed of departed ones at each block start so that an untraced run's
+    memory stays bounded in n, and its departure count: its length is its
+    arrivals so far less its departures, and its head is found by index.
+    The overheard queues and the pairs are deques. The action rules
+    (substitute_action, maxweight_action) read only the queue lengths. Each
+    action's branch moves the queues, counts the deliveries and sets the
+    combination on air, the claims and the action code; one tail then
+    appends the trace row (none for IDLE) and the slot row. Each checkpoint
+    checks that every packet gone from fresh queue j is in its overheard
+    queue or a pair, or was delivered, and raises NumericalFailure if not.
+    Slot n is always a checkpoint, and its backlog is final_backlog.
 
     A run builds no reference cycle, so the cyclic garbage collector is
     paused while it runs (_gc_paused): otherwise its full collections walk
@@ -236,13 +238,14 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     belief = init_belief(model)
     cums = _path_cums(model, belief)
     width = 5 if probabilistic else 4    # doubles per slot
-    # fresh1, over1 and fresh2, over2: the fresh and overheard queues of
-    # receivers 1 and 2, fresh ids and (account_id, transmit_id) entries;
-    # pairs: (id_rx1, id_rx2, remedy_id) of each poisoned pair
-    fresh1, fresh2, over1, over2, pairs = deque(), deque(), deque(), deque(), deque()
+    # fresh1, fresh2: receiver j's ids from the first not gone at the block
+    # start, so the head of fresh queue j is fresh_j[gone_j - cut_j];
+    # over1, over2: (account_id, transmit_id) entries; pairs: (id_rx1,
+    # id_rx2, remedy_id) of each poisoned pair
+    fresh1, fresh2, over1, over2, pairs = [], [], deque(), deque(), deque()
     total1 = total2 = 0     # arrivals up to the end of the block
     gone1 = gone2 = 0       # departures from the fresh queues
-    n21 = n22 = n3 = 0      # lengths of the overheard queues and of the pairs
+    cut1 = cut2 = 0         # departures up to the block start
     done1 = done2 = 0       # deliveries
     counts = dict.fromkeys(_COUNT_KEYS, 0)
     cp = max(1, n // CHECKPOINTS)
@@ -279,6 +282,8 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
         upto1 = np.cumsum(new1)
         upto2 = np.cumsum(new2)
         taken = total1 + total2 + upto1 + upto2     # ids taken up to each slot
+        del fresh1[:gone1 - cut1], fresh2[:gone2 - cut2]
+        cut1, cut2 = gone1, gone2
         fresh1.extend((taken - 1 - new2)[new1].tolist())
         fresh2.extend((taken - 1)[new2].tolist())
         arrived1 = (total1 + upto1).tolist()
@@ -291,73 +296,63 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
                 range(base, base + m), (codes < 2).tolist(), ((codes & 1) == 0).tolist(),
                 arrived1, arrived2, lead, p10s, p11s):
             if probabilistic:
-                action = substitute_action(first, a1 - gone1, a2 - gone2, n21, n22, n3)
+                action = substitute_action(first, a1 - gone1, a2 - gone2,
+                                           len(over1), len(over2), len(pairs))
             else:
-                action = maxweight_action(a1 - gone1, a2 - gone2, n21, n22, n3, first, p10, p11)
+                action = maxweight_action(a1 - gone1, a2 - gone2, len(over1), len(over2),
+                                          len(pairs), first, p10, p11)
             counts[action] += 1
             code = action
             got = ()
             if action == IDLE:
                 pass
             elif action == FRESH1:
-                p = fresh1[0]
+                p = fresh1[gone1 - cut1]
                 combo = (p,)
                 if h1:
-                    fresh1.popleft()
                     gone1 += 1
                     done1 += 1
                     got = ((1, p),)
                 elif h2:
-                    fresh1.popleft()
                     gone1 += 1
                     over1.append((p, p))
-                    n21 += 1
             elif action == FRESH2:
-                p = fresh2[0]
+                p = fresh2[gone2 - cut2]
                 combo = (p,)
                 if h2:
-                    fresh2.popleft()
                     gone2 += 1
                     done2 += 1
                     got = ((2, p),)
                 elif h1:
-                    fresh2.popleft()
                     gone2 += 1
                     over2.append((p, p))
-                    n22 += 1
             elif action == XOR_BACKLOG:
                 acct1, t1 = over1[0]
                 acct2, t2 = over2[0]
                 combo = (t1, t2) if t1 < t2 else (t2, t1)
                 if h1:
                     over1.popleft()
-                    n21 -= 1
                     done1 += 1
                     got = ((1, acct1),)
                 if h2:
                     over2.popleft()
-                    n22 -= 1
                     done2 += 1
                     got += ((2, acct2),)
             elif action == MIX_FRESH:
-                p1 = fresh1[0]
-                p2 = fresh2[0]
+                p1 = fresh1[gone1 - cut1]
+                p2 = fresh2[gone2 - cut2]
                 combo = (p1, p2) if p1 < p2 else (p2, p1)
                 if h1 or h2:
-                    fresh1.popleft()
-                    fresh2.popleft()
                     gone1 += 1
                     gone2 += 1
                     # the remedy is the packet of the receiver that missed
                     # the mixture, receiver 1's when both heard it
                     pairs.append((p1, p2, p1 if h2 else p2))
-                    n3 += 1
             elif action == REMEDY:
                 p1, p2, remedy = pairs[0]
                 combo = (remedy,)
                 if h1 or h2:
                     pairs.popleft()
-                    n3 -= 1
                     # a receiver that missed the remedy still needs its
                     # packet, and the remedy stands in for it on air
                     if h1:
@@ -365,20 +360,17 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
                         got = ((1, p1),)
                     else:
                         over1.append((p1, remedy))
-                        n21 += 1
                     if h2:
                         done2 += 1
                         got += ((2, p2),)
                     else:
                         over2.append((p2, remedy))
-                        n22 += 1
             elif action == SUB1:
                 acct1, t1 = over1[0]
                 combo = (t1,)
                 code = XOR_BACKLOG
                 if h1:
                     over1.popleft()
-                    n21 -= 1
                     done1 += 1
                     got = ((1, acct1),)
                 # else receiver 2 already knows t1: no move
@@ -388,34 +380,26 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
                 code = XOR_BACKLOG
                 if h2:
                     over2.popleft()
-                    n22 -= 1
                     done2 += 1
                     got = ((2, acct2),)
             if record is not None and code:     # no trace row for IDLE
                 record((slot, code, combo, h1, h2, got))
-            if slot_rows is not None:
-                slot_rows.append((slot, code, 1 - h1, 1 - h2,
-                                  a1 - gone1 + a2 - gone2 + n21 + n22 + 2 * n3, done1, done2))
-            if slot + 1 == next_cp:
-                # what the deques hold, against the arrivals and the
-                # counters: a fresh deque also holds the block's ids that
-                # have not arrived yet
-                for j, fresh, over, arrived, total, done, counted in (
-                        (1, fresh1, over1, a1, total1, done1, (a1 - gone1, n21, n3)),
-                        (2, fresh2, over2, a2, total2, done2, (a2 - gone2, n22, n3))):
-                    queued = (len(fresh) - (total - arrived), len(over), len(pairs))
-                    held = sum(queued) + done
-                    if held != arrived:
-                        raise NumericalFailure("packet conservation broken",
-                                               {"receiver": j, "slot": slot + 1,
-                                                "held": held, "arrivals": arrived})
-                    if queued != counted:
-                        raise NumericalFailure("queue length counter drifted from its queue",
-                                               {"receiver": j, "slot": slot + 1,
-                                                "queued": queued, "counted": counted})
-                checkpoints.append((slot + 1, a1 - gone1 + a2 - gone2 + n21 + n22 + 2 * n3,
-                                    done1, done2))
-                next_cp = min(next_cp + cp, n)
+            if slot_rows is not None or slot + 1 == next_cp:
+                backlog = a1 - gone1 + a2 - gone2 + len(over1) + len(over2) + 2 * len(pairs)
+                if slot_rows is not None:
+                    slot_rows.append((slot, code, 1 - h1, 1 - h2, backlog, done1, done2))
+                if slot + 1 == next_cp:
+                    # every packet that left fresh queue j sits in its
+                    # overheard queue or in a pair, or was delivered
+                    for j, arrived, gone, over, done in ((1, a1, gone1, over1, done1),
+                                                         (2, a2, gone2, over2, done2)):
+                        held = arrived - gone + len(over) + len(pairs) + done
+                        if held != arrived:
+                            raise NumericalFailure("packet conservation broken",
+                                                   {"receiver": j, "slot": slot + 1,
+                                                    "held": held, "arrivals": arrived})
+                    checkpoints.append((slot + 1, backlog, done1, done2))
+                    next_cp = min(next_cp + cp, n)
     return SimReport(scheduler=scheduler, R1=R1, R2=R2, n=n, seed=seed,
                      arrivals=(total1, total2), delivered=(done1, done2),
                      action_counts={_COUNT_KEYS[a]: c for a, c in counts.items()},

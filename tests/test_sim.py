@@ -319,28 +319,35 @@ def test_conservation_check_reads_the_deques(ref_model, monkeypatch):
         xc.simulate(ref_model, "maxweight", 0.3, 0.3, 5000, 1)
 
 
-def test_counter_drift_check_reads_the_counters(ref_model, monkeypatch):
+def test_conservation_check_counts_each_receiver(ref_model, monkeypatch):
     # a poisoned pair that lands on receiver 1's overheard queue instead of
-    # the pairs' leaves receiver 1's total, and so its conservation check,
-    # intact, but not its length counters; with fewer than CHECKPOINTS
-    # slots every slot is a checkpoint, so the first such move raises
-    made = []
+    # the pairs' leaves receiver 1's total intact but takes one packet from
+    # receiver 2's; with fewer than CHECKPOINTS slots every slot is a
+    # checkpoint, so the first such move raises, naming receiver 2
+    run = xc.simulate(ref_model, "maxweight", 0.3, 0.3, 2000, 1, collect_trace=True)
+    ids1 = {p for *_, got in run.trace for j, p in got if j == 1}
+    made, moved = [], []
 
     class Misrouted(deque):
-        # simulate makes its deques in the order fresh1, fresh2, over1,
-        # over2, pairs: only pairs takes 3-tuples
+        # only pairs take 3-tuples; receiver 1's overheard queue is the one
+        # whose entries credit receiver 1's packets
         def __init__(self):
             super().__init__()
             made.append(self)
 
         def append(self, x):
-            deque.append(made[2] if len(x) == 3 else self, x)
+            over1 = [q for q in made if any(len(e) == 2 and e[0] in ids1 for e in q)]
+            if len(x) == 3 and over1:
+                moved.append(x)
+                deque.append(over1[0], x)
+            else:
+                deque.append(self, x)
 
     monkeypatch.setattr(xc.sim, "deque", Misrouted)
-    with pytest.raises(xc.NumericalFailure, match="counter drifted") as err:
+    with pytest.raises(xc.NumericalFailure, match="conservation broken") as err:
         xc.simulate(ref_model, "maxweight", 0.3, 0.3, 2000, 1)
-    assert len(made) == 5
-    assert err.value.diagnostics["receiver"] == 1
+    assert len(moved) == 1
+    assert err.value.diagnostics["receiver"] == 2
 
 
 def test_slot_loop_calls_the_rules_through_the_module(ref_model, monkeypatch):
