@@ -11,16 +11,17 @@ The same polygon over the finer contexts (hidden state of the window's
 oldest slot, window) is an outer region, so the two bracket the capacity
 region. Only the robust re-selection of a witness solves a linear
 program. Witnesses convert to distributions over the five transmit
-actions, which in turn induce link capacities on the four-node relay
-picture of one receiver's pipeline: node 1 holds fresh packets, node 2
-overheard-but-undelivered ones, node 3 poisoned pairs and node 4 is
-delivery.
+actions, which in turn induce link capacities on each receiver's queue
+network (_ARCS): node 1 holds its fresh packets, node 2 its overheard
+ones, node 3 the poisoned pairs and node 4 is delivery.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -36,6 +37,16 @@ _TINY = 1e-15
 # (4 + m) x (3m + (4 + m) + 2) doubles, beside 0.40 GB of box rows, m x 3m doubles
 ROBUST_WINDOW_CAP = 4 ** 6
 _RATE_OF_ROW = (0, 0, 1, 1)  # the rate each row of _rate_rows bounds: R1, R1, R2, R2
+# The queue network: an arc (column, j, event, from, to) moves a packet of receiver j when
+# the action of that ActionDistribution column is sent and the event happens.
+_HEARD, _OTHER, _ANY = range(3)   # j hears the slot; only the other receiver does; someone does
+_ARCS = tuple((a, j, event, u, v) for j in (1, 2) for a, event, u, v in (
+    (j - 1, _OTHER, 1, 2),   # fresh to j, overheard by the other
+    (3, _ANY, 1, 3),         # fresh-pair mix, heard by someone
+    (j - 1, _HEARD, 1, 4),   # fresh to j
+    (2, _HEARD, 2, 4),       # backlog XOR
+    (4, _OTHER, 3, 2),       # remedy heard by the other: j's packet waits in its node 2
+    (4, _HEARD, 3, 4)))      # remedy; six arcs per receiver, sorted by (from, to)
 
 
 @dataclass
@@ -89,9 +100,8 @@ class ActionDistribution:
 
 @dataclass
 class CapacitySet:
-    """Average per-slot service rates on the six links of the pipeline graph,
-    per receiver where the rate depends on it. c13 is receiver-independent
-    because a mixture enters the poison queue when anyone hears it."""
+    """Average per-slot service rates on the links cuv of _ARCS, as pairs
+    (receiver 1, receiver 2) but c13: a mixture parks one pair for both."""
 
     c12: tuple
     c13: float
@@ -103,8 +113,8 @@ class CapacitySet:
 
 @dataclass
 class CutValues:
-    """The four relevant cut weights of the pipeline graph, per receiver:
-    a = {1}, b = {1,2}, c = {1,3}, d = {1,2,3} as source-side sets."""
+    """The four cut weights of each receiver's queue network, as pairs, by
+    source side: a = {1}, b = {1,2}, c = {1,3}, d = {1,2,3}."""
 
     a: tuple
     b: tuple
@@ -388,50 +398,40 @@ def xy_to_actions(wit: RegionWitness, s_param: float = 0.0) -> ActionDistributio
 
 
 def link_capacities(table: WindowTable, dist: ActionDistribution) -> CapacitySet:
-    """Average service rates induced by the action distribution.
-
-    Fresh transmissions feed delivery when heard by their receiver and the
-    overheard queue when heard only by the other; mixtures feed the poison
-    queue when heard by anyone; remedies feed delivery or the overheard
-    queue depending on who hears them.
-    """
+    """Average service rates induced by the action distribution: link cuv of
+    receiver j sums p(window) P(its arc's event) P(its arc's action)."""
     if dist.L != table.L:
         raise ContractViolation("window length mismatch between table and distribution")
-    p = table.probs
     pp = table.pattern_probs
     e1, e2, e12 = table.eps_arrays()
-    only2 = pp[:, 2]   # erased at 1, heard at 2
-    only1 = pp[:, 1]   # heard at 1, erased at 2
-    P = dist.table
-
-    def tot(w):
-        return float(np.sum(p * w))
-
-    return CapacitySet(
-        c12=(tot(only2 * P[:, 0]), tot(only1 * P[:, 1])),
-        c13=tot((1.0 - e12) * P[:, 3]),
-        c14=(tot((1.0 - e1) * P[:, 0]), tot((1.0 - e2) * P[:, 1])),
-        c24=(tot((1.0 - e1) * P[:, 2]), tot((1.0 - e2) * P[:, 2])),
-        c32=(tot(only2 * P[:, 4]), tot(only1 * P[:, 4])),
-        c34=(tot((1.0 - e1) * P[:, 4]), tot((1.0 - e2) * P[:, 4])),
-    )
+    # each event's probability per window for receivers 1 and 2 (only 2 hears pattern 2)
+    odds = {_HEARD: (1.0 - e1, 1.0 - e2), _OTHER: (pp[:, 2], pp[:, 1]), _ANY: (1.0 - e12,) * 2}
+    links = {}
+    for a, j, event, u, v in _ARCS:
+        rate = float(np.sum(table.probs * (odds[event][j - 1] * dist.table[:, a])))
+        link = f"c{u}{v}"
+        links[link] = rate if event == _ANY else links.get(link, ()) + (rate,)
+    return CapacitySet(**links)
 
 
 def cut_values(caps: CapacitySet) -> CutValues:
-    a, b, c, d = [], [], [], []
-    for j in (0, 1):
-        a.append(caps.c12[j] + caps.c13 + caps.c14[j])
-        b.append(caps.c13 + caps.c14[j] + caps.c24[j])
-        c.append(caps.c12[j] + caps.c14[j] + caps.c32[j] + caps.c34[j])
-        d.append(caps.c14[j] + caps.c24[j] + caps.c34[j])
-    return CutValues(a=tuple(a), b=tuple(b), c=tuple(c), d=tuple(d))
+    """Each cut's weight per receiver: the rates of the arcs that leave its
+    source side, added left to right in the order of _ARCS."""
+    def rate(j, event, u, v):
+        link = getattr(caps, f"c{u}{v}")
+        return link if event == _ANY else link[j - 1]
+    return CutValues(*(
+        tuple(reduce(add, [rate(j, event, u, v) for _, i, event, u, v in _ARCS
+                           if i == j and u in side and v not in side]) for j in (1, 2))
+        for side in ((1,), (1, 2), (1, 3), (1, 2, 3))))
 
 
 def max_rate(caps: CapacitySet, receiver: int) -> float:
     """Min cut between the fresh queue and delivery for one receiver (1 or 2)."""
+    if receiver not in (1, 2):
+        raise ContractViolation(f"receiver must be 1 or 2, got {receiver!r}")
     cuts = cut_values(caps)
-    j = receiver - 1
-    return min(cuts.a[j], cuts.b[j], cuts.c[j], cuts.d[j])
+    return min(cut[receiver - 1] for cut in (cuts.a, cuts.b, cuts.c, cuts.d))
 
 
 def canonicalize(dist: ActionDistribution, table: WindowTable):

@@ -117,11 +117,11 @@ def maxweight_action(n11: int, n12: int, n21: int, n22: int, n3: int,
 
     The queue lengths are substitute_action's; p01 = eps_n12, p10 = eps1_n2
     and p11 = eps12 are the predicted pattern probabilities of the slot.
-    Weights trade off immediate delivery against the option value of
-    overhearing: eps1 and eps2 are taken as eps1_n2 + eps12 and
-    eps_n12 + eps12. The overheard queues score together when either is
-    nonempty: the backlog XOR serves both, a lone retransmission (SUB1 or
-    SUB2) the only one.
+    An action's weight is its backpressure over its arcs in region._ARCS,
+    the sum of P(event) (n_from - n_to) with n4 = 0, written out for speed.
+    The overheard queues score together when either is nonempty: the
+    backlog XOR serves both, a lone retransmission (SUB1 or SUB2) the only
+    one.
     """
     e1, e2, e12 = p10 + p11, p01 + p11, p11
     only2, only1 = p10, p01

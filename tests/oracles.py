@@ -15,7 +15,9 @@ per-sample forgetting loop, the json.dumps
 and f-string trace writers, the json.loads trace reader, the
 slot-at-a-time simulation with its queue move as one function, _apply,
 the row-by-row simplex setup and its iteration as three methods): the
-batched code must reproduce them bit for bit.
+batched code must reproduce them bit for bit. So are the link capacities
+and cut values written out link by link, which the sums over the arc
+table must reproduce bit for bit.
 """
 
 import itertools
@@ -34,7 +36,7 @@ import xorcast as xc
 from xorcast.errors import NumericalFailure
 from xorcast.filtering import _step
 from xorcast.lp import DEGENERATE_RUN, EQ, LE, TOL, LinearProgram, _Simplex, _verify
-from xorcast.region import _RATE_OF_ROW, _rate_rows, _rate_terms
+from xorcast.region import _ANY, _ARCS, _HEARD, _OTHER, _RATE_OF_ROW, _rate_rows, _rate_terms
 from xorcast.sim import (_COUNT_KEYS, CHECKPOINTS, FRESH1, FRESH2, IDLE, MIX_FRESH, REMEDY,
                          SUB1, SUB2, WARMUP_FRAC, XOR_BACKLOG, SimReport, _well_formed,
                          maxweight_action, substitute_action)
@@ -661,6 +663,44 @@ def pipeline_max_flow(caps, receiver):
     return _edmonds_karp(cap, 0, 3)
 
 
+def link_capacities_oracle(table, dist):
+    """link_capacities as six hand sums, one expression per link: fresh
+    sends feed delivery when heard by their receiver and the overheard
+    queue when heard only by the other; mixtures feed the poison queue when
+    heard by anyone; remedies feed delivery or the overheard queue
+    depending on who hears them."""
+    p = table.probs
+    pp = table.pattern_probs
+    e1, e2, e12 = table.eps_arrays()
+    only2 = pp[:, 2]   # erased at 1, heard at 2
+    only1 = pp[:, 1]   # heard at 1, erased at 2
+    P = dist.table
+
+    def tot(w):
+        return float(np.sum(p * w))
+
+    return xc.CapacitySet(
+        c12=(tot(only2 * P[:, 0]), tot(only1 * P[:, 1])),
+        c13=tot((1.0 - e12) * P[:, 3]),
+        c14=(tot((1.0 - e1) * P[:, 0]), tot((1.0 - e2) * P[:, 1])),
+        c24=(tot((1.0 - e1) * P[:, 2]), tot((1.0 - e2) * P[:, 2])),
+        c32=(tot(only2 * P[:, 4]), tot(only1 * P[:, 4])),
+        c34=(tot((1.0 - e1) * P[:, 4]), tot((1.0 - e2) * P[:, 4])),
+    )
+
+
+def cut_values_oracle(caps):
+    """cut_values as four hand sums per receiver, each added left to right:
+    the links leaving {1}, {1,2}, {1,3} and {1,2,3}."""
+    a, b, c, d = [], [], [], []
+    for j in (0, 1):
+        a.append(caps.c12[j] + caps.c13 + caps.c14[j])
+        b.append(caps.c13 + caps.c14[j] + caps.c24[j])
+        c.append(caps.c12[j] + caps.c14[j] + caps.c32[j] + caps.c34[j])
+        d.append(caps.c14[j] + caps.c24[j] + caps.c34[j])
+    return xc.CutValues(a=tuple(a), b=tuple(b), c=tuple(c), d=tuple(d))
+
+
 def memoryless_residuals(e1, e2, e12, R1, R2):
     """Slack of the two single-letter boundary constraints, in the divided
     form R1/(1-e1) + R2/(1-e12) <= 1 and its mirror."""
@@ -802,6 +842,35 @@ def _apply(state, action, z1, z2):
             return (remedy,), ((2, p2),)
         return (remedy,), ()
     raise xc.ContractViolation(f"unknown action {action!r}")
+
+
+def arc_events(z1, z2):
+    """Which events of region._ARCS a slot of pattern (z1, z2) makes happen,
+    for receivers 1 and 2."""
+    heard = (z1 == 0, z2 == 0)
+    return tuple({_HEARD: heard[j], _OTHER: heard[1 - j] and not heard[j], _ANY: any(heard)}
+                 for j in (0, 1))
+
+
+def backpressure_weights(n11, n12, n21, n22, n3, p01, p10, p11):
+    """The weights of maxweight_action read off region._ARCS: an action's
+    weight is the sum, over its arcs that leave a nonempty queue, of
+    P(event) (n_from - n_to) with n4 = 0, added in table order. An action is
+    feasible when all its arcs leave nonempty queues, and the backlog XOR
+    also with one overheard queue empty, when it sends as SUBj. Returns
+    {action: weight} over the feasible actions, in action order."""
+    e1, e2 = p10 + p11, p01 + p11
+    odds = {_HEARD: (1.0 - e1, 1.0 - e2), _OTHER: (p10, p01), _ANY: (1.0 - p11,) * 2}
+    nodes = ((n11, n21, n3, 0), (n12, n22, n3, 0))
+    weights = {}
+    for action in (FRESH1, FRESH2, XOR_BACKLOG, MIX_FRESH, REMEDY):
+        arcs = [(j, event, u, v) for a, j, event, u, v in _ARCS if a == action - 1]
+        live = [(j, event, u, v) for j, event, u, v in arcs if nodes[j - 1][u - 1]]
+        if live and (len(live) == len(arcs) or action == XOR_BACKLOG):
+            weights[action] = reduce(add, [odds[event][j - 1] * (nodes[j - 1][u - 1] -
+                                                                 nodes[j - 1][v - 1])
+                                           for j, event, u, v in live])
+    return weights
 
 
 def simulate_oracle(model, scheduler, R1, R2, n, seed, dist=None, collect_trace=False,

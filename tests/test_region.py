@@ -10,8 +10,9 @@ from xorcast.cli import main as cli_main
 from xorcast.channel import _pick
 from xorcast.region import witness_residual
 
-from oracles import (cumulative_rows, draw_oracle, feasible_vertices, highs_region,
-                     pipeline_max_flow, random_model, region_lp, robust_witness_xyt)
+from oracles import (cumulative_rows, cut_values_oracle, draw_oracle, feasible_vertices,
+                     highs_region, link_capacities_oracle, pipeline_max_flow, random_model,
+                     region_lp, robust_witness_xyt)
 
 # frozen weighted-sum values for the two-state fixture, weights (1, 1)
 REF_SUMS = {
@@ -346,6 +347,42 @@ def test_cut_values_hand_cases():
     cutoff = xc.CapacitySet(c12=(0, 0), c13=0.0, c14=(0, 0), c24=(1, 1),
                             c32=(1, 1), c34=(1, 1))
     assert xc.max_rate(cutoff, 2) == 0.0
+
+
+def test_link_capacities_match_hand_sums(ref_model, memoryless_model, sticky_model):
+    # the sums over the arc table are the six hand sums, bit for bit
+    rng = np.random.default_rng(11)
+    for model in (ref_model, memoryless_model, sticky_model):
+        for L in (1, 2, 3):
+            t = xc.window_table(model, L)
+            dists = [xc.simulation_distribution(t, 0.5)[1]]
+            for _ in range(3):
+                table = rng.dirichlet(np.ones(5), size=4 ** L)
+                table[rng.random(table.shape) < 0.2] = 0.0
+                table[:, 0] += 1e-3
+                dists.append(xc.ActionDistribution(L, table / table.sum(axis=1, keepdims=True)))
+            for dist in dists:
+                assert xc.link_capacities(t, dist) == link_capacities_oracle(t, dist)
+
+
+def test_cut_values_match_hand_sums():
+    # each cut adds the arcs leaving its side in the hand sums' order, bit for bit
+    rng = random.Random(12)
+    for _ in range(1000):
+        caps = xc.CapacitySet(
+            c12=(rng.random(), rng.random()), c13=rng.random(),
+            c14=(rng.random(), rng.random()), c24=(rng.random(), rng.random()),
+            c32=(rng.random(), rng.random()), c34=(rng.random(), rng.random()))
+        assert xc.cut_values(caps) == cut_values_oracle(caps)
+
+
+def test_max_rate_rejects_unknown_receiver():
+    ones = xc.CapacitySet(c12=(1, 2), c13=1.0, c14=(1, 2), c24=(1, 2), c32=(1, 2), c34=(1, 2))
+    assert (xc.max_rate(ones, 1), xc.max_rate(ones, 2)) == (3.0, 5.0)
+    # 0 once read receiver 2's rate through index -1, and 3 raised IndexError
+    for bad in (0, 3, -1):
+        with pytest.raises(xc.ContractViolation):
+            xc.max_rate(ones, bad)
 
 
 def test_min_cut_equals_max_flow_random():

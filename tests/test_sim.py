@@ -19,8 +19,11 @@ from xorcast.filtering import LANE
 from xorcast.sim import (BLOCK, FRESH1, FRESH2, IDLE, MIX_FRESH, REMEDY, SUB1, SUB2,
                          XOR_BACKLOG, _well_formed, maxweight_action, substitute_action)
 
-from oracles import (QueueState, _apply, gf2_decode_oracle, load_trace_oracle, random_model,
-                     save_trace_json, simulate_oracle, sparse_model, write_trace_fstring)
+from xorcast.region import _ARCS
+
+from oracles import (QueueState, _apply, arc_events, backpressure_weights, gf2_decode_oracle,
+                     load_trace_oracle, random_model, save_trace_json, simulate_oracle,
+                     sparse_model, write_trace_fstring)
 
 
 def filled(q1_1=(), q1_2=(), q2_1=(), q2_2=(), q3=()):
@@ -192,6 +195,49 @@ def test_maxweight_hand_arithmetic():
     w5 = 0.25 * (1 - 1) + (1 - 0.5) * 1 + 0.25 * (1 - 1) + (1 - 0.5) * 1
     assert w3 == w5
     assert maxweight_action(*tie, *tie_stats) == XOR_BACKLOG
+
+
+def test_maxweight_is_backpressure_over_arcs():
+    # maxweight_action writes the arc table's backpressure sums out by hand,
+    # factored and reordered, so the two may part only on ties within 1e-9;
+    # half the pattern vectors lie on a grid of tenths, where ties are common
+    rng = np.random.default_rng(13)
+    n = 200_000
+    queues = rng.integers(0, 10, size=(n, 5)).tolist()
+    pats = np.concatenate((rng.dirichlet(np.ones(4), size=n // 2),
+                           rng.multinomial(10, [0.25] * 4, size=n // 2) / 10)).tolist()
+    parted = 0
+    for lengths, (_p00, p01, p10, p11) in zip(queues, pats):
+        got = maxweight_action(*lengths, p01, p10, p11)
+        weights = backpressure_weights(*lengths, p01, p10, p11)
+        want = max(weights, key=weights.get) if weights else IDLE
+        if want == XOR_BACKLOG and not (lengths[2] and lengths[3]):
+            want = SUB1 if lengths[2] else SUB2
+        if got != want:
+            parted += 1
+            sent = XOR_BACKLOG if got in (SUB1, SUB2) else got
+            assert abs(weights[sent] - max(weights.values())) <= 1e-9, (lengths, got, want)
+    assert parted < n // 1000
+
+
+def test_arc_table_matches_slot_oracle():
+    # every action under every pattern, from two packets in each queue:
+    # each receiver's (n1, n2, n3) moves along the table's arcs that fire
+    for action in (FRESH1, FRESH2, XOR_BACKLOG, MIX_FRESH, REMEDY):
+        for pattern in xc.PATTERNS:
+            st = filled([1, 2], [3, 4], [(5, 5), (6, 6)], [(7, 7), (8, 8)],
+                        [(1, 3, 1), (2, 4, 4)])
+            before = st.lengths()
+            _apply(st, action, *pattern)
+            moved = [a - b for a, b in zip(st.lengths(), before)]
+            for j, fired in zip((1, 2), arc_events(*pattern)):
+                want = [0, 0, 0, 0]
+                for a, i, event, u, v in _ARCS:
+                    if a == action - 1 and i == j and fired[event]:
+                        want[u - 1] -= 1
+                        want[v - 1] += 1
+                got = [moved[j - 1], moved[j + 1], moved[4]]
+                assert got == want[:3], (action, pattern, j)
 
 
 def test_maxweight_prefers_remedy_backlog():
