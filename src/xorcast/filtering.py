@@ -174,8 +174,8 @@ def filter_step(model: ChannelModel, belief, pattern):
 
 def predict_pattern_probs(model: ChannelModel, belief):
     """Distribution of the next slot's erasure pattern given the belief,
-    each entry a left fold as in _step."""
-    return tuple([reduce(add, map(mul, belief, col), 0.0) for col in model.emission_cols])
+    each entry a left fold from its first term, as in _step_batch."""
+    return tuple([reduce(add, map(mul, belief, col)) for col in model.emission_cols])
 
 
 def predict_stats(model: ChannelModel, belief) -> ErasureStats:
@@ -298,8 +298,8 @@ def _descend(model: ChannelModel, belief, probs: np.ndarray, depth: int, table: 
             continue
         rows = slice(start, start + len(p))
         table.probs[rows] = p
-        for k, col in enumerate(model.emission_cols):
-            table.pattern_probs[rows, k] = reduce(add, map(mul, b, col))
+        for k, col in enumerate(predict_pattern_probs(model, b)):
+            table.pattern_probs[rows, k] = col
 
 
 def dump_window_table(table: WindowTable, out) -> None:

@@ -608,8 +608,6 @@ def write_trace(trace, out) -> None:
     out.write("".join(lines))
 
 
-_JSON_SPACE = " \t\n\r"     # what json.loads skips around a value
-_decode = json.JSONDecoder().raw_decode
 _ID = rb"(0|-?[1-9][0-9]{0,17})"     # an int as str() writes it, far below the digit limit
 # A line as write_trace writes a row of simulate, and no other text: one id
 # or two distinct ones (str() gives each int one spelling, so the lookahead
@@ -626,18 +624,17 @@ _CANONICAL = re.compile(
 def load_trace(path) -> list:
     """Read a JSON-lines trace. A line exactly as write_trace writes a row
     of simulate (_CANONICAL) becomes its row straight from the pattern's
-    groups. Every other line, valid or not, is parsed as json.loads parses
-    it, its rules written out (JSON whitespace around the value, "Extra
-    data" after it, no byte order mark), and its record is checked.
-    Malformed lines, among them text that is not UTF-8, a combination that
-    is not one packet id or two distinct ones, or a delivery claim that is
-    not two integers or names a receiver other than 1 or 2, raise
-    TraceFormatError with the 1-based line number, as does an action other
-    than the transmit codes 1..5 that write_trace writes. Ids, receivers,
-    slots and actions must be JSON integers: a float, a string or a bool is
-    rejected, not converted. A value nested deeper than the decoder's
-    recursion limit is malformed too, as is an integer longer than the
-    interpreter converts; lines that str.strip() empties are skipped."""
+    groups. Every other line, valid or not, goes through json.loads and
+    then the record checks. Malformed lines, among them text that is not
+    UTF-8, a combination that is not one packet id or two distinct ones, or
+    a delivery claim that is not two integers or names a receiver other
+    than 1 or 2, raise TraceFormatError with the 1-based line number, as
+    does an action other than the transmit codes 1..5 that write_trace
+    writes. Ids, receivers, slots and actions must be JSON integers: a
+    float, a string or a bool is rejected, not converted. A value nested
+    deeper than the decoder's recursion limit is malformed too, as is an
+    integer longer than the interpreter converts; lines that str.strip()
+    empties are skipped."""
     rows = []
     canonical = _CANONICAL.fullmatch
     with open(path, "rb") as f:
@@ -655,41 +652,29 @@ def load_trace(path) -> list:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as e:
                 raise TraceFormatError(f"line {i}: not UTF-8 text", line=i) from e
-            text = line.lstrip(_JSON_SPACE)
+            if not line.strip():
+                continue
             try:
-                obj, end = _decode(text)
+                obj = json.loads(line)
             except json.JSONDecodeError as e:
-                if not line.strip():
-                    continue
-                msg = ("Unexpected UTF-8 BOM (decode using utf-8-sig)"
-                       if line.startswith("\ufeff") else e.msg)
-                raise TraceFormatError(f"line {i}: {msg}", line=i) from e
+                raise TraceFormatError(f"line {i}: {e.msg}", line=i) from e
             except RecursionError as e:
                 raise TraceFormatError(f"line {i}: JSON value nested too deeply", line=i) from e
             except ValueError as e:     # the interpreter's digit limit on int()
                 raise TraceFormatError(f"line {i}: integer longer than "
                                        f"{sys.get_int_max_str_digits()} digits", line=i) from e
-            tail = text[end:]
-            if tail != "\n" and tail.strip(_JSON_SPACE):
-                raise TraceFormatError(f"line {i}: Extra data", line=i)
-            # one pass of checks, in the order of their messages: shape and
-            # types, action, combination, each claim
             try:
                 slot = obj["slot"]
                 action = obj["action"]
                 combo = tuple(obj["combo"])
                 r1 = obj["received_rx1"]
                 r2 = obj["received_rx2"]
-                delivered = tuple(map(tuple, obj["delivered"]))
-                n = len(combo)
-                # json yields exact ints, and type() also rules out bools;
-                # bool has no subclasses, so type() is isinstance() there
+                delivered = tuple([(j, pid) for j, pid in obj["delivered"]])
+                # json yields exact ints, and type() also rules out bools
                 if (type(slot) is not int or type(r1) is not bool or type(r2) is not bool or
-                        (type(combo[0]) is not int if n == 1 else
-                         list(map(type, combo)).count(int) != n) or
-                        delivered and list(map(len, delivered)).count(2) != len(delivered)):
+                        not all([type(c) is int for c in combo])):
                     raise TypeError
-            except (KeyError, TypeError) as e:
+            except (KeyError, TypeError, ValueError) as e:
                 raise TraceFormatError(f"line {i}: bad trace record", line=i) from e
             if type(action) is not int or not FRESH1 <= action <= REMEDY:
                 raise TraceFormatError(f"line {i}: action {action!r} is not a transmit "

@@ -84,6 +84,23 @@ def test_collector_paused_in_one_place():
     assert found == {("sim.py", "_gc_paused")}, found
 
 
+def test_json_parsed_only_by_load_and_loads():
+    # one JSON reader: text becomes values through json.load or json.loads,
+    # never through a decoder object or raw_decode of the package's own
+    allowed = {"load", "loads", "dump", "dumps", "JSONDecodeError"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("json"):
+                found.append(f"{path.name}:{node.lineno} from {node.module} import")
+            elif isinstance(node, ast.Attribute) and (
+                    node.attr in ("JSONDecoder", "raw_decode")
+                    or isinstance(node.value, ast.Name) and node.value.id == "json"
+                    and node.attr not in allowed):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not found, "JSON parsed outside json.load and json.loads: " + ", ".join(found)
+
+
 def test_generators_made_once_per_run():
     # a run seeds one generator once, where it is made: reseeding costs more
     # than the doubles a short path draws from it

@@ -976,10 +976,10 @@ def test_load_trace_reads_written_lines_without_json(tmp_path, ref_model, monkey
     # every line write_trace writes from a run, SUB, REMEDY, MIX_FRESH and
     # two-claim rows among them, takes the compiled canonical-line path
     def refuse(*args):
-        raise AssertionError("a written trace line went through raw_decode")
+        raise AssertionError("a written trace line went through json.loads")
 
     wit, dist, _ = xc.simulation_distribution(xc.window_table(ref_model, 2), 0.5)
-    monkeypatch.setattr(xc.sim, "_decode", refuse)
+    monkeypatch.setattr(xc.sim.json, "loads", refuse)
     path = tmp_path / "trace.jsonl"
     for sched in ("probabilistic", "maxweight"):
         trace = xc.simulate(ref_model, sched, 0.95 * wit.R1, 0.95 * wit.R2, 3000, 3,
@@ -989,6 +989,29 @@ def test_load_trace_reads_written_lines_without_json(tmp_path, ref_model, monkey
         assert any(len(row[5]) == 2 for row in trace)
         xc.save_trace(trace, path)
         assert xc.load_trace(path) == trace
+
+
+def test_load_trace_reads_rewritten_runs(tmp_path, ref_model):
+    # both schedulers' runs written by json.dumps in another spelling (keys
+    # reordered, no spaces, CRLF endings): no line matches the canonical
+    # pattern, and json.loads with the record checks gives back each row
+    wit, dist, _ = xc.simulation_distribution(xc.window_table(ref_model, 2), 0.5)
+    path = tmp_path / "trace.jsonl"
+    for sched in ("probabilistic", "maxweight"):
+        trace = xc.simulate(ref_model, sched, 0.95 * wit.R1, 0.95 * wit.R2, 3000, 3,
+                            dist=dist, collect_trace=True).trace
+        assert any(row[1] == XOR_BACKLOG and len(row[2]) == 1 for row in trace)
+        assert {REMEDY, MIX_FRESH} <= {row[1] for row in trace}
+        assert any(len(row[5]) == 2 for row in trace)
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            for slot, action, combo, r1, r2, delivered in trace:
+                f.write(json.dumps({"delivered": delivered, "received_rx2": r2,
+                                    "received_rx1": r1, "combo": combo, "action": action,
+                                    "slot": slot}, separators=(",", ":")) + "\r\n")
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert not any(map(xc.sim._CANONICAL.fullmatch, lines))
+        assert xc.load_trace(path) == trace
+        assert load_trace_oracle(path) == trace
 
 
 def test_save_trace_matches_json_oracle(tmp_path, ref_model):
