@@ -165,18 +165,13 @@ def stationary_distribution(model: ChannelModel) -> np.ndarray:
     return pi
 
 
-def _words(rng: random.Random, k: int) -> bytes:
-    """The generator output that k rng.random() calls consume, advancing
-    rng past it: 2k 32-bit words, in order, as little-endian bytes
-    (getrandbits lays its words out least significant first)."""
-    return rng.getrandbits(64 * k).to_bytes(8 * k, "little")
-
-
-def _uniforms(raw) -> np.ndarray:
-    """The doubles rng.random() makes of the words in raw (from _words):
-    two words each, the first first, as (a >> 5) * 2**26 + (b >> 6) over
-    2**53."""
-    w = np.frombuffer(raw, "<u4")
+def _uniforms(rng: random.Random, k: int) -> np.ndarray:
+    """The k doubles that k rng.random() calls return, advancing rng past
+    them. They are made of the 2k 32-bit words those calls consume, taken
+    in order as little-endian bytes (getrandbits lays its words out least
+    significant first): two words each, the first first, as
+    (a >> 5) * 2**26 + (b >> 6) over 2**53."""
+    w = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u4")
     u = (w[0::2] >> 5) * 67108864.0
     u += w[1::2] >> 6
     u /= 9007199254740992.0
@@ -231,7 +226,7 @@ def _draw_codes(cums, n: int, seed: int, samples: int):
     stream, in the order sample_trajectory uses them. So path 0 is
     sample_trajectory's for seed, and fewer samples draw a prefix of more."""
     pi_cum, t_cum, e_cum = cums
-    u = _uniforms(_words(random.Random(seed), samples * (2 * n + 1)))
+    u = _uniforms(random.Random(seed), samples * (2 * n + 1))
     u = np.ascontiguousarray(u.reshape(samples, 2 * n + 1).T)   # row j: double j of each path
     s = _pick(pi_cum, u[0])
     codes = np.empty((n, samples), dtype=np.intp)
@@ -247,11 +242,13 @@ def sample_trajectory(model: ChannelModel, n: int, seed: int):
     The slot-0 state is drawn from the stationary distribution, then per
     slot its pattern and the next state. Returns (states, patterns) where
     patterns are (z1, z2) tuples. Deterministic in the seed, which must be
-    nonnegative.
+    nonnegative, and so must n be.
     """
     _check_seed(seed)
+    if n < 0:
+        raise ContractViolation("n must be nonnegative")
     cums = _path_cums(model, stationary_distribution(model))
-    u = _uniforms(_words(random.Random(seed), 2 * n + 1))
+    u = _uniforms(random.Random(seed), 2 * n + 1)
     states, codes, _s = _walk(cums, int(_pick(cums[0], u[:1])[0]), u[1::2], u[2::2])
     return states, [PATTERNS[z] for z in codes.tolist()]
 

@@ -76,11 +76,12 @@ def _step(model: ChannelModel, belief, z: int):
 
 
 def _step_batch(model: ChannelModel, belief, z):
-    """_step over a batch of beliefs held as one array per state, with z
-    one pattern index for all rows or one per row, broadcast against them.
-    Every row does _step's floating-point operations in _step's order (its
-    folds start from the first term, not 0.0, as no term is -0.0); a row of
-    zero likelihood keeps its belief and reports likelihood 0."""
+    """_step over a batch of beliefs, the state along the first axis, with z
+    one pattern index for all rows or one per row, broadcast against them;
+    the next beliefs come back as a tuple over the states. Every row does
+    _step's floating-point operations in _step's order (its folds start from
+    the first term, not 0.0, as no term is -0.0); a row of zero likelihood
+    keeps its belief and reports likelihood 0."""
     post = list(map(mul, belief, np.take(model.emission, z, axis=1)))
     ell = reduce(add, post)
     dead = ell <= 0.0
@@ -95,63 +96,58 @@ def _step_batch(model: ChannelModel, belief, z):
 
 def filter_path(model: ChannelModel, belief, codes):
     """The exact filter along the pattern path codes from belief: one array
-    per state, holding the belief before each slot and, last, after the
-    final one. Every value equals the sequential _step chain bit for bit,
-    and an impossible pattern raises ZeroLikelihood as filter_step does, at
-    the first slot where filter_step would.
+    of shape (states, n + 1), holding the belief before each slot and, last,
+    after the final one. Every value equals the sequential _step chain bit
+    for bit, and an impossible pattern raises ZeroLikelihood as filter_step
+    does, at the first slot where filter_step would.
 
     The path is cut into lanes of LANE slots, filtered side by side with
-    _step_batch. The first pass starts every lane from belief; each later
-    pass starts lane b + 1 where lane b ended and re-filters from the first
-    lane whose start changed, until none does. Lane 0 starts exact, so a
-    lane whose start no longer changes is exact by induction. On a channel
-    that forgets a wrong start to the last bit within a lane, two passes
-    suffice. The worst case settles one lane per pass, and a batch step costs
-    several sequential ones, so after PASSES passes the unsettled lanes run
-    through _step one slot at a time, from the first one's exact start.
+    _step_batch in one (states, lanes, LANE + 1) grid. The first pass starts
+    every lane from belief; each later pass starts lane b + 1 where lane b
+    ended and re-filters from the first lane whose start changed, until none
+    does. Lane 0 starts exact, so a lane whose start no longer changes is
+    exact by induction. On a channel that forgets a wrong start to the last
+    bit within a lane, two passes suffice. The worst case settles one lane
+    per pass, and a batch step costs several sequential ones, so after
+    PASSES passes the unsettled lanes run through _step one slot at a time,
+    from the first one's exact start.
     """
     n = len(codes)
     lanes = n // LANE + 1                   # slot n, the end, lies in a lane too
     z = np.zeros(lanes * LANE, dtype=np.intp)
     z[:n] = codes
     z = z.reshape(lanes, LANE)
-    grids = [np.empty((lanes, LANE + 1)) for _ in belief]   # lane b: start, ..., end
+    grid = np.empty((len(belief), lanes, LANE + 1))    # lane b: start, ..., end
     ell = np.empty((lanes, LANE))
-    for g, v in zip(grids, belief):
-        g[:, 0] = v
+    grid[:, :, 0] = np.reshape(belief, (-1, 1))
     first = 0
     for _ in range(PASSES):
-        cur = tuple(g[first:, 0] for g in grids)
+        cur = grid[:, first:, 0]
         for t in range(LANE):
             cur, ell[first:, t] = _step_batch(model, cur, z[first:, t])
-            for g, v in zip(grids, cur):
-                g[first:, t + 1] = v
-        changed = np.zeros(lanes, dtype=bool)
-        for g in grids:
-            changed[first + 1:] |= g[first + 1:, 0] != g[first:-1, LANE]
+            grid[:, first:, t + 1] = cur
+        changed = (grid[:, first + 1:, 0] != grid[:, first:-1, LANE]).any(axis=0)
         if not changed.any():
             first = lanes
             break
-        first = int(changed.argmax())
-        for g in grids:
-            g[first:, 0] = g[first - 1:-1, LANE]
+        first += 1 + int(changed.argmax())
+        grid[:, first:, 0] = grid[:, first - 1:-1, LANE]
     # path order: slot i is column i % LANE of lane i // LANE
-    path = [g[:, :LANE].reshape(-1)[:n + 1] for g in grids]
+    path = grid[:, :, :LANE].reshape(len(belief), -1)[:, :n + 1]
     ells = ell.reshape(-1)[:n]              # padded slots are not judged
     start = first * LANE
     if start < n:
-        b = tuple(float(p[start]) for p in path)
+        b = tuple(path[:, start].tolist())
         seq = []
         for i, zi in enumerate(z.reshape(-1)[start:n].tolist(), start):
             b, ells[i] = _step(model, b, zi)
             seq.append(b)
-        for p, col in zip(path, zip(*seq)):
-            p[start + 1:] = col
+        path[:, start + 1:] = np.transpose(seq)
     dead = ells <= 0.0
     if dead.any():
         raise ZeroLikelihood(f"pattern {PATTERNS[codes[dead.argmax()]]} has probability "
                              "zero under the current belief")
-    return tuple(path)
+    return path
 
 
 def _pattern_arg(pattern) -> int:
@@ -239,7 +235,7 @@ def window_table(model: ChannelModel, L: int) -> WindowTable:
     if L < 1:
         raise ContractViolation("window length must be at least 1")
     _check_window_cap(L)
-    return _extend(model, tuple(np.full(1, v) for v in init_belief(model)), np.ones(1), L)
+    return _extend(model, np.reshape(init_belief(model), (-1, 1)), np.ones(1), L)
 
 
 def _refined_table(model: ChannelModel, L: int) -> WindowTable:
@@ -251,25 +247,25 @@ def _refined_table(model: ChannelModel, L: int) -> WindowTable:
     if n * 4 ** L > 4 ** WINDOW_CAP:
         raise ResourceLimit(f"a refined table of {n} x 4**{L} rows exceeds the cap "
                             f"of 4**{WINDOW_CAP}")
-    return _extend(model, tuple(np.eye(n)), stationary_distribution(model), L)
+    return _extend(model, np.eye(n), stationary_distribution(model), L)
 
 
 def _extend(model: ChannelModel, belief, probs: np.ndarray, L: int) -> WindowTable:
     """Extend each start row (its belief about the state of the window's
-    oldest slot, one vector per state, and its probability) by all 4**L
-    windows, level by level over prefixes.
+    oldest slot, a column of the (states, rows) array belief, and its
+    probability) by all 4**L windows, level by level over prefixes.
 
     Level d holds one belief and one probability per row and length-d
     prefix, and the children of row i are rows 4i..4i+3 of level d+1, so
     row r * 4**L + i of the last level holds start row r and window i. A
-    step is one _step_batch call on (row, pattern) arrays, belief columns of
-    shape (rows, 1) against the four emission entries, whose C-order
-    flattening, a view, is the next level. A level is stepped _CHUNK parents
-    at a time, each block carried down to the last level, which is written
-    into the table: only the table is held at full size. A probability is
-    the start row's times the product of one-step likelihoods; an impossible
-    prefix passes probability 0 down its whole subtree, and its rows carry
-    the prediction from a uniform belief.
+    step is one _step_batch call on (row, pattern) arrays, beliefs of shape
+    (states, rows, 1) against the four emission entries, whose C-order
+    reshape to (states, rows * 4) is the next level. A level is stepped
+    _CHUNK parents at a time, each block carried down to the last level,
+    which is written into the table: only the table is held at full size. A
+    probability is the start row's times the product of one-step
+    likelihoods; an impossible prefix passes probability 0 down its whole
+    subtree, and its rows carry the prediction from a uniform belief.
     """
     rows = len(probs) * 4 ** L
     table = WindowTable(L=L, probs=np.empty(rows), pattern_probs=np.empty((rows, 4), order="F"))
@@ -285,21 +281,22 @@ def _extend(model: ChannelModel, belief, probs: np.ndarray, L: int) -> WindowTab
 
 def _descend(model: ChannelModel, belief, probs: np.ndarray, depth: int, table: WindowTable,
              at: int) -> None:
-    """Write the rows of table from row at on: the start rows (belief,
-    probs) extended by all 4**depth windows, _CHUNK parents a step."""
+    """Write the rows of table from row at on: the start rows (belief's
+    columns, probs) extended by all 4**depth windows, _CHUNK parents a step."""
     for a in range(0, len(probs), _CHUNK):
-        b, p = tuple(v[a:a + _CHUNK] for v in belief), probs[a:a + _CHUNK]
+        b, p = belief[:, a:a + _CHUNK], probs[a:a + _CHUNK]
         start = at + a * 4 ** depth
         if depth:
-            b, ell = _step_batch(model, tuple(v[:, None] for v in b), np.arange(4))
-            b, p = tuple(v.reshape(-1) for v in b), (p[:, None] * ell).reshape(-1)
-        if depth > 1:
+            b, ell = _step_batch(model, b[:, :, None], np.arange(4))
+            p = (p[:, None] * ell).reshape(-1)
+        if depth > 1:       # the last level reads the tuple over the states as it is
+            b = np.reshape(b, (len(b), -1))
             _descend(model, b, p, depth - 1, table, start)
             continue
         rows = slice(start, start + len(p))
         table.probs[rows] = p
         for k, col in enumerate(predict_pattern_probs(model, b)):
-            table.pattern_probs[rows, k] = col
+            table.pattern_probs[rows, k] = col.reshape(-1)
 
 
 def dump_window_table(table: WindowTable, out) -> None:
@@ -376,7 +373,7 @@ def exhaustive_forgetting(model: ChannelModel, L: int, horizon: int) -> float:
 def _filter_batch(model: ChannelModel, pi, codes):
     """Beliefs after filtering each column of codes (slots along axis 0)
     from the belief pi; raises ZeroLikelihood as filter_step does."""
-    belief = tuple(np.full(codes.shape[1], v) for v in pi)
+    belief = np.repeat(np.reshape(pi, (-1, 1)), codes.shape[1], axis=1)
     for z in codes:
         belief, ell = _step_batch(model, belief, z)
         dead = ell <= 0.0

@@ -408,22 +408,26 @@ def link_capacities(table: WindowTable, dist: ActionDistribution) -> CapacitySet
     odds = {_HEARD: (1.0 - e1, 1.0 - e2), _OTHER: (pp[:, 2], pp[:, 1]), _ANY: (1.0 - e12,) * 2}
     links = {}
     for a, j, event, u, v in _ARCS:
-        rate = float(np.sum(table.probs * (odds[event][j - 1] * dist.table[:, a])))
         link = f"c{u}{v}"
+        if event == _ANY and link in links:     # c13: one rate for both receivers
+            continue
+        rate = float((table.probs * (odds[event][j - 1] * dist.table[:, a])).sum())
         links[link] = rate if event == _ANY else links.get(link, ()) + (rate,)
     return CapacitySet(**links)
 
 
 def cut_values(caps: CapacitySet) -> CutValues:
     """Each cut's weight per receiver: the rates of the arcs that leave its
-    source side, added left to right in the order of _ARCS."""
-    def rate(j, event, u, v):
+    source side, added left to right in the order of _ARCS. Each arc's rate
+    is read from caps once."""
+    cuts = {side: ([], []) for side in ((1,), (1, 2), (1, 3), (1, 2, 3))}
+    for _, j, event, u, v in _ARCS:
         link = getattr(caps, f"c{u}{v}")
-        return link if event == _ANY else link[j - 1]
-    return CutValues(*(
-        tuple(reduce(add, [rate(j, event, u, v) for _, i, event, u, v in _ARCS
-                           if i == j and u in side and v not in side]) for j in (1, 2))
-        for side in ((1,), (1, 2), (1, 3), (1, 2, 3))))
+        rate = link if event == _ANY else link[j - 1]
+        for side, cut in cuts.items():
+            if u in side and v not in side:
+                cut[j - 1].append(rate)
+    return CutValues(*(tuple(reduce(add, c) for c in cut) for cut in cuts.values()))
 
 
 def max_rate(caps: CapacitySet, receiver: int) -> float:

@@ -28,7 +28,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import ChannelModel, _check_seed, _path_cums, _pick, _uniforms, _walk, _words
+from .channel import ChannelModel, _check_seed, _path_cums, _pick, _uniforms, _walk
 from .errors import ContractViolation, NumericalFailure, TraceFormatError
 # the traced benchmark wraps filter_step and predict_stats by name in this module
 from .filtering import (filter_path, filter_step, init_belief,  # noqa: F401
@@ -256,10 +256,10 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     record = trace.append if collect_trace else None
     slot_rows = [] if collect_slots else None
 
-    s = int(_pick(cums[0], _uniforms(_words(rng, 1)))[0])
+    s = int(_pick(cums[0], _uniforms(rng, 1))[0])
     for base in range(0, n, BLOCK):
         m = min(BLOCK, n - base)
-        u = _uniforms(_words(rng, m * width)).reshape(m, width)
+        u = _uniforms(rng, m * width).reshape(m, width)
         codes, s = _walk(cums, s, u[:, -2], u[:, -1])[1:]   # drops the states
         if probabilistic:
             # the window of slot i is the L patterns before it, oldest first
@@ -273,9 +273,9 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
             p10s = p11s = repeat(None)
         else:
             beliefs = filter_path(model, belief, codes)
-            belief = tuple(float(b[-1]) for b in beliefs)
+            belief = beliefs[:, -1]
             # the rule columns p01, p10 and p11 of each slot
-            _p00, *probs = predict_pattern_probs(model, tuple(b[:-1] for b in beliefs))
+            _p00, *probs = predict_pattern_probs(model, beliefs[:, :-1])
             lead, p10s, p11s = (col.tolist() for col in probs)
         new1 = u[:, 0] < R1
         new2 = u[:, 1] < R2

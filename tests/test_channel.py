@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import xorcast as xc
-from xorcast.channel import BALANCE_TOL, _pick, _uniforms, _words
+from xorcast.channel import BALANCE_TOL, _pick, _uniforms
 
 from oracles import (aperiodic_oracle, cumulative_rows, draw_oracle, random_model,
                      sparse_model, strongly_connected_oracle, trajectory_oracle)
@@ -300,7 +300,7 @@ def test_uniforms_match_random():
     for seed in (0, 1, 2 ** 40 + 3):
         rng, ref = random.Random(seed), random.Random(seed)
         for k in (0, 1, 2, 5, 1000, 20_001):
-            assert _uniforms(_words(rng, k)).tolist() == [ref.random() for _ in range(k)]
+            assert _uniforms(rng, k).tolist() == [ref.random() for _ in range(k)]
             assert rng.getstate() == ref.getstate()
 
 
@@ -308,6 +308,19 @@ def test_negative_seed_rejected(ref_model):
     # random.Random(-s) seeds as random.Random(s) does
     with pytest.raises(xc.ContractViolation, match="negative"):
         xc.sample_trajectory(ref_model, 10, seed=-5)
+
+
+def test_negative_length_rejected(ref_model, monkeypatch):
+    # a negative length raises before a double is drawn; zero slots are a
+    # valid, empty trajectory
+    assert xc.sample_trajectory(ref_model, 0, seed=3) == ([], [])
+
+    def no_draw(*args):
+        raise AssertionError("drew doubles for a negative length")
+    monkeypatch.setattr(xc.channel, "_uniforms", no_draw)
+    for n in (-1, -7):
+        with pytest.raises(xc.ContractViolation, match="nonnegative"):
+            xc.sample_trajectory(ref_model, n, seed=3)
 
 
 def test_trajectory_matches_scalar_draws(ref_model):

@@ -518,6 +518,7 @@ def test_filter_path_matches_step_chain(ref_model):
             codes = np.array([xc.PATTERN_INDEX[p] for p in patterns], dtype=np.intp)
             start = xc.init_belief(model)
             got = filter_path(model, start, codes)
+            assert got.dtype == np.float64 and got.shape == (model.num_states, n + 1)
             assert all(len(v) == n + 1 for v in got)
             assert list(zip(*(v.tolist() for v in got))) == _step_chain(model, start, codes)
 
