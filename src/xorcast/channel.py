@@ -146,8 +146,6 @@ def stationary_distribution(model: ChannelModel) -> np.ndarray:
     n = model.num_states
     if not _closure(t > 0.0).all():
         raise NoUniqueStationary("transition support graph is not strongly connected")
-    if n == 1:
-        return np.array([1.0])
     a = np.vstack([t.T - np.eye(n), np.ones((1, n))])
     b = np.zeros(n + 1)
     b[n] = 1.0

@@ -21,7 +21,7 @@ from . import __version__
 from .channel import _read_json, forgetting_margin, load_model
 from .errors import (ContractViolation, ModelFormatError, NumericalFailure,
                      ResourceLimit, TraceFormatError, XorcastError)
-from .filtering import _forgetting, dump_window_table, window_table
+from .filtering import _exhaustive_tvs, _sampled_tvs, dump_window_table, window_table
 from .region import (canonicalize, dist_to_dict, load_dist, sandwich,
                      simulation_distribution, solve_region, sweep_table)
 from .sim import decode_verify, load_trace, simulate, stability_verdict, write_trace
@@ -211,9 +211,9 @@ def cmd_forgetting(opts) -> int:
     samples = opts.get("samples", default=256, kind=int)
     ls = range(1, l_max + 1)
     if horizon <= 9:    # at most 4**8 = 65536 histories to enumerate
-        tvs, method = _forgetting(model, ls, horizon), "exhaustive"
+        tvs, method = _exhaustive_tvs(model, ls, horizon), "exhaustive"
     else:
-        tvs, method = _forgetting(model, ls, horizon, seed, samples), "empirical"
+        tvs, method = _sampled_tvs(model, ls, horizon, seed, samples), "empirical"
     rows = []   # all rows first, so an error leaves no partial CSV
     for L, tv in zip(ls, tvs):
         margin = forgetting_margin(model, L)

@@ -310,50 +310,36 @@ def dump_window_table(table: WindowTable, out) -> None:
         writer.writerow([window_label(i, table.L)] + [f"{v:.12g}" for v in row])
 
 
-def _check_horizon(L: int, horizon: int) -> int:
-    if L < 1:
+def _check_horizon(Ls, horizon: int) -> int:
+    if min(Ls) < 1:
         raise ContractViolation("window length must be at least 1")
-    if horizon <= L:
+    if horizon <= max(Ls):
         raise ContractViolation("horizon must exceed the window length")
     return horizon - 1
 
 
-def _forgetting(model: ChannelModel, Ls, horizon: int, seed=None, samples=None):
-    """exhaustive_forgetting, or with a seed empirical_forgetting, for each
-    window length in Ls. What does not depend on L is done once for all: the
-    full table, or the sampled histories and their full-history filter."""
-    for L in Ls:
-        t = _check_horizon(L, horizon)     # horizon - 1 for every L
-    if seed is None:
-        full = window_table(model, t)
-        dead = full.probs <= 0.0
-        tvs = []
-        for L in Ls:
-            # history i's window is row i mod 4**L: the last axis once a
-            # column is cut into blocks of 4**L rows. The TV is a left fold
-            # over the patterns in place: each |f - w| is formed in term and
-            # added into tv, which starts at 0.0, and 0.0 + |x| is |x|.
-            win = window_table(model, L).pattern_probs.T
-            tv, term = np.empty((2, len(full) // 4 ** L, 4 ** L))
-            tv.fill(0.0)
-            for f, w in zip(full.pattern_probs.T, win):
-                tv += np.abs(np.subtract(f.reshape(tv.shape), w, out=term), out=term)
-            tv = tv.reshape(-1)
-            tv[dead] = 0.0
-            tvs.append(float(tv.max()))
-        return tvs
-    _check_seed(seed)
-    if samples < 1:
-        raise ContractViolation("sample count must be at least 1")
-    if samples * t > 4 ** WINDOW_CAP:
-        raise ResourceLimit(f"{samples} x {t} sampled slots exceed the cap of 4**{WINDOW_CAP}")
-    pi = init_belief(model)
-    codes = _draw_codes(_path_cums(model, pi), t, seed, samples)
-    a = predict_pattern_probs(model, _filter_batch(model, pi, codes))
+def _tv(full, window):
+    """Per history, the TV: the sum over the four patterns of |f - w|, f of
+    full and w of window, broadcast against f, as a left fold in place from
+    0.0 (each |f - w| is formed in term; 0.0 + |x| is |x|)."""
+    tv, term = np.empty((2, *np.shape(full[0])))
+    tv.fill(0.0)
+    for f, w in zip(full, window):
+        tv += np.abs(np.subtract(f, w, out=term), out=term)
+    return tv
+
+
+def _exhaustive_tvs(model: ChannelModel, Ls, horizon: int):
+    """exhaustive_forgetting for each window length in Ls, from one full table."""
+    full = window_table(model, _check_horizon(Ls, horizon))
+    dead = full.probs <= 0.0
     tvs = []
     for L in Ls:
-        b = predict_pattern_probs(model, _filter_batch(model, pi, codes[t - L:]))
-        tvs.append(float(reduce(add, [abs(u - v) for u, v in zip(a, b)]).max()))
+        # history i's window is row i mod 4**L: the last axis of blocks of 4**L rows
+        tv = _tv(full.pattern_probs.T.reshape(4, -1, 4 ** L),
+                 window_table(model, L).pattern_probs.T).reshape(-1)
+        tv[dead] = 0.0
+        tvs.append(float(tv.max()))
     return tvs
 
 
@@ -364,10 +350,9 @@ def exhaustive_forgetting(model: ChannelModel, L: int, horizon: int) -> float:
     horizon - 1 and compares the prediction for the next slot from the full
     history against the one using only the last L observations. Because full
     histories are themselves windows of length horizon - 1, both sides come
-    from window tables, and each history's four |differences| are summed as
-    a left fold.
+    from window tables; each history's TV is _tv's fold.
     """
-    return _forgetting(model, (L,), horizon)[0]
+    return _exhaustive_tvs(model, (L,), horizon)[0]
 
 
 def _filter_batch(model: ChannelModel, pi, codes):
@@ -383,6 +368,21 @@ def _filter_batch(model: ChannelModel, pi, codes):
     return belief
 
 
+def _sampled_tvs(model: ChannelModel, Ls, horizon: int, seed: int, samples: int):
+    """empirical_forgetting for each window length in Ls, from one draw and its full filter."""
+    t = _check_horizon(Ls, horizon)
+    _check_seed(seed)
+    if samples < 1:
+        raise ContractViolation("sample count must be at least 1")
+    if samples * t > 4 ** WINDOW_CAP:
+        raise ResourceLimit(f"{samples} x {t} sampled slots exceed the cap of 4**{WINDOW_CAP}")
+    pi = init_belief(model)
+    codes = _draw_codes(_path_cums(model, pi), t, seed, samples)
+    full = predict_pattern_probs(model, _filter_batch(model, pi, codes))
+    wins = (predict_pattern_probs(model, _filter_batch(model, pi, codes[t - L:])) for L in Ls)
+    return [float(_tv(full, win).max()) for win in wins]
+
+
 def empirical_forgetting(model: ChannelModel, L: int, horizon: int, seed: int,
                          samples: int = 256) -> float:
     """Sampled version of exhaustive_forgetting for horizons too long to
@@ -394,4 +394,4 @@ def empirical_forgetting(model: ChannelModel, L: int, horizon: int, seed: int,
     together. The seed must be nonnegative, since random.Random seeds -s as
     s. More than 4**WINDOW_CAP slots in all, a window table's row cap, raise
     ResourceLimit before anything is drawn."""
-    return _forgetting(model, (L,), horizon, seed, samples)[0]
+    return _sampled_tvs(model, (L,), horizon, seed, samples)[0]

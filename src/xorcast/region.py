@@ -245,8 +245,8 @@ def solve_region(table: WindowTable, w1: float, w2: float) -> RegionWitness:
     feeds the simulator: corners have all four constraints doing real
     work. The region holds the origin, so the status is always "Optimal".
     """
-    if w1 + w2 <= 0.0 or w1 < 0.0 or w2 < 0.0:
-        raise ContractViolation("weights must be nonnegative with a positive sum")
+    if not (0.0 <= w1 < np.inf and 0.0 <= w2 < np.inf and w1 + w2 > 0.0):    # nan fails
+        raise ContractViolation("weights must be finite, nonnegative and of positive sum")
     return _corner(table, *_polygon(table), w1, w2)
 
 
@@ -432,7 +432,7 @@ def cut_values(caps: CapacitySet) -> CutValues:
 
 def max_rate(caps: CapacitySet, receiver: int) -> float:
     """Min cut between the fresh queue and delivery for one receiver (1 or 2)."""
-    if receiver not in (1, 2):
+    if type(receiver) is not int or receiver not in (1, 2):
         raise ContractViolation(f"receiver must be 1 or 2, got {receiver!r}")
     cuts = cut_values(caps)
     return min(cut[receiver - 1] for cut in (cuts.a, cuts.b, cuts.c, cuts.d))

@@ -505,8 +505,8 @@ def decode_verify(trace) -> DecodeReport:
             if r2:
                 _edge(known2, pending2, a, b)
         for j, pid in delivered:
-            if j not in (1, 2):
-                raise ContractViolation(f"slot {slot}: delivery claim names receiver {j}; "
+            if type(j) is not int or j not in (1, 2):
+                raise ContractViolation(f"slot {slot}: delivery claim names receiver {j!r}; "
                                         "receivers are 1 and 2")
             if pid not in known[j - 1] and not bad[j - 1]:
                 bad[j - 1] = True

@@ -141,6 +141,19 @@ def test_stationary_reducible_raises():
         xc.stationary_distribution(m)
 
 
+def test_stationary_one_state_goes_through_the_solve():
+    # a one-state chain gets the general solve and the balance check: [[1.0]]
+    # comes out exactly [1.0], and a chain with no stationary distribution
+    # raises, where a shortcut once returned [1.0] for all three
+    def one(p):
+        return xc.ChannelModel([[p]], [[0.25] * 4])
+    pi = xc.stationary_distribution(one(1.0))
+    assert pi.dtype == np.float64 and pi.tolist() == [1.0]
+    for p in (0.5, math.nan):
+        with pytest.raises(xc.NoUniqueStationary):
+            xc.stationary_distribution(one(p))
+
+
 def test_stationary_random_models_fixed_point():
     rng = random.Random(7)
     for _ in range(25):

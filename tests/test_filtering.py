@@ -314,6 +314,26 @@ def test_forgetting_horizon_too_short(ref_model):
         xc.exhaustive_forgetting(ref_model, 3, 3)
 
 
+def test_exhaustive_forgetting_skips_impossible_histories():
+    # the worst case runs over positive-probability histories only: a dead
+    # history carries the uniform belief's prediction, which its window's
+    # need not match, so on these sparse models counting it would raise
+    # the worst case at least once
+    rng = random.Random(11)
+    raised = 0
+    for _ in range(40):
+        model = sparse_model(rng, rng.choice([2, 3]))
+        for L in (1, 2):
+            probs, full = window_table_dfs(model, 5)
+            win = window_table_dfs(model, L)[1]
+            tvs = [reduce(add, [abs(f - w) for f, w in zip(full[i], win[i % 4 ** L])])
+                   for i in range(4 ** 5)]
+            live = max(tv for tv, p in zip(tvs, probs) if p > 0.0)
+            assert xc.exhaustive_forgetting(model, L, 6) == live
+            raised += max(tvs) > live
+    assert raised
+
+
 def test_empirical_below_exhaustive(ref_model):
     ex = xc.exhaustive_forgetting(ref_model, 2, 6)
     em = xc.empirical_forgetting(ref_model, 2, 6, seed=9, samples=200)

@@ -39,6 +39,30 @@ def test_solve_region_rejects_bad_weights(ref_model):
         xc.solve_region(t, 0.0, 0.0)
 
 
+# every public float argument, as a call of (model, its L=1 table, value)
+FLOAT_ARGS = {
+    "solve_region.w1": lambda m, t, v: xc.solve_region(t, v, 0.5),
+    "solve_region.w2": lambda m, t, v: xc.solve_region(t, 0.5, v),
+    "sandwich.w1": lambda m, t, v: xc.sandwich(m, 1, v, 0.5),
+    "sandwich.w2": lambda m, t, v: xc.sandwich(m, 1, 0.5, v),
+    "simulation_distribution.lam": lambda m, t, v: xc.simulation_distribution(t, v),
+    "simulation_distribution.backoff": lambda m, t, v: xc.simulation_distribution(t, 0.5, v),
+    "simulate.R1": lambda m, t, v: xc.simulate(m, "maxweight", v, 0.1, 100, 1),
+    "simulate.R2": lambda m, t, v: xc.simulate(m, "maxweight", 0.1, v, 100, 1),
+    "robust_witness.backoff": lambda m, t, v: xc.robust_witness(t, xc.solve_region(t, 1, 1), v),
+    "xy_to_actions.s_param": lambda m, t, v: xc.xy_to_actions(xc.solve_region(t, 1, 1), v),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("arg", sorted(FLOAT_ARGS))
+def test_float_arguments_refuse_nan_and_inf(ref_model, arg, value):
+    # each must be a finite number; nan compares false with everything, so
+    # a guard of the form "refuse if x < 0" once let it through
+    with pytest.raises(xc.ContractViolation):
+        FLOAT_ARGS[arg](ref_model, xc.window_table(ref_model, 1), value)
+
+
 def test_memoryless_closed_form_sum(memoryless_model):
     t = xc.window_table(memoryless_model, 1)
     wit = xc.solve_region(t, 1.0, 1.0)
@@ -382,6 +406,14 @@ def test_max_rate_rejects_unknown_receiver():
     # 0 once read receiver 2's rate through index -1, and 3 raised IndexError
     for bad in (0, 3, -1):
         with pytest.raises(xc.ContractViolation):
+            xc.max_rate(ones, bad)
+
+
+def test_max_rate_rejects_a_receiver_that_is_not_an_int():
+    ones = xc.CapacitySet(c12=(1, 2), c13=1.0, c14=(1, 2), c24=(1, 2), c32=(1, 2), c34=(1, 2))
+    # True once read receiver 1's rate, and 1.0 raised a bare TypeError
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(xc.ContractViolation, match=f"got {bad!r}$"):
             xc.max_rate(ones, bad)
 
 

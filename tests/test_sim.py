@@ -870,6 +870,15 @@ def test_decode_verify_rejects_unknown_receiver():
             xc.decode_verify(trace)
 
 
+def test_decode_verify_rejects_a_receiver_that_is_not_an_int():
+    # load_trace's rule: 1.0 once raised a bare TypeError, True passed as
+    # receiver 1, and '1' was refused as "receiver 1"
+    for j, shown in ((1.0, "1.0"), (True, "True"), ("1", "'1'")):
+        trace = [(0, FRESH1, (5,), True, False, ((j, 5),))]
+        with pytest.raises(xc.ContractViolation, match=f"names receiver {shown};"):
+            xc.decode_verify(trace)
+
+
 def test_load_trace_rejects_unknown_receiver(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     for j in (0, 3):
