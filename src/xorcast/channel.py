@@ -139,11 +139,14 @@ def stationary_distribution(model: ChannelModel) -> np.ndarray:
 
     Solved as an augmented linear system by least squares, clipped to be
     nonnegative, normalized and verified to satisfy the balance equations
-    within BALANCE_TOL. Reducible chains, and any chain the solve cannot
-    meet the balance equations on, raise NoUniqueStationary.
+    within BALANCE_TOL. Reducible chains, a matrix with an entry that is
+    not finite (refused before LAPACK sees it), and any chain the solve
+    cannot meet the balance equations on raise NoUniqueStationary.
     """
     t = model.transition
     n = model.num_states
+    if not np.isfinite(t).all():
+        raise NoUniqueStationary("transition matrix has an entry that is not finite")
     if not _closure(t > 0.0).all():
         raise NoUniqueStationary("transition support graph is not strongly connected")
     a = np.vstack([t.T - np.eye(n), np.ones((1, n))])

@@ -245,9 +245,13 @@ def solve_region(table: WindowTable, w1: float, w2: float) -> RegionWitness:
     feeds the simulator: corners have all four constraints doing real
     work. The region holds the origin, so the status is always "Optimal".
     """
+    _check_weights(w1, w2)
+    return _corner(table, *_polygon(table), w1, w2)
+
+
+def _check_weights(w1: float, w2: float) -> None:
     if not (0.0 <= w1 < np.inf and 0.0 <= w2 < np.inf and w1 + w2 > 0.0):    # nan fails
         raise ContractViolation("weights must be finite, nonnegative and of positive sum")
-    return _corner(table, *_polygon(table), w1, w2)
 
 
 def robust_witness(table: WindowTable, wit: RegionWitness, backoff: float) -> RegionWitness:
@@ -359,8 +363,10 @@ def sandwich(model: ChannelModel, L: int, w1: float, w2: float) -> SandwichResul
     older past says nothing more about the next slot, so R(L)-bar contains
     the capacity region and shrinks as L grows. The gap between the two
     values closes exponentially fast in L. A table of more rows than
-    4**WINDOW_CAP raises ResourceLimit before it is built.
+    4**WINDOW_CAP raises ResourceLimit before it is built, and weights
+    solve_region refuses raise ContractViolation before either table is.
     """
+    _check_weights(w1, w2)
     outer_table = _refined_table(model, L)
     inner = solve_region(window_table(model, L), w1, w2)
     outer = solve_region(outer_table, w1, w2)

@@ -609,6 +609,7 @@ def write_trace(trace, out) -> None:
 
 
 _ID = rb"(0|-?[1-9][0-9]{0,17})"     # an int as str() writes it, far below the digit limit
+_DIGIT = {b"%d" % k: k for k in range(1, 6)}  # the action and receiver fields' one-digit ints
 # A line as write_trace writes a row of simulate, and no other text: one id
 # or two distinct ones (str() gives each int one spelling, so the lookahead
 # refuses a second id whose text repeats the first), a transmit code 1..5,
@@ -634,19 +635,36 @@ def load_trace(path) -> list:
     float, a string or a bool is rejected, not converted. A value nested
     deeper than the decoder's recursion limit is malformed too, as is an
     integer longer than the interpreter converts; lines that str.strip()
-    empties are skipped."""
+    empties are skipped.
+
+    A canonical line's ids share ints as the simulator's rows do: an id
+    whose text is one of the previous canonical line's combination ids
+    takes that line's int (and an equal combination its tuple), and a
+    claim whose id is in its own combination takes that int. _ID admits
+    one spelling per value, so equal text is an equal int."""
     rows = []
     canonical = _CANONICAL.fullmatch
+    digit = _DIGIT
+    t1 = t2 = x1 = x2 = combo = None    # the last canonical combination's texts, ints, tuple
     with open(path, "rb") as f:
         for i, raw in enumerate(f, start=1):
             m = canonical(raw)
             if m is not None:
                 slot, action, c1, c2, r1, r2, j1, p1, j2, p2 = m.groups()
-                rows.append((int(slot), int(action),
-                             (int(c1),) if c2 is None else (int(c1), int(c2)),
-                             r1 == b"true", r2 == b"true",
-                             () if j1 is None else ((int(j1), int(p1)),) if j2 is None else
-                             ((int(j1), int(p1)), (int(j2), int(p2)))))
+                if c1 != t1 or c2 != t2:
+                    x1, x2 = (x1 if c1 == t1 else x2 if c1 == t2 else int(c1),
+                              None if c2 is None else
+                              x1 if c2 == t1 else x2 if c2 == t2 else int(c2))
+                    t1, t2 = c1, c2
+                    combo = (x1,) if c2 is None else (x1, x2)
+                if j1 is None:
+                    delivered = ()
+                else:
+                    delivered = ((digit[j1], x1 if p1 == c1 else x2 if p1 == c2 else int(p1)),)
+                    if j2 is not None:
+                        delivered += ((digit[j2], x1 if p2 == c1 else x2 if p2 == c2 else int(p2)),)
+                rows.append((int(slot), digit[action], combo, r1 == b"true", r2 == b"true",
+                             delivered))
                 continue
             try:
                 line = raw.decode("utf-8")

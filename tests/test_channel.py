@@ -154,6 +154,16 @@ def test_stationary_one_state_goes_through_the_solve():
             xc.stationary_distribution(one(p))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_stationary_refuses_a_non_finite_matrix_before_the_solve(capfd, bad):
+    # LAPACK would print its illegal-value line to the process's stderr
+    capfd.readouterr()
+    for t in ([[bad]], [[0.5, 0.5], [bad, 0.5]]):
+        with pytest.raises(xc.NoUniqueStationary, match="not finite"):
+            xc.stationary_distribution(xc.ChannelModel(t, np.full((len(t), 4), 0.25)))
+    assert capfd.readouterr().err == ""
+
+
 def test_stationary_random_models_fixed_point():
     rng = random.Random(7)
     for _ in range(25):

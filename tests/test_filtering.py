@@ -489,6 +489,24 @@ def test_exhaustive_forgetting_frozen_horizon9(ref_model):
         assert xc.exhaustive_forgetting(ref_model, L, 9) == frozen
 
 
+def test_tv_is_a_left_fold_over_the_patterns():
+    # history by history and bit for bit, (((0 + |f0 - w0|) + |f1 - w1|) + ...)
+    # in pattern order 0..3, each window row broadcast against its block;
+    # terms of mixed magnitude make the reversed fold differ, so the order shows
+    rng = np.random.default_rng(11)
+    full = rng.random((4, 40, 16)) * 10.0 ** rng.integers(-17, 1, (4, 40, 16))
+    window = rng.random((4, 16)) * 10.0 ** rng.integers(-17, 1, (4, 16))
+    got = filtering._tv(full, window)
+    assert got.shape == (40, 16)
+    reversed_differs = False
+    for h, k in itertools.product(range(40), range(16)):
+        terms = [abs(float(full[p, h, k]) - float(window[p, k])) for p in range(4)]
+        left = reduce(add, terms, 0.0)
+        assert float(got[h, k]).hex() == left.hex(), (h, k)
+        reversed_differs |= reduce(add, terms[::-1], 0.0) != left
+    assert reversed_differs
+
+
 def test_empirical_forgetting_needs_a_sample(ref_model):
     for samples in (0, -3):
         with pytest.raises(xc.ContractViolation):

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -225,6 +226,24 @@ def test_sandwich_memoryless_collapse(memoryless_model):
     res = xc.sandwich(memoryless_model, 1, 1.0, 1.0)
     assert (res.outer.R1, res.outer.R2) == (res.inner.R1, res.inner.R2)
     assert abs(res.inner.value - MEMORYLESS_SUM) < 1e-9
+
+
+@pytest.mark.parametrize("w1, w2", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5),
+                                    (0.5, math.inf), (-math.inf, 0.5), (0.5, -math.inf),
+                                    (-0.1, 0.5), (0.5, -2.0), (0.0, 0.0)])
+def test_sandwich_checks_weights_before_either_table(ref_model, monkeypatch, w1, w2):
+    # refused at once, with solve_region's message, even at an L whose
+    # tables take tens of milliseconds to build
+    with pytest.raises(xc.ContractViolation) as want:
+        xc.solve_region(xc.window_table(ref_model, 1), w1, w2)
+
+    def refuse(*args):
+        raise AssertionError("a table was built before the weights were checked")
+    monkeypatch.setattr(region, "window_table", refuse)
+    monkeypatch.setattr(region, "_refined_table", refuse)
+    with pytest.raises(xc.ContractViolation) as got:
+        xc.sandwich(ref_model, 9, w1, w2)
+    assert str(got.value) == str(want.value)
 
 
 def test_sandwich_ordering(ref_model):

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 from collections import Counter, deque
 
 import numpy as np
@@ -998,6 +999,85 @@ def test_load_trace_reads_written_lines_without_json(tmp_path, ref_model, monkey
         assert any(len(row[5]) == 2 for row in trace)
         xc.save_trace(trace, path)
         assert xc.load_trace(path) == trace
+
+
+def test_load_trace_shares_ids_as_the_simulator_does(tmp_path, ref_model):
+    # a claim naming an id of its row's combination holds that very int, an
+    # id of the row before holds that row's int, and a combination equal to
+    # the row before's is its tuple
+    wit, dist, _ = xc.simulation_distribution(xc.window_table(ref_model, 2), 0.5)
+    path = tmp_path / "trace.jsonl"
+    for sched in ("probabilistic", "maxweight"):
+        trace = xc.simulate(ref_model, sched, 0.95 * wit.R1, 0.95 * wit.R2, 3000, 3,
+                            dist=dist, collect_trace=True).trace
+        xc.save_trace(trace, path)
+        rows = xc.load_trace(path)
+        assert rows == trace
+        shared = Counter()
+        for prev, row in zip([(None,) * 6] + rows, rows):
+            combo, before = row[2], prev[2] or ()
+            for _, pid in row[5]:
+                if pid in combo:
+                    assert any(pid is c for c in combo), row
+                    shared["claim"] += pid > 256        # past CPython's cached small ints
+            for c in combo:
+                if c in before:
+                    assert any(c is b for b in before), (prev, row)
+                    shared["id"] += c > 256
+            if combo == before:
+                assert combo is before, (prev, row)
+                shared["combo"] += 1
+        assert min(shared["claim"], shared["id"], shared["combo"]) > 100, shared
+
+
+def test_load_trace_reuse_matches_oracle_on_hand_rows(tmp_path):
+    # proxy claims, ids that are negative or 18 digits long, equal and
+    # swapped combinations, a json.loads line between two canonical lines
+    # with the same ids, and a last line with no newline
+    big, neg = 10 ** 17 + 3, -(10 ** 18 - 1)
+    rows = [(0, FRESH1, (neg,), True, False, ((1, neg),)),
+            (1, REMEDY, (big,), True, True, ((2, 4), (1, big))),
+            (2, XOR_BACKLOG, (big, neg), False, True, ((2, neg), (1, big))),
+            (3, XOR_BACKLOG, (big, neg), True, True, ((1, neg),)),
+            (4, MIX_FRESH, (neg, big), True, False, ((1, big),)),
+            (5, XOR_BACKLOG, (big,), True, False, ((1, neg),)),
+            (6, REMEDY, (-1,), False, True, ((2, 0),)),
+            (7, FRESH2, (0, -1), True, True, ((1, -1), (2, 0)))]
+    out = io.StringIO()
+    xc.sim.write_trace(rows, out)
+    lines = out.getvalue().splitlines(keepends=True)
+    rewritten = json.dumps(json.loads(lines[3]), separators=(",", ":")) + "\n"
+    assert xc.sim._CANONICAL.fullmatch(rewritten.encode()) is None
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(lines[:3] + [rewritten] + lines[4:]).rstrip("\n"))
+    got = xc.load_trace(path)
+    assert got == rows == load_trace_oracle(path)
+    assert got[4][2][0] is got[2][2][1]     # the canonical row before, past the json line
+
+
+def test_load_trace_retains_less_than_a_fresh_int_per_id(tmp_path, ref_model):
+    # tracemalloc's size of the rows each reader returns for the same file:
+    # ids shared as the simulator shares them keep at most 95% of what one
+    # int per id (the json.loads oracle) keeps
+    def retained(reader):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rows = reader(path)
+            return tracemalloc.get_traced_memory()[0], rows
+        finally:
+            tracemalloc.stop()
+
+    wit, dist, _ = xc.simulation_distribution(xc.window_table(ref_model, 2), 0.5)
+    path = tmp_path / "trace.jsonl"
+    for sched, seed in itertools.product(("probabilistic", "maxweight"), (1, 3)):
+        trace = xc.simulate(ref_model, sched, 0.95 * wit.R1, 0.95 * wit.R2, 20_000, seed,
+                            dist=dist, collect_trace=True).trace
+        xc.save_trace(trace, path)
+        got, rows = retained(xc.load_trace)
+        want, oracle_rows = retained(load_trace_oracle)
+        assert rows == oracle_rows == trace
+        assert got <= 0.95 * want, (sched, seed, got / want)
 
 
 def test_load_trace_reads_rewritten_runs(tmp_path, ref_model):
