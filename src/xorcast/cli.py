@@ -5,6 +5,9 @@ dump-window-table. Options can come from a JSON config file (--config);
 explicit flags win over config values. Exit codes: 0 success, 1 numerical
 or verification failure, 2 configuration or file problems (a window length
 or a sampled forgetting draw above a cap among them), 3 malformed data files.
+Each subcommand imports the layers it runs, so that `forgetting` and
+`dump-window-table` load no LP, region or simulator code, and `verify` and a
+max-weight `simulate` no LP or region code.
 """
 
 from __future__ import annotations
@@ -21,10 +24,6 @@ from . import __version__
 from .channel import _read_json, forgetting_margin, load_model
 from .errors import (ContractViolation, ModelFormatError, NumericalFailure,
                      ResourceLimit, TraceFormatError, XorcastError)
-from .filtering import _exhaustive_tvs, _sampled_tvs, dump_window_table, window_table
-from .region import (canonicalize, dist_to_dict, load_dist, sandwich,
-                     simulation_distribution, solve_region, sweep_table)
-from .sim import decode_verify, load_trace, simulate, stability_verdict, write_trace
 
 
 class ConfigError(Exception):
@@ -116,6 +115,8 @@ def _parse_rates(raw) -> tuple:
 
 
 def cmd_region(opts) -> int:
+    from .filtering import window_table
+    from .region import sandwich, solve_region, sweep_table
     model = _load_model_opt(opts)
     L = opts.get("L", required=True, kind=int)
     lam = opts.get("lambda", kind=float)
@@ -154,6 +155,7 @@ def cmd_region(opts) -> int:
 
 
 def cmd_simulate(opts) -> int:
+    from .sim import simulate, stability_verdict, write_trace
     trace_path = opts.get("trace", kind=str)
     csv_path = opts.get("csv", kind=str)
     out_path = opts.get("out", kind=str)
@@ -166,6 +168,8 @@ def cmd_simulate(opts) -> int:
     seed = opts.get("seed", default=0, kind=int)
     dist = None
     if scheduler == "probabilistic":
+        from .filtering import window_table
+        from .region import load_dist, simulation_distribution
         dist_path = opts.get("dist", kind=str)
         if dist_path:
             dist = load_dist(dist_path)
@@ -202,6 +206,7 @@ def cmd_simulate(opts) -> int:
 
 
 def cmd_forgetting(opts) -> int:
+    from .filtering import _exhaustive_tvs, _sampled_tvs
     model = _load_model_opt(opts)
     l_max = opts.get("L", required=True, kind=int)
     if l_max < 1:
@@ -227,6 +232,7 @@ def cmd_forgetting(opts) -> int:
 
 
 def cmd_verify(opts) -> int:
+    from .sim import decode_verify, load_trace
     trace = load_trace(opts.get("trace", required=True, kind=str))
     report = decode_verify(trace)
     summary = {
@@ -241,6 +247,8 @@ def cmd_verify(opts) -> int:
 
 
 def cmd_canonicalize(opts) -> int:
+    from .filtering import window_table
+    from .region import canonicalize, dist_to_dict, load_dist
     model = _load_model_opt(opts)
     dist = load_dist(opts.get("dist", required=True, kind=str))
     table = window_table(model, dist.L)
@@ -250,6 +258,7 @@ def cmd_canonicalize(opts) -> int:
 
 
 def cmd_dump_window_table(opts) -> int:
+    from .filtering import dump_window_table, window_table
     model = _load_model_opt(opts)
     L = opts.get("L", required=True, kind=int)
     table = window_table(model, L)

@@ -25,6 +25,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,7 +34,9 @@ from .errors import ContractViolation, NumericalFailure, TraceFormatError
 # the traced benchmark wraps filter_step and predict_stats by name in this module
 from .filtering import (filter_path, filter_step, init_belief,  # noqa: F401
                         predict_pattern_probs, predict_stats)
-from .region import ActionDistribution
+
+if TYPE_CHECKING:   # read by an annotation only: region would load the LP code too
+    from .region import ActionDistribution
 
 IDLE = 0
 FRESH1 = 1

@@ -539,12 +539,17 @@ def region_lp(table, w1, w2):
 
 
 def highs_region(table, w1, w2):
-    """The optimum of region_lp by scipy's HiGHS at primal and dual
-    feasibility tolerances of 1e-10 (its defaults leave it up to 2e-8
-    short). Scipy is a test-only cross-check, not a dependency of the
-    package."""
+    """The optimum of region_lp by HiGHS (see highs_optimum)."""
+    return highs_optimum(region_lp(table, w1, w2))
+
+
+def highs_optimum(lp):
+    """The optimum of a LinearProgram of "<=" rows by scipy's HiGHS at
+    primal and dual feasibility tolerances of 1e-10 (its defaults leave the
+    region program up to 2e-8 short). Scipy is a test-only cross-check, not
+    a dependency of the package."""
     from scipy.optimize import linprog
-    lp = region_lp(table, w1, w2)
+    assert all(rel == LE for _coefs, rel, _rhs in lp.constraints)
     ref = linprog(-lp.objective,
                   A_ub=np.array([coefs for coefs, _rel, _rhs in lp.constraints]),
                   b_ub=np.array([rhs for _coefs, _rel, rhs in lp.constraints]),

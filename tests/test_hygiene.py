@@ -2,9 +2,14 @@
 rather than on its behaviour."""
 
 import ast
+import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import xorcast as xc
 from xorcast.lp import _Simplex
@@ -12,6 +17,33 @@ from xorcast.lp import _Simplex
 from test_lp import random_program
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "xorcast"
+MODEL = SRC.parent.parent / "bench" / "ref_model.json"
+
+# the names the package bound at import before its layers loaded lazily,
+# by the module that defines them
+EXPORTS = {
+    "channel": ("ChannelModel", "PATTERN_INDEX", "PATTERNS", "ValidationReport",
+                "forgetting_margin", "forgetting_rate_bound", "load_model",
+                "model_from_dict", "model_to_dict", "sample_trajectory", "save_model",
+                "stationary_distribution", "validate_model"),
+    "errors": ("ContractViolation", "ModelFormatError", "NoUniqueStationary",
+               "NumericalFailure", "ResourceLimit", "StructuralError", "TraceFormatError",
+               "XorcastError", "ZeroLikelihood"),
+    "filtering": ("ErasureStats", "WindowTable", "dump_window_table", "empirical_forgetting",
+                  "exhaustive_forgetting", "filter_step", "init_belief",
+                  "predict_pattern_probs", "predict_stats", "window_codes", "window_index",
+                  "window_label", "window_table"),
+    "lp": ("LinearProgram", "LpSolution", "solve"),
+    "region": ("ActionDistribution", "CanonicalizationReport", "CapacitySet", "CutValues",
+               "RegionWitness", "SandwichResult", "achievable_check", "boundary_sweep",
+               "canonicalize", "cut_values", "dist_from_dict", "dist_to_dict",
+               "link_capacities", "load_dist", "max_rate", "robust_witness", "sandwich",
+               "save_dist", "simulation_distribution", "solve_region", "sweep_table",
+               "witness_residual", "xy_to_actions"),
+    "sim": ("DecodeReport", "SimReport", "decode_verify", "load_trace", "maxweight_action",
+            "save_trace", "simulate", "stability_verdict", "substitute_action"),
+}
+PUBLIC = {name for module, names in EXPORTS.items() for name in (module, *names)}
 
 
 def test_no_bare_assert():
@@ -167,3 +199,82 @@ def test_simplex_keeps_each_tableau_fact_once():
         statuses.add(sx.solve().status)
         assert set(vars(sx)) == kept
     assert statuses == {"Optimal", "Infeasible"}
+
+
+def _loaded_after(code, *args):
+    """The xorcast modules a fresh interpreter holds after running code,
+    which sees args as sys.argv[1:] and may exit non-zero to fail."""
+    script = ("import json, sys\n" + code + "\nprint(json.dumps(sorted("
+              "m for m in sys.modules if m.partition('.')[0] == 'xorcast')))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout))
+
+
+BASE = {"xorcast", "xorcast.channel", "xorcast.errors"}
+
+
+def test_model_only_start_loads_the_channel_layer():
+    # a caller that only reads a model compiles no filter, LP, region or
+    # simulator code
+    assert _loaded_after("import xorcast; xorcast.load_model(sys.argv[1])", MODEL) == BASE
+
+
+def test_simulator_loads_no_region_or_lp():
+    assert _loaded_after("import xorcast.sim") == BASE | {"xorcast.filtering", "xorcast.sim"}
+
+
+def test_first_layer_attribute_loads_the_layer():
+    # xorcast.filtering before anything imported it, then a name of it
+    code = ("import xorcast\n"
+            "table = xorcast.filtering.window_table(xorcast.load_model(sys.argv[1]), 1)\n"
+            "if xorcast.window_table is not xorcast.filtering.window_table or len(table) != 4:\n"
+            "    sys.exit('filtering attribute')")
+    assert _loaded_after(code, MODEL) == BASE | {"xorcast.filtering"}
+
+
+def test_cli_commands_load_the_layers_they_run(tmp_path):
+    report = xc.simulate(xc.load_model(MODEL), "maxweight", 0.2, 0.2, 200, 1,
+                         collect_trace=True)
+    trace = tmp_path / "trace.jsonl"
+    xc.save_trace(report.trace, trace)
+    out = tmp_path / "out"
+    commands = {
+        ("forgetting", "--model", MODEL, "--L", "2", "--horizon", "3"): set(),
+        ("dump-window-table", "--model", MODEL, "--L", "1"): set(),
+        ("verify", "--trace", trace): {"xorcast.sim"},
+        ("simulate", "--model", MODEL, "--scheduler", "maxweight", "--rates", "0.2,0.2",
+         "--slots", "100"): {"xorcast.sim"},
+    }
+    code = "from xorcast import cli\nif cli.main(sys.argv[1:]) != 0:\n    sys.exit('failed')"
+    for argv, extra in commands.items():
+        loaded = _loaded_after(code, *argv, "--out", out)
+        assert loaded == BASE | {"xorcast.cli", "xorcast.filtering"} | extra, argv[0]
+
+
+def test_package_names_are_their_modules_objects():
+    for module, names in EXPORTS.items():
+        layer = getattr(xc, module)
+        assert layer is sys.modules[f"xorcast.{module}"]
+        for name in names:
+            assert getattr(xc, name) is getattr(layer, name), name
+
+
+def test_package_lists_its_public_names():
+    # a submodule imported later (cli) is bound on the package as ever
+    assert {name for name in dir(xc) if not name.startswith("_")} - {"cli"} == PUBLIC
+    star = {}
+    exec("from xorcast import *", star)
+    star.pop("__builtins__")
+    assert set(star) == PUBLIC
+    assert all(star[name] is getattr(xc, name) for name in PUBLIC)
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError) as err:
+        xc.no_such_name
+    assert str(err.value) == "module 'xorcast' has no attribute 'no_such_name'"
+    assert getattr(xc, "no_such_name", None) is None

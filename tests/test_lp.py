@@ -8,7 +8,8 @@ import xorcast as xc
 from xorcast import region
 from xorcast.lp import SPARSE_ROW, _Simplex
 
-from oracles import SimplexOracle, feasible, random_model, vertex_oracle
+from oracles import (SimplexOracle, feasible, highs_optimum, random_model, sparse_model,
+                     vertex_oracle)
 
 INF = math.inf
 
@@ -288,6 +289,38 @@ def _robust_programs(monkeypatch, models, lams=(0.2, 0.5, 0.8), Ls=(1, 2, 3, 4))
             for lam in lams:
                 xc.simulation_distribution(table, lam)
     return programs
+
+
+def _robust_case(seed):
+    """A random or sparse model of 1 to 3 states, L <= 4 and a weight,
+    drawn from their own seed."""
+    rng = random.Random(seed)
+    make = rng.choice((random_model, sparse_model))
+    return make(rng, rng.randint(1, 3)), rng.randint(1, 4), rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+
+
+# a robust program (random_model, the 43rd case drawn in turn from
+# random.Random(3)) whose optimum the simplex leaves 1.03e-9 relative short
+# of HiGHS and of the dual bound: a column whose reduced cost is within
+# TOL of zero prices as not improving
+SHORT_OF_HIGHS = (xc.ChannelModel(
+    [[0.9624666027100574, 0.037533397289942635], [0.9497549350832697, 0.05024506491673026]],
+    [[0.1346450377071675, 0.4129792052810807, 0.06418572942077029, 0.3881900275909814],
+     [0.21236611009152165, 0.2247458660174315, 0.5059201496665536, 0.05696787422449334]]),
+    4, 0.3)
+
+
+@pytest.mark.parametrize("case", [*map(_robust_case, range(50)), pytest.param(
+    SHORT_OF_HIGHS, marks=pytest.mark.xfail(strict=True, reason="pricing tolerance"))])
+def test_robust_witness_lp_matches_highs(monkeypatch, case):
+    # the program robust_witness hands to region.solve has HiGHS's optimum
+    # within 1e-9 relative. Time budget: 5 s for all cases (about 1.2 s on
+    # a 2-CPU x86-64 host, the HiGHS solves included)
+    pytest.importorskip("scipy.optimize")
+    model, L, lam = case
+    (program,) = _robust_programs(monkeypatch, [model], lams=(lam,), Ls=(L,))
+    ref = highs_optimum(program)
+    assert abs(xc.solve(program).value - ref) <= 1e-9 * ref
 
 
 def test_robust_witness_pivot_counts(ref_model, monkeypatch):
