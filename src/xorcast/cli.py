@@ -155,7 +155,7 @@ def cmd_region(opts) -> int:
 
 
 def cmd_simulate(opts) -> int:
-    from .sim import simulate, stability_verdict, write_trace
+    from .sim import VERDICT_MIN_SLOTS, simulate, stability_verdict, write_trace
     trace_path = opts.get("trace", kind=str)
     csv_path = opts.get("csv", kind=str)
     out_path = opts.get("out", kind=str)
@@ -191,7 +191,7 @@ def cmd_simulate(opts) -> int:
             w.writerow(["slot", "action", "z1", "z2", "totalQ", "delivered1", "delivered2"])
             for row in report.slot_rows:
                 w.writerow(row)
-    verdict = stability_verdict(report) if n >= 10_000 else None
+    verdict = stability_verdict(report) if n >= VERDICT_MIN_SLOTS else None
     summary = {
         "scheduler": report.scheduler,
         "R1": report.R1, "R2": report.R2, "slots": report.n, "seed": report.seed,

@@ -37,7 +37,8 @@ class ErasureStats:
     eps1 and eps2 are the marginal erasure probabilities of receivers 1
     and 2, eps12 is the both-erased probability, eps_n12 is P(received at 1,
     erased at 2) and eps1_n2 is P(erased at 1, received at 2). By
-    construction eps1 = eps12 + eps1_n2 and eps2 = eps12 + eps_n12.
+    construction eps1 = eps12 + eps1_n2 and eps2 = eps12 + eps_n12. Fields
+    are floats or arrays, maybe views: never hash or compare array stats whole.
     """
 
     eps1: float
@@ -48,7 +49,7 @@ class ErasureStats:
 
     @classmethod
     def from_pattern_probs(cls, probs) -> "ErasureStats":
-        p00, p01, p10, p11 = (float(v) for v in probs)
+        p00, p01, p10, p11 = probs
         return cls(eps1=p10 + p11, eps2=p01 + p11, eps12=p11, eps_n12=p01, eps1_n2=p10)
 
 
@@ -215,10 +216,9 @@ class WindowTable:
     def __len__(self) -> int:
         return self.probs.shape[0]
 
-    def eps_arrays(self):
-        """(eps1, eps2, eps12) as vectors over windows."""
-        pp = self.pattern_probs
-        return pp[:, 2] + pp[:, 3], pp[:, 1] + pp[:, 3], pp[:, 3]
+    def stats(self) -> ErasureStats:
+        """The erasure statistics as vectors over windows."""
+        return ErasureStats.from_pattern_probs(self.pattern_probs.T)
 
 
 def _check_window_cap(L: int) -> None:
@@ -304,8 +304,8 @@ def dump_window_table(table: WindowTable, out) -> None:
     window, prob, eps1, eps2, eps12, eps_n12, eps1_n2."""
     writer = csv.writer(out)
     writer.writerow(["window", "prob", "eps1", "eps2", "eps12", "eps_n12", "eps1_n2"])
-    pp = table.pattern_probs
-    cols = (table.probs, *table.eps_arrays(), pp[:, 1], pp[:, 2])
+    st = table.stats()
+    cols = (table.probs, st.eps1, st.eps2, st.eps12, st.eps_n12, st.eps1_n2)
     for i, row in enumerate(zip(*(c.tolist() for c in cols))):
         writer.writerow([window_label(i, table.L)] + [f"{v:.12g}" for v in row])
 

@@ -139,9 +139,9 @@ def _rate_terms(table: WindowTable):
     g1 and g2 weight a window by its success toward receiver 1 or 2, g12 by
     reaching at least one receiver, and full is the sum of g12."""
     p = table.probs
-    e1, e2, e12 = table.eps_arrays()
-    g12 = p * (1.0 - e12)
-    return p * (1.0 - e1), p * (1.0 - e2), g12, float(g12.sum())
+    st = table.stats()
+    g12 = p * (1.0 - st.eps12)
+    return p * (1.0 - st.eps1), p * (1.0 - st.eps2), g12, float(g12.sum())
 
 
 def _rate_rows(table: WindowTable):
@@ -363,9 +363,11 @@ def sandwich(model: ChannelModel, L: int, w1: float, w2: float) -> SandwichResul
     older past says nothing more about the next slot, so R(L)-bar contains
     the capacity region and shrinks as L grows. The gap between the two
     values closes exponentially fast in L. A table of more rows than
-    4**WINDOW_CAP raises ResourceLimit before it is built, and weights
-    solve_region refuses raise ContractViolation before either table is.
+    4**WINDOW_CAP raises ResourceLimit before it is built; an L below 1 and
+    weights solve_region refuses raise ContractViolation before either is.
     """
+    if L < 1:
+        raise ContractViolation("window length must be at least 1")
     _check_weights(w1, w2)
     outer_table = _refined_table(model, L)
     inner = solve_region(window_table(model, L), w1, w2)
@@ -408,10 +410,10 @@ def link_capacities(table: WindowTable, dist: ActionDistribution) -> CapacitySet
     receiver j sums p(window) P(its arc's event) P(its arc's action)."""
     if dist.L != table.L:
         raise ContractViolation("window length mismatch between table and distribution")
-    pp = table.pattern_probs
-    e1, e2, e12 = table.eps_arrays()
-    # each event's probability per window for receivers 1 and 2 (only 2 hears pattern 2)
-    odds = {_HEARD: (1.0 - e1, 1.0 - e2), _OTHER: (pp[:, 2], pp[:, 1]), _ANY: (1.0 - e12,) * 2}
+    st = table.stats()
+    # each event's probability per window for receivers 1 and 2
+    odds = {_HEARD: (1.0 - st.eps1, 1.0 - st.eps2), _OTHER: (st.eps1_n2, st.eps_n12),
+            _ANY: (1.0 - st.eps12,) * 2}
     links = {}
     for a, j, event, u, v in _ARCS:
         link = f"c{u}{v}"

@@ -29,11 +29,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import ChannelModel, _check_seed, _path_cums, _pick, _uniforms, _walk
+from .channel import PATTERNS, ChannelModel, _check_seed, _path_cums, _pick, _uniforms, _walk
 from .errors import ContractViolation, NumericalFailure, TraceFormatError
-# the traced benchmark wraps filter_step and predict_stats by name in this module
-from .filtering import (filter_path, filter_step, init_belief,  # noqa: F401
-                        predict_pattern_probs, predict_stats)
+# the traced benchmark wraps filter_step, unread here, and predict_stats by name in this module
+from .filtering import filter_path, filter_step, init_belief, predict_stats  # noqa: F401
 
 if TYPE_CHECKING:   # read by an annotation only: region would load the LP code too
     from .region import ActionDistribution
@@ -53,6 +52,8 @@ SLOPE_STABLE = 1e-4     # stability verdict thresholds, packets per slot
 SLOPE_UNSTABLE = 1e-2
 BACKLOG_BOUND = 500.0   # largest mean backlog of a Stable run, packets
 BLOCK = 8192            # slots whose channel side and arrivals simulate computes at once
+VERDICT_MIN_SLOTS = 10 ** 4  # shortest run stability_verdict classifies
+_HEARS = ~np.array(PATTERNS, dtype=bool).T   # [j - 1][code]: a 0 in PATTERNS, j hears it
 
 _COUNT_KEYS = {IDLE: "idle", FRESH1: "fresh1", FRESH2: "fresh2", XOR_BACKLOG: "xor",
                MIX_FRESH: "mix", REMEDY: "remedy", SUB1: "sub1", SUB2: "sub2"}
@@ -114,26 +115,25 @@ def substitute_action(sampled: int, n11: int, n12: int, n21: int, n22: int, n3: 
 
 
 def maxweight_action(n11: int, n12: int, n21: int, n22: int, n3: int,
-                     p01: float, p10: float, p11: float):
+                     eps_n12: float, eps1_n2: float, eps12: float):
     """Pick the feasible action of maximal weight; ties go to the lowest
     action index, and an empty system idles.
 
-    The queue lengths are substitute_action's; p01 = eps_n12, p10 = eps1_n2
-    and p11 = eps12 are the predicted pattern probabilities of the slot.
-    An action's weight is its backpressure over its arcs in region._ARCS,
-    the sum of P(event) (n_from - n_to) with n4 = 0, written out for speed.
+    The queue lengths are substitute_action's, the erasure statistics
+    (ErasureStats) the slot's predicted ones. An action's weight is its
+    backpressure over its arcs in region._ARCS, the sum of P(event)
+    (n_from - n_to) with n4 = 0, written out for speed.
     The overheard queues score together when either is nonempty: the
     backlog XOR serves both, a lone retransmission (SUB1 or SUB2) the only
     one.
     """
-    e1, e2, e12 = p10 + p11, p01 + p11, p11
-    only2, only1 = p10, p01
+    e1, e2 = eps1_n2 + eps12, eps_n12 + eps12
     best = IDLE
     best_w = None
     if n11:
-        best, best_w = FRESH1, (1.0 - e1) * n11 + only2 * (n11 - n21)
+        best, best_w = FRESH1, (1.0 - e1) * n11 + eps1_n2 * (n11 - n21)
     if n12:
-        w = (1.0 - e2) * n12 + only1 * (n12 - n22)
+        w = (1.0 - e2) * n12 + eps_n12 * (n12 - n22)
         if best_w is None or w > best_w:
             best, best_w = FRESH2, w
     if n21 or n22:
@@ -141,12 +141,12 @@ def maxweight_action(n11: int, n12: int, n21: int, n22: int, n3: int,
         if best_w is None or w > best_w:
             best, best_w = (XOR_BACKLOG if n21 and n22 else SUB1 if n21 else SUB2), w
     if n11 and n12:
-        w = (1.0 - e12) * (n11 - n3 + n12 - n3)
+        w = (1.0 - eps12) * (n11 - n3 + n12 - n3)
         if best_w is None or w > best_w:
             best, best_w = MIX_FRESH, w
     if n3:
-        w = (only2 * (n3 - n21) + (1.0 - e1) * n3 +
-             only1 * (n3 - n22) + (1.0 - e2) * n3)
+        w = (eps1_n2 * (n3 - n21) + (1.0 - e1) * n3 +
+             eps_n12 * (n3 - n22) + (1.0 - e2) * n3)
         if best_w is None or w > best_w:
             best, best_w = REMEDY, w
     return best
@@ -273,13 +273,12 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
             tail = ext[m:]
             # the one rule column: the sampled action of each slot
             lead = (_pick(np.take(cum_rows, wins, axis=0), u[:, 2]) + 1).tolist()
-            p10s = p11s = repeat(None)
+            e1n2s = e12s = repeat(None)
         else:
             beliefs = filter_path(model, belief, codes)
             belief = beliefs[:, -1]
-            # the rule columns p01, p10 and p11 of each slot
-            _p00, *probs = predict_pattern_probs(model, beliefs[:, :-1])
-            lead, p10s, p11s = (col.tolist() for col in probs)
+            st = predict_stats(model, beliefs[:, :-1])
+            lead, e1n2s, e12s = st.eps_n12.tolist(), st.eps1_n2.tolist(), st.eps12.tolist()
         new1 = u[:, 0] < R1
         new2 = u[:, 1] < R2
         upto1 = np.cumsum(new1)
@@ -293,17 +292,15 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
         arrived2 = (total2 + upto2).tolist()
         total1 += int(upto1[-1])
         total2 += int(upto2[-1])
-        # PATTERNS[code] is (code >> 1, code & 1): receiver 1 hears codes 0
-        # and 1, receiver 2 the even codes
-        for slot, h1, h2, a1, a2, first, p10, p11 in zip(
-                range(base, base + m), (codes < 2).tolist(), ((codes & 1) == 0).tolist(),
-                arrived1, arrived2, lead, p10s, p11s):
+        heard1, heard2 = _HEARS[:, codes].tolist()
+        for slot, h1, h2, a1, a2, first, e1n2, e12 in zip(
+                range(base, base + m), heard1, heard2, arrived1, arrived2, lead, e1n2s, e12s):
             if probabilistic:
                 action = substitute_action(first, a1 - gone1, a2 - gone2,
                                            len(over1), len(over2), len(pairs))
             else:
                 action = maxweight_action(a1 - gone1, a2 - gone2, len(over1), len(over2),
-                                          len(pairs), first, p10, p11)
+                                          len(pairs), first, e1n2, e12)
             counts[action] += 1
             code = action
             got = ()
@@ -418,9 +415,9 @@ def stability_verdict(report: SimReport) -> str:
     Stable needs both a flat slope (<= SLOPE_STABLE packets per slot) and a
     mean backlog of at most BACKLOG_BOUND; a slope >= SLOPE_UNSTABLE is
     Unstable; anything in between stays Inconclusive. Runs shorter than
-    10**4 slots are refused.
+    VERDICT_MIN_SLOTS slots are refused.
     """
-    if report.n < 10_000:
+    if report.n < VERDICT_MIN_SLOTS:
         raise ContractViolation("a stability verdict needs at least 10^4 slots")
     half = report.n / 2
     xs = [c[0] for c in report.checkpoints if c[0] >= half]

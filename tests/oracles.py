@@ -676,7 +676,8 @@ def link_capacities_oracle(table, dist):
     depending on who hears them."""
     p = table.probs
     pp = table.pattern_probs
-    e1, e2, e12 = table.eps_arrays()
+    st = table.stats()
+    e1, e2, e12 = st.eps1, st.eps2, st.eps12
     only2 = pp[:, 2]   # erased at 1, heard at 2
     only1 = pp[:, 1]   # heard at 1, erased at 2
     P = dist.table

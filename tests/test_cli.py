@@ -358,6 +358,25 @@ def test_window_cap_exits_2(capsys, model_path):
         assert "cap of 10" in err and err.count("\n") == 1, err
 
 
+def test_sandwich_window_length_below_1_exits_2(capsys):
+    for L in ("-1", "-2", "0"):
+        code, out, err = run(capsys, ["region", "--model", str(BENCH_MODEL), "--L", L,
+                                      "--lambda", "0.5", "--sandwich"])
+        assert code == 2 and out == ""
+        assert "window length must be at least 1" in err and err.count("\n") == 1, err
+
+
+def test_simulate_verdict_from_10_4_slots(capsys, model_path, tmp_path):
+    # the summary holds a verdict from the shortest run stability_verdict classifies
+    out_path = tmp_path / "summary.json"
+    for slots, kind in ((9_999, type(None)), (10_000, str)):
+        code, out, _ = run(capsys, ["simulate", "--model", model_path,
+                                    "--scheduler", "maxweight", "--rates", "0.2,0.2",
+                                    "--slots", str(slots), "--out", str(out_path)])
+        assert code == 0 and out == ""
+        assert type(json.loads(out_path.read_text())["verdict"]) is kind, slots
+
+
 def test_bad_numbers_exit_2(capsys, tmp_path, model_path):
     base = ["simulate", "--model", model_path, "--scheduler", "maxweight"]
     for extra, option in ((["--rates", "0.3,abc", "--slots", "100"], "--rates"),

@@ -158,6 +158,33 @@ def test_stats_from_pattern_probs():
     assert abs(st.eps2 - 0.4) < 1e-15
 
 
+STAT_FIELDS = ("eps1", "eps2", "eps12", "eps_n12", "eps1_n2")
+
+
+def test_stats_over_windows_match_each_row():
+    # one map for floats and arrays: the columns of a table give, row by
+    # row, the very floats its rows give one at a time
+    table = xc.window_table(random_model(random.Random(5), 3), 3)
+    cols = xc.ErasureStats.from_pattern_probs(table.pattern_probs.T)
+    stats = table.stats()
+    for f in STAT_FIELDS:
+        got = getattr(cols, f).tolist()
+        assert got == getattr(stats, f).tolist()
+        assert got == [getattr(xc.ErasureStats.from_pattern_probs(row), f)
+                       for row in table.pattern_probs.tolist()], f
+
+
+def test_predict_stats_over_a_belief_batch_matches_each_belief():
+    model = random_model(random.Random(6), 3)
+    beliefs = np.random.default_rng(6).random((3, 40))
+    beliefs /= beliefs.sum(axis=0)
+    batch = xc.predict_stats(model, beliefs)
+    for k, belief in enumerate(beliefs.T.tolist()):
+        one = xc.predict_stats(model, belief)
+        for f in STAT_FIELDS:
+            assert getattr(batch, f)[k] == getattr(one, f), (k, f)
+
+
 def test_window_index_roundtrip():
     for L in (1, 2, 3):
         for idx in range(4 ** L):

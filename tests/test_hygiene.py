@@ -182,6 +182,23 @@ def test_unread_imports_are_traced_names():
         f"{module}.{name}" for module, name in sorted(unread - allowed))
 
 
+def test_pattern_order_known_to_channel_and_filtering_only():
+    # which pattern index is which erasure event is stated in channel.PATTERNS
+    # and mapped to the statistics in filtering; the rest read ErasureStats
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("channel", "filtering"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "pattern_probs":
+                found.append(f"{path.name}:{node.lineno} .pattern_probs")
+            elif isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "predict_pattern_probs" for alias in node.names):
+                found.append(f"{path.name}:{node.lineno} imports predict_pattern_probs")
+    assert not found, "pattern order read outside channel and filtering: " + ", ".join(found)
+    assert not hasattr(xc.WindowTable, "eps_arrays")
+
+
 def test_simplex_keeps_each_tableau_fact_once():
     # the pricing signs (zero on blocked columns) and the basic columns'
     # bounds are derived from at_upper, basis and u inside the iteration

@@ -246,6 +246,18 @@ def test_sandwich_checks_weights_before_either_table(ref_model, monkeypatch, w1,
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("L", [-1, 0])
+def test_sandwich_checks_window_length_before_either_table(ref_model, monkeypatch, L):
+    # a negative L would ask _refined_table for a fractional row count, and
+    # L = 0 is a refined table window_table then refuses
+    def refuse(*args):
+        raise AssertionError("a table was built before the window length was checked")
+    monkeypatch.setattr(region, "window_table", refuse)
+    monkeypatch.setattr(region, "_refined_table", refuse)
+    with pytest.raises(xc.ContractViolation, match="window length must be at least 1"):
+        xc.sandwich(ref_model, L, 0.5, 0.5)
+
+
 def test_sandwich_ordering(ref_model):
     # inner is the R(L) vertex itself, outer the vertex over (state, window)
     res = xc.sandwich(ref_model, 2, 1.0, 1.0)
