@@ -272,9 +272,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"xorcast {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, model=True):
         sp.add_argument("--config", help="JSON file of option defaults")
-        sp.add_argument("--model", help="channel model JSON file")
+        if model:
+            sp.add_argument("--model", help="channel model JSON file")
         sp.add_argument("--out", help="output path (default stdout)")
 
     sp = sub.add_parser("region", help="boundary points of the L-th order region")
@@ -309,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_forgetting)
 
     sp = sub.add_parser("verify", help="check delivery claims in a trace are decodable")
-    common(sp)
+    common(sp, model=False)
     sp.add_argument("--trace", help="JSON-lines trace file")
     sp.set_defaults(func=cmd_verify)
 

@@ -82,6 +82,8 @@ class ActionDistribution:
     table: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.L, bool) or not isinstance(self.L, int) or self.L < 1:
+            raise ContractViolation("L: expected a positive integer")
         _check_window_cap(self.L)
         t = np.asarray(self.table, dtype=float)
         if t.shape != (4 ** self.L, 5):

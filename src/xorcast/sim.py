@@ -214,9 +214,13 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
     (substitute_action, maxweight_action) read only the queue lengths. Each
     action's branch moves the queues, counts the deliveries and sets the
     combination on air, the claims and the action code; one tail then
-    appends the trace row (none for IDLE) and the slot row. Each checkpoint
-    checks that every packet gone from fresh queue j is in its overheard
-    queue or a pair, or was delivered, and raises NumericalFailure if not.
+    appends the trace row (none for IDLE) and the slot row. The backlog XOR
+    and the lone retransmissions share a branch: SUBj sends receiver j's
+    side of the XOR alone, and a side leaves its overheard queue only when
+    the receiver it is for hears it, the other knowing it already. Each
+    checkpoint checks that every packet gone from fresh queue j is in its
+    overheard queue or a pair, or was delivered, and raises NumericalFailure
+    if not.
     Slot n is always a checkpoint, and its backlog is final_backlog.
 
     A run builds no reference cycle, so the cyclic garbage collector is
@@ -326,18 +330,6 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
                 elif h1:
                     gone2 += 1
                     over2.append((p, p))
-            elif action == XOR_BACKLOG:
-                acct1, t1 = over1[0]
-                acct2, t2 = over2[0]
-                combo = (t1, t2) if t1 < t2 else (t2, t1)
-                if h1:
-                    over1.popleft()
-                    done1 += 1
-                    got = ((1, acct1),)
-                if h2:
-                    over2.popleft()
-                    done2 += 1
-                    got += ((2, acct2),)
             elif action == MIX_FRESH:
                 p1 = fresh1[gone1 - cut1]
                 p2 = fresh2[gone2 - cut2]
@@ -365,23 +357,22 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
                         got += ((2, p2),)
                     else:
                         over2.append((p2, remedy))
-            elif action == SUB1:
-                acct1, t1 = over1[0]
-                combo = (t1,)
+            else:   # XOR_BACKLOG, or SUBj: receiver j's side of it alone
                 code = XOR_BACKLOG
-                if h1:
-                    over1.popleft()
-                    done1 += 1
-                    got = ((1, acct1),)
-                # else receiver 2 already knows t1: no move
-            else:   # SUB2
-                acct2, t2 = over2[0]
-                combo = (t2,)
-                code = XOR_BACKLOG
-                if h2:
-                    over2.popleft()
-                    done2 += 1
-                    got = ((2, acct2),)
+                if action != SUB2:
+                    acct1, t1 = over1[0]
+                    combo = (t1,)
+                    if h1:
+                        over1.popleft()
+                        done1 += 1
+                        got = ((1, acct1),)
+                if action != SUB1:
+                    acct2, t2 = over2[0]
+                    combo = (t2,) if action == SUB2 else (t1, t2) if t1 < t2 else (t2, t1)
+                    if h2:
+                        over2.popleft()
+                        done2 += 1
+                        got += ((2, acct2),)
             if record is not None and code:     # no trace row for IDLE
                 record((slot, code, combo, h1, h2, got))
             if slot_rows is not None or slot + 1 == next_cp:

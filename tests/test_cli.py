@@ -609,6 +609,20 @@ def test_config_keys_must_be_options(capsys, tmp_path, model_path):
     assert run(capsys, ["simulate", "--config", str(cfg)])[0] == 0
 
 
+def test_verify_takes_no_model(capsys, tmp_path, model_path):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--model", "/nonexistent.json", "--trace", str(trace)])
+    assert exc.value.code == 2
+    assert "--model" in capsys.readouterr().err
+    # a config file's model key stays valid: other subcommands read it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model_path, "trace": str(trace)}))
+    code, out, _ = run(capsys, ["verify", "--config", str(cfg)])
+    assert code == 0 and json.loads(out)["transmissions"] == 0
+
+
 def test_sandwich_without_forgetting_rate(capsys, tmp_path):
     # a zero emission entry in a two-state model leaves no forgetting rate,
     # and the bracket needs none: both rows, nothing on stderr

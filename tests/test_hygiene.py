@@ -1,17 +1,21 @@
 """Checks on the package source itself, and on the state its objects keep,
 rather than on its behaviour."""
 
+import argparse
 import ast
+import inspect
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import xorcast as xc
+from xorcast import cli
 from xorcast.lp import _Simplex
 
 from test_lp import random_program
@@ -197,6 +201,42 @@ def test_pattern_order_known_to_channel_and_filtering_only():
                 found.append(f"{path.name}:{node.lineno} imports predict_pattern_probs")
     assert not found, "pattern order read outside channel and filtering: " + ", ".join(found)
     assert not hasattr(xc.WindowTable, "eps_arrays")
+
+
+def test_simulate_moves_each_overheard_head_in_one_place():
+    # the backlog XOR and the lone retransmissions are one move, as each
+    # receiver's node 2 -> 4 arc is one entry of region._ARCS
+    tree = ast.parse((SRC / "sim.py").read_text(encoding="utf-8"))
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "simulate")
+    pops = Counter(node.func.value.id for node in ast.walk(fn)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "popleft" and isinstance(node.func.value, ast.Name))
+    assert pops["over1"] == pops["over2"] == 1, pops
+
+
+def test_every_declared_option_is_read():
+    # a flag that its subcommand never reads is dead: each cmd_* function
+    # reads its options through opts.get, and model through _load_model_opt;
+    # Options itself reads --config
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    unread = []
+    for name, parser in sub.choices.items():
+        declared = set(vars(parser.parse_args([]))) - {"config", "func"}
+        fn = ast.parse(inspect.getsource(parser.get_default("func")))
+        read = set()
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name) and node.func.id == "_load_model_opt":
+                read.add("model")
+            elif (isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "opts"
+                    and node.args and isinstance(node.args[0], ast.Constant)):
+                read.add(node.args[0].value)
+        unread += [f"{name} --{option}" for option in sorted(declared - read)]
+    assert not unread, "options declared and never read: " + ", ".join(unread)
 
 
 def test_simplex_keeps_each_tableau_fact_once():

@@ -731,6 +731,15 @@ def test_dist_parse_errors(tmp_path):
     assert "line 1" in str(err.value)
 
 
+def test_action_distribution_refuses_a_window_length_not_a_positive_integer():
+    # refused before the cap and the shape checks: a bool would be saved as
+    # "L": true, which load_dist refuses, and a float would reach numpy only
+    # in simulate
+    for L in (True, False, 2.0, 0, -1, "2", None):
+        with pytest.raises(xc.ContractViolation, match="L: expected a positive integer"):
+            xc.ActionDistribution(L, [[0.2] * 5] * 4)
+
+
 def test_sweep_failure_raises(ref_model, monkeypatch):
     # a witness that fails its re-check raises, as the robust witness does,
     # instead of leaving a gap in the sweep

@@ -274,6 +274,56 @@ def test_substitute_ladder():
             substitute_action(unknown, *both)
 
 
+# the probabilistic ladder as data: each sampled action's rungs in order,
+# (the queues that must be nonempty, the action sent); a queue is an index
+# into substitute_action's lengths (n11, n12, n21, n22, n3)
+LADDER = {
+    FRESH1: (((0,), FRESH1), ((2,), SUB1)),
+    FRESH2: (((1,), FRESH2), ((3,), SUB2)),
+    XOR_BACKLOG: (((2, 3), XOR_BACKLOG), ((2,), SUB1), ((3,), SUB2)),
+    MIX_FRESH: (((0, 1), MIX_FRESH),),
+    REMEDY: (((4,), REMEDY),),
+}
+
+
+def test_substitute_action_follows_ladder_table():
+    # every sampled action under all 32 empty/nonempty patterns of the five
+    # queues; a nonempty queue holds from 1 to 3 packets, so only emptiness
+    # may matter
+    for sampled, rungs in LADDER.items():
+        for mask in range(32):
+            lengths = [(mask >> k & 1) * (1 + (mask + k) % 3) for k in range(5)]
+            want = next((action for need, action in rungs
+                         if all(lengths[k] for k in need)), IDLE)
+            assert substitute_action(sampled, *lengths) == want, (sampled, lengths)
+
+
+def test_backlog_moves_under_every_pattern_match_slot_oracle(ref_model, monkeypatch):
+    # XOR_BACKLOG, SUB1 and SUB2 each sent under all four erasure patterns,
+    # by both schedulers, with every report field the slot oracle's
+    wit, dist, _ = xc.simulation_distribution(xc.window_table(ref_model, 2), 0.5)
+    R1, R2 = 0.95 * wit.R1, 0.95 * wit.R2
+    for sched, name in (("probabilistic", "substitute_action"),
+                        ("maxweight", "maxweight_action")):
+        kw = dict(dist=dist if sched == "probabilistic" else None,
+                  collect_trace=True, collect_slots=True)
+        actions = []
+
+        def recorded(*args, rule=getattr(xc.sim, name)):
+            actions.append(rule(*args))
+            return actions[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(xc.sim, name, recorded)
+            got = xc.simulate(ref_model, sched, R1, R2, 5000, 1, **kw)
+        assert got == simulate_oracle(ref_model, sched, R1, R2, 5000, 1, **kw), sched
+        seen = {(action, row[2], row[3])
+                for action, row in zip(actions, got.slot_rows, strict=True)}
+        for action in (XOR_BACKLOG, SUB1, SUB2):
+            assert {(z1, z2) for a, z1, z2 in seen if a == action} == set(xc.PATTERNS), \
+                (sched, action)
+
+
 def test_probabilistic_drains_overheard_queue_at_a_corner(ref_model):
     # at the single-user corner lambda = 0.65 of the L=1 region the backlog
     # XOR is almost never sampled, so the overheard queue of receiver j
