@@ -192,6 +192,12 @@ def _pick(cum, u):
     return count
 
 
+def _check_positive(value, name: str, error=ContractViolation) -> None:
+    """The positivity rule of every count: an int, not a bool, of at least 1; else error."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise error(f"{name}: expected a positive integer")
+
+
 def _check_seed(seed: int) -> None:
     # random.Random seeds an int by its absolute value, so -s would replay s
     if seed < 0:
@@ -312,6 +318,16 @@ def _parse_matrix(rows, name: str, nrows: int, ncols: int):
     return out
 
 
+def _check_keys(obj, required, optional) -> None:
+    """Raise ModelFormatError unless obj is an object with all keys required and none unknown."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"top level: expected an object, got {type(obj).__name__}")
+    for key in sorted(set(obj) - set(required) - set(optional)):
+        raise ModelFormatError(f"unknown key {key!r}")
+    for key in [k for k in required if k not in obj]:
+        raise ModelFormatError(f"missing key {key!r}")
+
+
 def model_from_dict(obj) -> ChannelModel:
     """Build and validate a model from its JSON dictionary form.
 
@@ -319,17 +335,9 @@ def model_from_dict(obj) -> ChannelModel:
     "labels": [n strings], optional}. Any schema or validity violation
     raises ModelFormatError naming the offending field.
     """
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"top level: expected an object, got {type(obj).__name__}")
-    allowed = {"states", "transition", "emission", "labels"}
-    for key in sorted(set(obj) - allowed):
-        raise ModelFormatError(f"unknown key {key!r}")
-    for key in ("states", "transition", "emission"):
-        if key not in obj:
-            raise ModelFormatError(f"missing key {key!r}")
+    _check_keys(obj, ("states", "transition", "emission"), ("labels",))
     n = obj["states"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ModelFormatError("states: expected a positive integer")
+    _check_positive(n, "states", ModelFormatError)
     transition = _parse_matrix(obj["transition"], "transition", n, n)
     emission = _parse_matrix(obj["emission"], "emission", n, 4)
     labels = None

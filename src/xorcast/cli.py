@@ -206,11 +206,10 @@ def cmd_simulate(opts) -> int:
 
 
 def cmd_forgetting(opts) -> int:
-    from .filtering import _exhaustive_tvs, _sampled_tvs
+    from .filtering import _check_window, _exhaustive_tvs, _sampled_tvs
     model = _load_model_opt(opts)
     l_max = opts.get("L", required=True, kind=int)
-    if l_max < 1:
-        raise ContractViolation("window length must be at least 1")
+    _check_window(l_max)
     horizon = opts.get("horizon", default=l_max + 4, kind=int)
     seed = opts.get("seed", default=0, kind=int)
     samples = opts.get("samples", default=256, kind=int)

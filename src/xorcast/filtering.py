@@ -16,8 +16,8 @@ from operator import add, mul
 
 import numpy as np
 
-from .channel import (PATTERN_INDEX, PATTERNS, ChannelModel, _check_seed, _draw_codes,
-                      _path_cums, pattern_label, sample_trajectory,  # noqa: F401
+from .channel import (PATTERN_INDEX, PATTERNS, ChannelModel, _check_positive, _check_seed,
+                      _draw_codes, _path_cums, pattern_label, sample_trajectory,  # noqa: F401
                       stationary_distribution)
 from .errors import ContractViolation, NumericalFailure, ResourceLimit, ZeroLikelihood
 
@@ -152,11 +152,12 @@ def filter_path(model: ChannelModel, belief, codes):
 
 
 def _pattern_arg(pattern) -> int:
-    if isinstance(pattern, int):
-        if not 0 <= pattern < 4:
-            raise ContractViolation(f"pattern index {pattern} out of range")
+    if isinstance(pattern, int) and not isinstance(pattern, bool) and 0 <= pattern < 4:
         return pattern
-    return PATTERN_INDEX[tuple(pattern)]
+    try:
+        return PATTERN_INDEX[tuple(pattern)]
+    except (KeyError, TypeError):
+        raise ContractViolation(f"unknown erasure pattern {pattern!r}") from None
 
 
 def filter_step(model: ChannelModel, belief, pattern):
@@ -221,9 +222,14 @@ class WindowTable:
         return ErasureStats.from_pattern_probs(self.pattern_probs.T)
 
 
-def _check_window_cap(L: int) -> None:
-    """Raise ResourceLimit for a window length above WINDOW_CAP, before
-    anything of size 4**L is formed."""
+def _check_window(L: int, error=ContractViolation) -> None:
+    """The window-length rule: L is a positive integer (see _check_positive)."""
+    _check_positive(L, "L", error)
+
+
+def _check_window_cap(L: int, error=ContractViolation) -> None:
+    """_check_window, then ResourceLimit above WINDOW_CAP, before any 4**L object."""
+    _check_window(L, error)
     if L > WINDOW_CAP:
         raise ResourceLimit(f"window length {L} exceeds the cap of {WINDOW_CAP}")
 
@@ -232,8 +238,6 @@ def window_table(model: ChannelModel, L: int) -> WindowTable:
     """Enumerate all 4**L windows from the stationary belief (see _extend),
     so each window's probability is exactly its stationary probability. L
     is capped at WINDOW_CAP to bound memory."""
-    if L < 1:
-        raise ContractViolation("window length must be at least 1")
     _check_window_cap(L)
     return _extend(model, np.reshape(init_belief(model), (-1, 1)), np.ones(1), L)
 
@@ -311,8 +315,8 @@ def dump_window_table(table: WindowTable, out) -> None:
 
 
 def _check_horizon(Ls, horizon: int) -> int:
-    if min(Ls) < 1:
-        raise ContractViolation("window length must be at least 1")
+    for L in Ls:
+        _check_window(L)
     if horizon <= max(Ls):
         raise ContractViolation("horizon must exceed the window length")
     return horizon - 1
@@ -372,8 +376,7 @@ def _sampled_tvs(model: ChannelModel, Ls, horizon: int, seed: int, samples: int)
     """empirical_forgetting for each window length in Ls, from one draw and its full filter."""
     t = _check_horizon(Ls, horizon)
     _check_seed(seed)
-    if samples < 1:
-        raise ContractViolation("sample count must be at least 1")
+    _check_positive(samples, "samples")
     if samples * t > 4 ** WINDOW_CAP:
         raise ResourceLimit(f"{samples} x {t} sampled slots exceed the cap of 4**{WINDOW_CAP}")
     pi = init_belief(model)

@@ -25,7 +25,7 @@ from operator import add
 
 import numpy as np
 
-from .channel import ChannelModel, _parse_matrix, _read_json
+from .channel import ChannelModel, _check_keys, _parse_matrix, _read_json
 from .errors import ContractViolation, ModelFormatError, NumericalFailure, ResourceLimit
 from .filtering import WindowTable, _check_window_cap, _refined_table, window_table
 from .lp import LE, LinearProgram, solve
@@ -82,8 +82,6 @@ class ActionDistribution:
     table: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.L, bool) or not isinstance(self.L, int) or self.L < 1:
-            raise ContractViolation("L: expected a positive integer")
         _check_window_cap(self.L)
         t = np.asarray(self.table, dtype=float)
         if t.shape != (4 ** self.L, 5):
@@ -365,11 +363,10 @@ def sandwich(model: ChannelModel, L: int, w1: float, w2: float) -> SandwichResul
     older past says nothing more about the next slot, so R(L)-bar contains
     the capacity region and shrinks as L grows. The gap between the two
     values closes exponentially fast in L. A table of more rows than
-    4**WINDOW_CAP raises ResourceLimit before it is built; an L below 1 and
-    weights solve_region refuses raise ContractViolation before either is.
+    4**WINDOW_CAP raises ResourceLimit before it is built; an L or weights
+    that _check_window_cap or solve_region refuse raise before either is.
     """
-    if L < 1:
-        raise ContractViolation("window length must be at least 1")
+    _check_window_cap(L)
     _check_weights(w1, w2)
     outer_table = _refined_table(model, L)
     inner = solve_region(window_table(model, L), w1, w2)
@@ -536,16 +533,9 @@ def dist_from_dict(obj) -> ActionDistribution:
     """Parse {"L": n, "actions": [[5 floats] x 4**n]} with field-precise
     errors. The report keys that `xorcast canonicalize` writes beside them
     are ignored, so its output reads back."""
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"top level: expected an object, got {type(obj).__name__}")
-    for key in sorted(set(obj) - {"L", "actions"} - _REPORT_KEYS):
-        raise ModelFormatError(f"unknown key {key!r}")
-    if "L" not in obj or "actions" not in obj:
-        raise ModelFormatError("missing key 'L' or 'actions'")
+    _check_keys(obj, ("L", "actions"), _REPORT_KEYS)
     L = obj["L"]
-    if isinstance(L, bool) or not isinstance(L, int) or L < 1:
-        raise ModelFormatError("L: expected a positive integer")
-    _check_window_cap(L)
+    _check_window_cap(L, ModelFormatError)
     table = _parse_matrix(obj["actions"], "actions", 4 ** L, 5)
     try:
         return ActionDistribution(L=L, table=np.asarray(table))

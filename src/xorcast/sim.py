@@ -29,7 +29,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import PATTERNS, ChannelModel, _check_seed, _path_cums, _pick, _uniforms, _walk
+from .channel import (PATTERNS, ChannelModel, _check_positive, _check_seed, _path_cums, _pick,
+                      _uniforms, _walk)
 from .errors import ContractViolation, NumericalFailure, TraceFormatError
 # the traced benchmark wraps filter_step, unread here, and predict_stats by name in this module
 from .filtering import filter_path, filter_step, init_belief, predict_stats  # noqa: F401
@@ -232,8 +233,7 @@ def simulate(model: ChannelModel, scheduler: str, R1: float, R2: float, n: int,
         raise ContractViolation(f"unknown scheduler {scheduler!r}")
     if not (0.0 <= R1 <= 1.0 and 0.0 <= R2 <= 1.0):
         raise ContractViolation("arrival rates must lie in [0, 1]")
-    if n < 1:
-        raise ContractViolation("n must be positive")
+    _check_positive(n, "n")
     _check_seed(seed)
     probabilistic = scheduler == "probabilistic"
     if probabilistic:

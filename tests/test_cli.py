@@ -161,7 +161,7 @@ def test_forgetting_rejects_bad_counts(capsys, model_path):
     for cmd in (base, ["dump-window-table", "--model", model_path]):
         code, out, err = run(capsys, cmd + ["--L", "0"])
         assert code == 2 and out == ""
-        assert "window length must be at least 1" in err
+        assert "L: expected a positive integer" in err
 
 
 def test_forgetting_sample_cap_exits_2(capsys, model_path, monkeypatch):
@@ -363,7 +363,16 @@ def test_sandwich_window_length_below_1_exits_2(capsys):
         code, out, err = run(capsys, ["region", "--model", str(BENCH_MODEL), "--L", L,
                                       "--lambda", "0.5", "--sandwich"])
         assert code == 2 and out == ""
-        assert "window length must be at least 1" in err and err.count("\n") == 1, err
+        assert "L: expected a positive integer" in err and err.count("\n") == 1, err
+
+
+def test_sandwich_window_length_above_cap_exits_2(capsys):
+    # refused before 4**L is formed, which takes seconds at L = 10**8
+    for L in ("11", "10000000"):
+        code, out, err = run(capsys, ["region", "--model", str(BENCH_MODEL), "--L", L,
+                                      "--lambda", "0.5", "--sandwich"])
+        assert code == 2 and out == ""
+        assert "cap of 10" in err and err.count("\n") == 1, err
 
 
 def test_simulate_verdict_from_10_4_slots(capsys, model_path, tmp_path):

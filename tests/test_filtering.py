@@ -612,3 +612,60 @@ def test_filter_path_raises_where_filter_step_does():
     filter_path(model, (0.5, 0.5), codes[:LANE])
     with pytest.raises(xc.ZeroLikelihood, match=r"\(0, 1\)"):
         filter_path(model, (0.5, 0.5), codes)
+
+
+# every entry that takes a window length, at the horizon 13 whose window
+# table of 4**12 rows the forgetting checks would refuse next
+WINDOW_ENTRIES = {
+    "window_table": lambda m, L: xc.window_table(m, L),
+    "boundary_sweep": lambda m, L: xc.boundary_sweep(m, L),
+    "sandwich": lambda m, L: xc.sandwich(m, L, 0.5, 0.5),
+    "ActionDistribution": lambda m, L: xc.ActionDistribution(L, [[0.2] * 5] * 4),
+    "dist_from_dict": lambda m, L: xc.dist_from_dict({"L": L, "actions": []}),
+    "exhaustive_forgetting": lambda m, L: xc.exhaustive_forgetting(m, L, 13),
+    "empirical_forgetting": lambda m, L: xc.empirical_forgetting(m, L, 13, 0, 4),
+}
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work began before the window length was checked")
+    monkeypatch.setattr(filtering, "_extend", refuse)
+    monkeypatch.setattr(filtering, "_draw_codes", refuse)
+
+
+@pytest.mark.parametrize("L", [True, np.int64(2), 2.0, "2", None, 0, -1],
+                         ids=["True", "int64", "float", "str", "None", "0", "-1"])
+@pytest.mark.parametrize("entry", sorted(WINDOW_ENTRIES))
+def test_every_entry_refuses_a_window_length_not_a_positive_integer(ref_model, no_tables,
+                                                                     entry, L):
+    error = xc.ModelFormatError if entry == "dist_from_dict" else xc.ContractViolation
+    with pytest.raises(error, match="^L: expected a positive integer$") as got:
+        WINDOW_ENTRIES[entry](ref_model, L)
+    assert type(got.value) is error
+
+
+@pytest.mark.parametrize("entry", sorted(set(WINDOW_ENTRIES) - {"empirical_forgetting"}))
+def test_every_table_entry_refuses_a_window_length_above_the_cap(ref_model, no_tables, entry):
+    with pytest.raises(xc.ResourceLimit, match="cap of 10$"):
+        WINDOW_ENTRIES[entry](ref_model, 11)
+
+
+def test_sampled_forgetting_takes_a_window_length_above_the_table_cap(ref_model):
+    # it builds no table, so WINDOW_CAP does not apply to it
+    assert 0.0 <= xc.empirical_forgetting(ref_model, 11, 13, 0, 4) <= 2.0
+
+
+@pytest.mark.parametrize("pattern", [(0, 2), (1,), True, 4, -1, None, "01", 1.0], ids=repr)
+def test_filter_step_refuses_what_is_no_pattern(ref_model, pattern):
+    # a pattern is an index 0..3 or a pair (z1, z2): a bool is neither
+    with pytest.raises(xc.ContractViolation):
+        xc.filter_step(ref_model, xc.init_belief(ref_model), pattern)
+
+
+@pytest.mark.parametrize("samples", [True, 2.5, 0], ids=repr)
+def test_sampled_forgetting_refuses_a_sample_count_not_a_positive_integer(ref_model,
+                                                                          no_tables, samples):
+    with pytest.raises(xc.ContractViolation, match="^samples: expected a positive integer$"):
+        xc.empirical_forgetting(ref_model, 2, 5, 0, samples)

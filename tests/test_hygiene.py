@@ -335,3 +335,28 @@ def test_unknown_package_name_raises_attribute_error():
         xc.no_such_name
     assert str(err.value) == "module 'xorcast' has no attribute 'no_such_name'"
     assert getattr(xc, "no_such_name", None) is None
+
+
+def test_one_window_length_rule():
+    # a window length is a positive integer by filtering._check_window, and
+    # at most WINDOW_CAP by _check_window_cap; the row caps against
+    # 4 ** WINDOW_CAP are a different rule. No other function compares a
+    # window length (L, Ls, l_max or an object's .L) with 0 or 1.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    joined = "".join(sources.values())
+    assert joined.count("expected a positive integer") == 1
+    assert joined.count("L > WINDOW_CAP") == 1
+    window = {"L", "Ls", "l_max"}
+    found = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text, name)):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            named = {n.id if isinstance(n, ast.Name) else n.attr
+                     for o in operands for n in ast.walk(o)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if named & window and any(isinstance(o, ast.Constant) and o.value in (0, 1)
+                                      for o in operands):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, "window length compared with 0 or 1 by hand: " + ", ".join(found)

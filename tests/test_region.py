@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,7 +255,7 @@ def test_sandwich_checks_window_length_before_either_table(ref_model, monkeypatc
         raise AssertionError("a table was built before the window length was checked")
     monkeypatch.setattr(region, "window_table", refuse)
     monkeypatch.setattr(region, "_refined_table", refuse)
-    with pytest.raises(xc.ContractViolation, match="window length must be at least 1"):
+    with pytest.raises(xc.ContractViolation, match="L: expected a positive integer"):
         xc.sandwich(ref_model, L, 0.5, 0.5)
 
 
@@ -821,3 +822,16 @@ def test_rate_nondecreasing_in_window(ref_model):
         assert all(a >= b for a, b in zip(outer, outer[1:])), outer
         assert max(rates) <= min(outer), (rates, outer)
         assert outer[-1] - rates[-1] < gap, (rates, outer)
+
+
+def test_sandwich_refuses_a_large_window_before_computing_4_to_the_L(ref_model):
+    # the refined table's row cap reads 4**L, an integer of L/4 bytes: at
+    # L = 10**7 it alone is 2.5 MB, and 4**(10**9) would take hours
+    tracemalloc.start()
+    try:
+        with pytest.raises(xc.ResourceLimit, match="window length 10000000 exceeds the cap of 10$"):
+            xc.sandwich(ref_model, 10 ** 7, 0.5, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak

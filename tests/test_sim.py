@@ -358,6 +358,14 @@ def test_simulate_rejects_negative_seed(ref_model):
         xc.simulate(ref_model, "maxweight", 0.1, 0.1, 100, -3)
 
 
+@pytest.mark.parametrize("n", [True, 2.5, "10", None, np.int64(10), -1],
+                         ids=["True", "float", "str", "None", "int64", "-1"])
+def test_simulate_refuses_a_slot_count_not_a_positive_integer(ref_model, n):
+    # True once ran one slot and reported n=True; 2.5 reached range()
+    with pytest.raises(xc.ContractViolation, match="^n: expected a positive integer$"):
+        xc.simulate(ref_model, "maxweight", 0.1, 0.1, n, 0)
+
+
 def _random_dist(rng, L):
     """Action distribution with random rows, about a third of them zeros."""
     rows = []
